@@ -76,6 +76,11 @@ bench-gate:
 serve:
 	$(GO) run ./cmd/dbpserved -addr :8080
 
+# The daemon drills below (smoke, scenario-smoke, chaos-smoke, tenant-smoke,
+# fleet-smoke, fleet-chaos-smoke) share one harness, scripts/internal/drill.
+# Set DRILL_ARTIFACTS=<dir> to keep every drill's journals, checkpoint blobs,
+# and per-daemon logs there for post-mortem (CI uploads them on failure).
+
 # End-to-end smoke test: build the real dbpserved binary, start it, POST a
 # quick run (assert 200 + schema v1 + a cache hit on the repeat), SIGTERM,
 # and require a clean drain (exit 0).
@@ -100,8 +105,6 @@ scenario-smoke:
 # that must resume from its checkpoint (and a corrupt-checkpoint variant
 # that must fall back to a clean rerun), always with ledgers byte-identical
 # to uninterrupted runs — plus the multi-tenant drill (see tenant-smoke).
-# Set CHAOSSMOKE_ARTIFACTS=<dir> to keep journals, checkpoints, and daemon
-# logs there for post-mortem (CI uploads them on failure).
 chaos-smoke:
 	$(GO) build -o /tmp/dbpserved-chaos ./cmd/dbpserved
 	$(GO) run ./scripts/chaossmoke /tmp/dbpserved-chaos
@@ -121,8 +124,7 @@ tenant-smoke:
 # (NDJSON stream, one simulation per unique cell fleet-wide), SIGKILL the
 # owner of a long run mid-flight and require the coordinator to finish it
 # on a survivor from the mirrored checkpoint — every ledger byte-identical
-# to a single-node reference daemon's. Set FLEETSMOKE_ARTIFACTS=<dir> to
-# keep per-daemon logs there for post-mortem (CI uploads them on failure).
+# to a single-node reference daemon's.
 fleet-smoke:
 	$(GO) build -o /tmp/dbpserved-fleet ./cmd/dbpserved
 	$(GO) run ./scripts/fleetsmoke /tmp/dbpserved-fleet
@@ -133,8 +135,7 @@ fleet-smoke:
 # incomplete cell, a resubmitted identical sweep is byte-identical to the
 # reference, and the fleet never re-simulates a completed cell), then boot
 # a worker behind an injected network partition (it must serve standalone
-# in degraded mode and buffer its checkpoint mirrors). Same
-# FLEETSMOKE_ARTIFACTS post-mortem convention as fleet-smoke.
+# in degraded mode and buffer its checkpoint mirrors).
 fleet-chaos-smoke:
 	$(GO) build -o /tmp/dbpserved-fleet-chaos ./cmd/dbpserved
 	$(GO) run ./scripts/fleetsmoke -chaos /tmp/dbpserved-fleet-chaos

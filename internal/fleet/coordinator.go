@@ -3,8 +3,6 @@ package fleet
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -17,6 +15,7 @@ import (
 	"time"
 
 	"dbpsim/internal/chaos"
+	"dbpsim/internal/durable"
 	"dbpsim/internal/serve"
 	"dbpsim/internal/tenant"
 )
@@ -547,7 +546,7 @@ func (c *Coordinator) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 		writeAPIError(w, http.StatusRequestEntityTooLarge, &serve.APIError{Code: serve.CodeTooLarge, Message: "checkpoint blob too large or unreadable"})
 		return
 	}
-	if got := blobHash(blob); got != hash {
+	if got := durable.Hash(blob); got != hash {
 		writeAPIError(w, http.StatusBadRequest, &serve.APIError{Code: serve.CodeBadRequest, Message: fmt.Sprintf("checkpoint blob corrupt in transit: hashes to %s, not %s", got, hash)})
 		return
 	}
@@ -732,7 +731,7 @@ func (c *Coordinator) dispatch(ctx context.Context, key string, body []byte, ft 
 			migrated: resumeHash != "",
 		}
 		if resp.StatusCode == http.StatusOK {
-			out.ledgerSHA = blobHash(respBody)
+			out.ledgerSHA = durable.Hash(respBody)
 			c.dropCheckpoint(key)
 		}
 		return out
@@ -857,7 +856,7 @@ func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 	// client resubmitting the same sweep after an interruption maps onto the
 	// same journal entity, and its already-completed cells replay as
 	// terminal records rather than new work.
-	sweepID := blobHash(body)
+	sweepID := durable.Hash(body)
 	if err := c.jr.appendSweep(sweepID, ten.Name(), body); err != nil {
 		c.log.Warn("journal append failed", "op", "sweep", "sweep", sweepID, "err", err)
 	}
@@ -1088,11 +1087,6 @@ func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 // --- small helpers -------------------------------------------------------
-
-func blobHash(data []byte) string {
-	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:])
-}
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json; charset=utf-8")

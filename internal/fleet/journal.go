@@ -1,28 +1,26 @@
 package fleet
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/json"
 	"fmt"
-	"os"
 	"path/filepath"
 	"sort"
-	"sync"
 
 	"dbpsim/internal/chaos"
+	"dbpsim/internal/durable"
 	"dbpsim/internal/serve"
 )
 
-// coordJournal is the coordinator's durability layer, built from the same
-// idioms as the worker journal in internal/serve: an fsynced append-only
-// JSONL record stream plus a content-addressed blob store for mirrored
-// checkpoints, all under one directory. It exists so the coordinator stops
-// being the fleet's single point of failure — a restarted coordinator
-// replays membership, in-flight sweep progress, and the checkpoint mirror
-// index, then resumes every unfinished sweep from its first incomplete
-// cell (completed cells are journaled with their ledger_sha256 and are
-// never re-simulated; resubmitted cells land as worker cache hits).
+// coordJournal is the coordinator's durability layer, on the same
+// internal/durable contract as the worker journal in internal/serve: an
+// fsynced append-only JSONL record stream plus a content-addressed blob
+// store for mirrored checkpoints, all under one directory. It exists so the
+// coordinator stops being the fleet's single point of failure — a restarted
+// coordinator replays membership, in-flight sweep progress, and the
+// checkpoint mirror index, then resumes every unfinished sweep from its
+// first incomplete cell (completed cells are journaled with their
+// ledger_sha256 and are never re-simulated; resubmitted cells land as
+// worker cache hits).
 //
 // Layout:
 //
@@ -33,11 +31,9 @@ import (
 // without -journal-dir); every method no-ops on a nil receiver, mirroring
 // the serve journal and chaos.Injector.
 type coordJournal struct {
-	dir string
-	inj *chaos.Injector
-
-	mu sync.Mutex
-	f  *os.File
+	inj   *chaos.Injector
+	log   *durable.Log[coordRecord]
+	blobs *durable.Store
 }
 
 // coordRecord is one line of the coordinator's journal.jsonl.
@@ -164,118 +160,101 @@ func (sw *replayedSweep) failedCount() int {
 	return n
 }
 
-// openCoordJournal opens (creating if needed) the coordinator journal
-// under dir, replays the record stream, compacts it, and reopens for
-// append. Replay is crash-tolerant the same way the worker journal is: a
-// torn final line is skipped, records may arrive out of order (a cell line
-// can precede its sweep line after a torn compaction), and duplicate cell
-// completions are idempotent — first verdict wins.
-func openCoordJournal(dir string, inj *chaos.Injector) (*coordJournal, *coordReplay, error) {
-	if err := os.MkdirAll(filepath.Join(dir, "checkpoints"), 0o755); err != nil {
-		return nil, nil, fmt.Errorf("fleet: journal dir: %w", err)
-	}
-	path := filepath.Join(dir, "journal.jsonl")
-	replay, err := replayCoordJournal(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	compactCoordJournal(path, replay)
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, nil, fmt.Errorf("fleet: open journal: %w", err)
-	}
-	j := &coordJournal{dir: dir, inj: inj, f: f}
-	j.gcMirrorBlobs(replay)
-	return j, replay, nil
-}
-
-// replayCoordJournal reads the record stream and folds it into coordinator
-// state. Tolerances, in order of the properties the fuzz test pins:
-// torn (unparseable) lines are skipped; a cell record whose sweep record
-// was lost creates a provisional request-less sweep (progress is counted,
-// but without a body the sweep cannot be resumed); duplicate cell records
-// for one run key keep the first verdict; "sweep-end" wins over any order
-// of arrival — an ended sweep is never resumed, whatever else replays.
-func replayCoordJournal(path string) (*coordReplay, error) {
-	r := &coordReplay{
+func newCoordReplay() *coordReplay {
+	return &coordReplay{
 		workers: make(map[string]string),
 		sweeps:  make(map[string]*replayedSweep),
 		mirrors: make(map[string]mirrorRef),
 	}
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return r, nil
-	}
+}
+
+// openCoordJournal opens (creating if needed) the coordinator journal
+// under dir, replays the record stream, compacts it, reopens for append,
+// and sweeps the blob store down to the replayed mirror index. Runtime
+// drops only append mirror-drop records (two run keys can share one content
+// address, so eager file deletion would need refcounting); this startup
+// sweep is where the space comes back. It is best-effort: a blob it fails
+// to remove stays unreferenced and is retried at the next startup.
+func openCoordJournal(dir string, inj *chaos.Injector) (*coordJournal, *coordReplay, error) {
+	blobs, err := durable.NewStore(filepath.Join(dir, "checkpoints"))
 	if err != nil {
-		return nil, fmt.Errorf("fleet: replay journal: %w", err)
+		return nil, nil, fmt.Errorf("fleet: journal dir: %w", err)
 	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 16<<20)
-	for sc.Scan() {
-		var rec coordRecord
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
-			continue // torn line from a crash mid-append
+	r := newCoordReplay()
+	log, err := durable.Open(filepath.Join(dir, "journal.jsonl"), inj, r.fold, r.records)
+	if err != nil {
+		return nil, nil, fmt.Errorf("fleet: %w", err)
+	}
+	keep := make(map[string]bool, len(r.mirrors))
+	for _, m := range r.mirrors {
+		keep[m.hash] = true
+	}
+	_, _ = blobs.Sweep(func(h string) bool { return keep[h] })
+	return &coordJournal{inj: inj, log: log, blobs: blobs}, r, nil
+}
+
+// fold applies one record to the replayed coordinator state. Tolerances,
+// in order of the properties the fuzz test pins: a cell record whose sweep
+// record was lost creates a provisional request-less sweep (progress is
+// counted, but without a body the sweep cannot be resumed); duplicate cell
+// records for one run key keep the first verdict; "sweep-end" wins over
+// any order of arrival — an ended sweep is never resumed, whatever else
+// replays.
+func (r *coordReplay) fold(rec coordRecord) {
+	switch rec.Op {
+	case "join":
+		if rec.Worker != "" && rec.Addr != "" {
+			r.workers[rec.Worker] = rec.Addr
 		}
-		switch rec.Op {
-		case "join":
-			if rec.Worker != "" && rec.Addr != "" {
-				r.workers[rec.Worker] = rec.Addr
-			}
-		case "down":
-			// Departure is advisory: the worker stays known (resync probes
-			// it), only liveness is decided fresh at restart.
-		case "sweep":
-			if rec.Sweep == "" {
-				continue
-			}
-			sw := r.sweep(rec.Sweep)
-			if len(rec.Request) > 0 {
-				sw.request = append(json.RawMessage(nil), rec.Request...)
-			}
-			if rec.Tenant != "" {
-				sw.tenant = rec.Tenant
-			}
-		case "cell":
-			if rec.Sweep == "" || rec.Key == "" || rec.Status == "" {
-				continue
-			}
-			sw := r.sweep(rec.Sweep)
-			if _, dup := sw.cells[rec.Key]; dup {
-				continue // duplicate completion: idempotent, first wins
-			}
-			sw.cells[rec.Key] = replayedCell{
-				status:    rec.Status,
-				ledgerSHA: rec.LedgerSHA256,
-				worker:    rec.Worker,
-			}
-		case "sweep-end":
-			if rec.Sweep == "" {
-				continue
-			}
-			sw := r.sweep(rec.Sweep)
-			if sw.ended {
-				continue
-			}
-			sw.ended = true
-			sw.done, sw.failed = rec.Done, rec.Failed
-		case "mirror":
-			if rec.Key == "" || rec.Checkpoint == "" {
-				continue
-			}
-			// Latest capture wins; records append in cycle order, so the
-			// cycle guard only matters for shuffled streams.
-			if cur, ok := r.mirrors[rec.Key]; !ok || rec.Cycle >= cur.cycle {
-				r.mirrors[rec.Key] = mirrorRef{hash: rec.Checkpoint, cycle: rec.Cycle}
-			}
-		case "mirror-drop":
-			delete(r.mirrors, rec.Key)
+	case "down":
+		// Departure is advisory: the worker stays known (resync probes it),
+		// only liveness is decided fresh at restart.
+	case "sweep":
+		if rec.Sweep == "" {
+			return
 		}
+		sw := r.sweep(rec.Sweep)
+		if len(rec.Request) > 0 {
+			sw.request = rec.Request
+		}
+		if rec.Tenant != "" {
+			sw.tenant = rec.Tenant
+		}
+	case "cell":
+		if rec.Sweep == "" || rec.Key == "" || rec.Status == "" {
+			return
+		}
+		sw := r.sweep(rec.Sweep)
+		if _, dup := sw.cells[rec.Key]; dup {
+			return // duplicate completion: idempotent, first wins
+		}
+		sw.cells[rec.Key] = replayedCell{
+			status:    rec.Status,
+			ledgerSHA: rec.LedgerSHA256,
+			worker:    rec.Worker,
+		}
+	case "sweep-end":
+		if rec.Sweep == "" {
+			return
+		}
+		sw := r.sweep(rec.Sweep)
+		if sw.ended {
+			return
+		}
+		sw.ended = true
+		sw.done, sw.failed = rec.Done, rec.Failed
+	case "mirror":
+		if rec.Key == "" || rec.Checkpoint == "" {
+			return
+		}
+		// Latest capture wins; records append in cycle order, so the cycle
+		// guard only matters for shuffled streams.
+		if cur, ok := r.mirrors[rec.Key]; !ok || rec.Cycle >= cur.cycle {
+			r.mirrors[rec.Key] = mirrorRef{hash: rec.Checkpoint, cycle: rec.Cycle}
+		}
+	case "mirror-drop":
+		delete(r.mirrors, rec.Key)
 	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("fleet: replay journal: %w", err)
-	}
-	return r, nil
 }
 
 func (r *coordReplay) sweep(id string) *replayedSweep {
@@ -287,74 +266,32 @@ func (r *coordReplay) sweep(id string) *replayedSweep {
 	return sw
 }
 
-// compactCoordJournal rewrites journal.jsonl from the replayed state: one
-// join per known worker, one mirror per live blob, sweep + cell records
-// for unfinished sweeps, and a single sweep-end line (totals only) per
-// ended one — replaying the compacted stream reconstructs the same
-// coordReplay. Best-effort: any failure leaves the original file in place.
-func compactCoordJournal(path string, r *coordReplay) {
-	if len(r.workers) == 0 && len(r.sweeps) == 0 && len(r.mirrors) == 0 {
-		if _, err := os.Stat(path); os.IsNotExist(err) {
-			return // nothing replayed, nothing on disk: do not invent a file
-		}
-	}
-	var buf bytes.Buffer
-	write := func(rec coordRecord) bool {
-		line, err := json.Marshal(rec)
-		if err != nil {
-			return false
-		}
-		buf.Write(line)
-		buf.WriteByte('\n')
-		return true
-	}
+// records is the compacted record stream for the replayed state: one join
+// per known worker, one mirror per live blob, sweep + cell records for
+// unfinished sweeps, and a single sweep-end line (totals only) per ended
+// one — replaying it reconstructs the same coordReplay.
+func (r *coordReplay) records() []coordRecord {
+	var recs []coordRecord
 	for _, id := range sortedKeys(r.workers) {
-		if !write(coordRecord{Op: "join", Worker: id, Addr: r.workers[id]}) {
-			return
-		}
+		recs = append(recs, coordRecord{Op: "join", Worker: id, Addr: r.workers[id]})
 	}
 	for _, key := range sortedKeys(r.mirrors) {
 		m := r.mirrors[key]
-		if !write(coordRecord{Op: "mirror", Key: key, Checkpoint: m.hash, Cycle: m.cycle}) {
-			return
-		}
+		recs = append(recs, coordRecord{Op: "mirror", Key: key, Checkpoint: m.hash, Cycle: m.cycle})
 	}
 	for _, id := range sortedKeys(r.sweeps) {
 		sw := r.sweeps[id]
 		if sw.ended {
-			if !write(coordRecord{Op: "sweep-end", Sweep: id, Done: sw.done, Failed: sw.failed}) {
-				return
-			}
+			recs = append(recs, coordRecord{Op: "sweep-end", Sweep: id, Done: sw.done, Failed: sw.failed})
 			continue
 		}
-		if !write(coordRecord{Op: "sweep", Sweep: id, Tenant: sw.tenant, Request: sw.request}) {
-			return
-		}
+		recs = append(recs, coordRecord{Op: "sweep", Sweep: id, Tenant: sw.tenant, Request: sw.request})
 		for _, key := range sortedKeys(sw.cells) {
 			c := sw.cells[key]
-			if !write(coordRecord{Op: "cell", Sweep: id, Key: key, Status: c.status, LedgerSHA256: c.ledgerSHA, Worker: c.worker}) {
-				return
-			}
+			recs = append(recs, coordRecord{Op: "cell", Sweep: id, Key: key, Status: c.status, LedgerSHA256: c.ledgerSHA, Worker: c.worker})
 		}
 	}
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".journal-compact-*")
-	if err != nil {
-		return
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(buf.Bytes()); err != nil {
-		tmp.Close()
-		return
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return
-	}
-	if err := tmp.Close(); err != nil {
-		return
-	}
-	_ = os.Rename(tmp.Name(), path)
+	return recs
 }
 
 func sortedKeys[V any](m map[string]V) []string {
@@ -404,23 +341,7 @@ func (j *coordJournal) append(rec coordRecord) error {
 	if j == nil {
 		return nil
 	}
-	if err := j.inj.Err(chaos.JournalAppend); err != nil {
-		return err
-	}
-	data, err := json.Marshal(rec)
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if _, err := j.f.Write(data); err != nil {
-		return fmt.Errorf("fleet: journal append: %w", err)
-	}
-	if err := j.f.Sync(); err != nil {
-		return fmt.Errorf("fleet: journal sync: %w", err)
-	}
-	return nil
+	return j.log.Append(rec)
 }
 
 // --- mirrored blob store --------------------------------------------------
@@ -434,7 +355,7 @@ func (j *coordJournal) writeMirrorBlob(data []byte) (string, error) {
 	if err := j.inj.Err(chaos.Checkpoint); err != nil {
 		return "", err
 	}
-	return serve.WriteContentBlob(filepath.Join(j.dir, "checkpoints"), "mirror store", data)
+	return j.blobs.Put(data)
 }
 
 // readMirrorBlob loads a mirrored blob back by content address.
@@ -445,31 +366,7 @@ func (j *coordJournal) readMirrorBlob(hash string) ([]byte, error) {
 	if err := j.inj.Err(chaos.Checkpoint); err != nil {
 		return nil, err
 	}
-	return serve.ReadContentBlob(filepath.Join(j.dir, "checkpoints", hash), "mirror", hash)
-}
-
-// gcMirrorBlobs sweeps the blob store down to what the replayed mirror
-// index still references. Runtime drops only append mirror-drop records
-// (two run keys can share one content address, so eager file deletion
-// would need refcounting); this startup sweep is where the space comes
-// back. Best-effort.
-func (j *coordJournal) gcMirrorBlobs(r *coordReplay) {
-	if j == nil {
-		return
-	}
-	keep := make(map[string]bool, len(r.mirrors))
-	for _, m := range r.mirrors {
-		keep[m.hash] = true
-	}
-	entries, err := os.ReadDir(filepath.Join(j.dir, "checkpoints"))
-	if err != nil {
-		return
-	}
-	for _, e := range entries {
-		if !keep[e.Name()] {
-			_ = os.Remove(filepath.Join(j.dir, "checkpoints", e.Name()))
-		}
-	}
+	return j.blobs.Get(hash)
 }
 
 // Close releases the journal file. Safe on nil.
@@ -477,7 +374,5 @@ func (j *coordJournal) Close() error {
 	if j == nil {
 		return nil
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.f.Close()
+	return j.log.Close()
 }

@@ -7,6 +7,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"dbpsim/internal/durable"
 )
 
 // writeJournal drops raw lines into a fresh journal dir and returns the
@@ -19,6 +21,19 @@ func writeJournal(t *testing.T, lines ...string) string {
 		t.Fatal(err)
 	}
 	return path
+}
+
+// replayCoordJournal folds the journal at path the way openCoordJournal
+// does, without opening it for append.
+func replayCoordJournal(path string) (*coordReplay, error) {
+	r := newCoordReplay()
+	return r, durable.Replay(path, r.fold)
+}
+
+// compactCoordJournal rewrites the journal at path to r's compacted
+// record stream, as openCoordJournal does after replay.
+func compactCoordJournal(path string, r *coordReplay) {
+	_ = durable.Rewrite(path, r.records())
 }
 
 // TestCoordJournalReplayTolerances pins the replay properties the

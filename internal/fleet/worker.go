@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"dbpsim/internal/chaos"
+	"dbpsim/internal/durable"
 	"dbpsim/internal/serve"
 )
 
@@ -183,7 +184,7 @@ func (w *Worker) OnCheckpoint(runKey string, blob []byte, cycle uint64) {
 // postMirror POSTs one checkpoint blob to the coordinator's mirror store.
 func (w *Worker) postMirror(runKey string, blob []byte, cycle uint64) error {
 	u := fmt.Sprintf("%s/v1/fleet/checkpoint?key=%s&cycle=%d&hash=%s",
-		w.opt.Coordinator, url.QueryEscape(runKey), cycle, blobHash(blob))
+		w.opt.Coordinator, url.QueryEscape(runKey), cycle, durable.Hash(blob))
 	req, err := http.NewRequest(http.MethodPost, u, bytes.NewReader(blob))
 	if err != nil {
 		return err
@@ -304,7 +305,7 @@ func (w *Worker) handleCache(rw http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rw.Header().Set("Content-Type", "application/json; charset=utf-8")
-	rw.Header().Set("X-Content-SHA256", blobHash(data))
+	rw.Header().Set("X-Content-SHA256", durable.Hash(data))
 	rw.WriteHeader(http.StatusOK)
 	_, _ = rw.Write(data)
 }
@@ -460,7 +461,7 @@ func (w *Worker) probeCache(ctx context.Context, p WorkerInfo, key string) ([]by
 	if err != nil {
 		return nil, false
 	}
-	if want := resp.Header.Get("X-Content-SHA256"); want != "" && blobHash(data) != want {
+	if want := resp.Header.Get("X-Content-SHA256"); want != "" && durable.Hash(data) != want {
 		w.log.Warn("peer cache hit corrupt in transit; ignoring", "peer", p.ID, "key", key)
 		return nil, false
 	}

@@ -1,20 +1,15 @@
 package serve
 
 import (
-	"bufio"
-	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
 	"dbpsim/internal/chaos"
+	"dbpsim/internal/durable"
 )
 
 // journal is dbpserved's durability layer: an append-only JSONL record
@@ -30,27 +25,29 @@ import (
 //	<dir>/results/<sha256>      canonical ledger bytes, content-addressed
 //	<dir>/checkpoints/<sha256>  sim snapshot blobs, content-addressed
 //
-// Result files reuse the cache's canonical MarshalLedger bytes verbatim, so
-// a restored result is byte-identical to the one served before the crash.
-// The journal is written with an fsync per record: one simulation costs
-// seconds to minutes, so a handful of fsyncs per job is noise.
+// The storage contract — an fsync per record, torn-tail-tolerant replay,
+// atomic compaction, verified content-addressed blobs — is internal/durable's;
+// this file holds only the record type, its replay fold, and the compacted
+// record list. Result files reuse the cache's canonical MarshalLedger bytes
+// verbatim, so a restored result is byte-identical to the one served before
+// the crash. One simulation costs seconds to minutes, so a handful of fsyncs
+// per job is noise.
 //
-// Garbage collection happens at startup (compactJournal squashes the record
-// stream to one generation of state, gcBlobs sweeps both content stores
-// down to what replay still references) and incrementally at runtime under
-// the RetainLatest policy (removeCheckpoint prunes a job's superseded blob
-// as soon as a newer one is journaled, and its final blob when the job
-// ends). RetainAll keeps every checkpoint blob for forensics.
+// Garbage collection happens at startup (the record stream is compacted to
+// one generation of state, gcBlobs sweeps both content stores down to what
+// replay still references) and incrementally at runtime under the
+// RetainLatest policy (removeCheckpoint prunes a job's superseded blob as
+// soon as a newer one is journaled, and its final blob when the job ends).
+// RetainAll keeps every checkpoint blob for forensics.
 //
 // A nil *journal is a valid, always-off journal (the server runs without
 // -journal-dir); every method no-ops on a nil receiver, mirroring
 // chaos.Injector.
 type journal struct {
-	dir string
-	inj *chaos.Injector
-
-	mu sync.Mutex
-	f  *os.File
+	inj     *chaos.Injector
+	log     *durable.Log[journalRecord]
+	results *durable.Store
+	ckpts   *durable.Store
 }
 
 // journalRecord is one line of journal.jsonl. Op "submit" declares a job
@@ -116,9 +113,9 @@ type restoredJob struct {
 }
 
 // openJournal opens (creating if needed) the journal under dir, replays the
-// existing record stream, and returns the journal plus the restored job
-// map and the highest job sequence number seen (so new job ids never
-// collide with restored ones).
+// existing record stream, compacts it, and returns the journal plus the
+// restored job map and the highest job sequence number seen (so new job ids
+// never collide with restored ones).
 //
 // Replay is crash-tolerant: a torn final line (the process died mid-append)
 // is skipped, and jobs whose submit record has no matching end record come
@@ -126,104 +123,82 @@ type restoredJob struct {
 // the request body, otherwise reported failed with code "interrupted" and
 // retryable=true as the client's cue to resubmit.
 func openJournal(dir string, inj *chaos.Injector) (*journal, map[string]*restoredJob, uint64, error) {
-	for _, sub := range []string{"results", "checkpoints"} {
-		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
-			return nil, nil, 0, fmt.Errorf("serve: journal dir: %w", err)
-		}
-	}
-	path := filepath.Join(dir, "journal.jsonl")
-	restored, maxSeq, err := replayJournal(path)
+	results, err := durable.NewStore(filepath.Join(dir, "results"))
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, nil, 0, fmt.Errorf("serve: journal dir: %w", err)
 	}
-	// Compact before reopening for append: the replayed state is exactly one
-	// record per terminal job plus submit(+checkpoint) for interrupted ones,
-	// so rewriting the stream from it sheds every superseded checkpoint
-	// record and duplicate line accumulated across restarts. Failure is
-	// non-fatal — the uncompacted journal replays identically.
-	compactJournal(path, restored)
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	ckpts, err := durable.NewStore(filepath.Join(dir, "checkpoints"))
 	if err != nil {
-		return nil, nil, 0, fmt.Errorf("serve: open journal: %w", err)
+		return nil, nil, 0, fmt.Errorf("serve: journal dir: %w", err)
 	}
-	return &journal{dir: dir, inj: inj, f: f}, restored, maxSeq, nil
+	rp := &journalReplay{restored: make(map[string]*restoredJob)}
+	// Compaction rewrites the stream from the replayed state — one record per
+	// terminal job plus submit(+checkpoint) for interrupted ones — shedding
+	// every superseded checkpoint record and duplicate line accumulated
+	// across restarts.
+	log, err := durable.Open(filepath.Join(dir, "journal.jsonl"), inj, rp.fold,
+		func() []journalRecord { return compactRecords(rp.restored) })
+	if err != nil {
+		return nil, nil, 0, fmt.Errorf("serve: %w", err)
+	}
+	return &journal{inj: inj, log: log, results: results, ckpts: ckpts}, rp.restored, rp.maxSeq, nil
 }
 
-// replayJournal reads the record stream and folds it into terminal job
-// state. Records may be out of order relative to each other (a fast worker
-// can append a job's end record before the submitter's goroutine appends
-// its submit record), so "end" always wins over "submit".
-func replayJournal(path string) (map[string]*restoredJob, uint64, error) {
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return map[string]*restoredJob{}, 0, nil
-	}
-	if err != nil {
-		return nil, 0, fmt.Errorf("serve: replay journal: %w", err)
-	}
-	defer f.Close()
+// journalReplay folds the record stream into terminal job state. Records
+// may be out of order relative to each other (a fast worker can append a
+// job's end record before the submitter's goroutine appends its submit
+// record), so "end" always wins over "submit": once a job's end record has
+// been folded, the job is no longer interrupted and later submit or
+// checkpoint records leave it alone.
+type journalReplay struct {
+	restored map[string]*restoredJob
+	maxSeq   uint64
+}
 
-	restored := make(map[string]*restoredJob)
-	ended := make(map[string]bool)
-	var maxSeq uint64
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	for sc.Scan() {
-		var rec journalRecord
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
-			// A torn line from a crash mid-append: ignore it. Anything the
-			// line described is covered by the interrupted-job rule.
-			continue
-		}
-		if rec.ID == "" {
-			continue
-		}
-		if seq, ok := jobSeq(rec.ID); ok && seq > maxSeq {
-			maxSeq = seq
-		}
-		switch rec.Op {
-		case "submit":
-			if _, exists := restored[rec.ID]; !exists {
-				restored[rec.ID] = provisionalInterrupted(rec.ID, rec.Key)
-			}
-			if r := restored[rec.ID]; !ended[rec.ID] && len(rec.Request) > 0 {
-				r.request = append(json.RawMessage(nil), rec.Request...)
-			}
-			restored[rec.ID].adoptTenancy(rec)
-		case "checkpoint":
-			r := restored[rec.ID]
-			if r == nil {
-				// Checkpoint without a surviving submit line (torn by a
-				// crash): the job existed, but without a body it cannot be
-				// requeued — it keeps the interrupted verdict.
-				r = provisionalInterrupted(rec.ID, rec.Key)
-				restored[rec.ID] = r
-			}
-			if !ended[rec.ID] && rec.Checkpoint != "" {
-				r.checkpoint = rec.Checkpoint
-				r.ckptCycle = rec.Cycle
-			}
-		case "end":
-			r := restored[rec.ID]
-			if r == nil {
-				r = &restoredJob{id: rec.ID, key: rec.Key}
-				restored[rec.ID] = r
-			}
-			r.state = rec.State
-			r.apiErr = rec.Error
-			r.result = rec.Result
-			r.interrupted = false
-			r.request = nil
-			r.checkpoint = ""
-			r.ckptCycle = 0
-			r.adoptTenancy(rec)
-			ended[rec.ID] = true
-		}
+func (rp *journalReplay) fold(rec journalRecord) {
+	if rec.ID == "" {
+		return
 	}
-	if err := sc.Err(); err != nil {
-		return nil, 0, fmt.Errorf("serve: replay journal: %w", err)
+	if seq, ok := jobSeq(rec.ID); ok && seq > rp.maxSeq {
+		rp.maxSeq = seq
 	}
-	return restored, maxSeq, nil
+	r := rp.restored[rec.ID]
+	switch rec.Op {
+	case "submit":
+		if r == nil {
+			r = provisionalInterrupted(rec.ID, rec.Key)
+			rp.restored[rec.ID] = r
+		}
+		if r.interrupted && len(rec.Request) > 0 {
+			r.request = rec.Request
+		}
+		r.adoptTenancy(rec)
+	case "checkpoint":
+		if r == nil {
+			// Checkpoint without a surviving submit line (torn by a crash):
+			// the job existed, but without a body it cannot be requeued — it
+			// keeps the interrupted verdict.
+			r = provisionalInterrupted(rec.ID, rec.Key)
+			rp.restored[rec.ID] = r
+		}
+		if r.interrupted && rec.Checkpoint != "" {
+			r.checkpoint = rec.Checkpoint
+			r.ckptCycle = rec.Cycle
+		}
+	case "end":
+		if r == nil {
+			r = &restoredJob{id: rec.ID, key: rec.Key}
+			rp.restored[rec.ID] = r
+		}
+		r.state = rec.State
+		r.apiErr = rec.Error
+		r.result = rec.Result
+		r.interrupted = false
+		r.request = nil
+		r.checkpoint = ""
+		r.ckptCycle = 0
+		r.adoptTenancy(rec)
+	}
 }
 
 // provisionalInterrupted builds the replay-time default for a job whose end
@@ -311,23 +286,7 @@ func (j *journal) append(rec journalRecord) error {
 	if j == nil {
 		return nil
 	}
-	if err := j.inj.Err(chaos.JournalAppend); err != nil {
-		return err
-	}
-	data, err := json.Marshal(rec)
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if _, err := j.f.Write(data); err != nil {
-		return fmt.Errorf("serve: journal append: %w", err)
-	}
-	if err := j.f.Sync(); err != nil {
-		return fmt.Errorf("serve: journal sync: %w", err)
-	}
-	return nil
+	return j.log.Append(rec)
 }
 
 // writeResult persists canonical ledger bytes to the content-addressed
@@ -339,7 +298,7 @@ func (j *journal) writeResult(data []byte) (string, error) {
 	if err := j.inj.Err(chaos.ResultWrite); err != nil {
 		return "", err
 	}
-	return writeContentFile(filepath.Join(j.dir, "results"), "result store", data)
+	return j.results.Put(data)
 }
 
 // readResult loads ledger bytes back by content address.
@@ -350,7 +309,7 @@ func (j *journal) readResult(hash string) ([]byte, error) {
 	if err := j.inj.Err(chaos.ResultRead); err != nil {
 		return nil, err
 	}
-	return readContentFile(j.resultPath(hash), "result", hash)
+	return j.results.Get(hash)
 }
 
 // writeCheckpoint persists a snapshot blob to the content-addressed
@@ -362,7 +321,7 @@ func (j *journal) writeCheckpoint(data []byte) (string, error) {
 	if err := j.inj.Err(chaos.Checkpoint); err != nil {
 		return "", err
 	}
-	return writeContentFile(filepath.Join(j.dir, "checkpoints"), "checkpoint store", data)
+	return j.ckpts.Put(data)
 }
 
 // readCheckpoint loads a snapshot blob back by content address.
@@ -373,137 +332,33 @@ func (j *journal) readCheckpoint(hash string) ([]byte, error) {
 	if err := j.inj.Err(chaos.Checkpoint); err != nil {
 		return nil, err
 	}
-	return readContentFile(filepath.Join(j.dir, "checkpoints", hash), "checkpoint", hash)
+	return j.ckpts.Get(hash)
 }
 
-func (j *journal) resultPath(hash string) string {
-	return filepath.Join(j.dir, "results", hash)
-}
-
-// writeContentFile stores data under dir at its sha256 name and returns the
-// address. Writing the same bytes twice is a no-op (same address, same
-// content), and the tmp-file + rename dance means a crash never leaves a
-// torn blob visible.
-func writeContentFile(dir, what string, data []byte) (string, error) {
-	sum := sha256.Sum256(data)
-	hash := hex.EncodeToString(sum[:])
-	path := filepath.Join(dir, hash)
-	if _, err := os.Stat(path); err == nil {
-		return hash, nil
-	}
-	tmp, err := os.CreateTemp(dir, ".tmp-*")
-	if err != nil {
-		return "", fmt.Errorf("serve: %s: %w", what, err)
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return "", fmt.Errorf("serve: %s: %w", what, err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return "", fmt.Errorf("serve: %s: %w", what, err)
-	}
-	if err := tmp.Close(); err != nil {
-		return "", fmt.Errorf("serve: %s: %w", what, err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return "", fmt.Errorf("serve: %s: %w", what, err)
-	}
-	return hash, nil
-}
-
-// readContentFile loads a content-addressed blob, verifying the bytes still
-// hash to their name (a corrupt or truncated file is an error, never a
-// silently wrong blob).
-func readContentFile(path, what, hash string) ([]byte, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("serve: %s store: %w", what, err)
-	}
-	sum := sha256.Sum256(data)
-	if got := hex.EncodeToString(sum[:]); got != hash {
-		return nil, fmt.Errorf("serve: %s %s corrupt (content hashes to %s)", what, hash, got)
-	}
-	return data, nil
-}
-
-// contentHash returns the content store address for a blob: sha256, hex —
-// the same name writeContentFile would store it under.
-func contentHash(data []byte) string {
-	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:])
-}
-
-// WriteContentBlob stores data in a content-addressed directory (sha256
-// name, tmp-file + fsync + rename, write-once) and returns its address.
-// Exported for the fleet coordinator's journal, which persists mirrored
-// checkpoint blobs with exactly the durability contract of the worker
-// stores above.
-func WriteContentBlob(dir, what string, data []byte) (string, error) {
-	return writeContentFile(dir, what, data)
-}
-
-// ReadContentBlob loads a content-addressed blob back, verifying the bytes
-// still hash to their name. The exported counterpart of WriteContentBlob.
-func ReadContentBlob(path, what, hash string) ([]byte, error) {
-	return readContentFile(path, what, hash)
-}
-
-// compactJournal rewrites journal.jsonl from the replayed state: one end
-// record per terminal job, submit (+ latest checkpoint) per interrupted one,
-// in job-id order. Replaying the compacted stream reconstructs exactly the
-// same restored map, so compaction is invisible to everything downstream.
-// Best-effort: any failure leaves the original file in place.
-func compactJournal(path string, restored map[string]*restoredJob) {
-	if len(restored) == 0 {
-		if _, err := os.Stat(path); os.IsNotExist(err) {
-			return // nothing replayed, nothing on disk: do not invent a file
-		}
-	}
+// compactRecords is the compacted record stream for the replayed state: one
+// end record per terminal job, submit (+ latest checkpoint) per interrupted
+// one, in job-id order. Replaying it reconstructs exactly the same restored
+// map, so compaction is invisible to everything downstream.
+func compactRecords(restored map[string]*restoredJob) []journalRecord {
 	ids := make([]string, 0, len(restored))
 	for id := range restored {
 		ids = append(ids, id)
 	}
 	sort.Strings(ids)
-	var buf bytes.Buffer
+	var recs []journalRecord
 	for _, id := range ids {
 		r := restored[id]
 		st := tenancyStamp{tenant: r.tenantName, lane: r.lane, cost: r.cost, ts: r.ts}
-		recs := []journalRecord{st.apply(journalRecord{Op: "end", ID: r.id, Key: r.key, State: r.state, Error: r.apiErr, Result: r.result})}
-		if r.interrupted {
-			recs = []journalRecord{st.apply(journalRecord{Op: "submit", ID: r.id, Key: r.key, Request: r.request})}
-			if r.checkpoint != "" {
-				recs = append(recs, journalRecord{Op: "checkpoint", ID: r.id, Key: r.key, Checkpoint: r.checkpoint, Cycle: r.ckptCycle})
-			}
+		if !r.interrupted {
+			recs = append(recs, st.apply(journalRecord{Op: "end", ID: r.id, Key: r.key, State: r.state, Error: r.apiErr, Result: r.result}))
+			continue
 		}
-		for _, rec := range recs {
-			line, err := json.Marshal(rec)
-			if err != nil {
-				return
-			}
-			buf.Write(line)
-			buf.WriteByte('\n')
+		recs = append(recs, st.apply(journalRecord{Op: "submit", ID: r.id, Key: r.key, Request: r.request}))
+		if r.checkpoint != "" {
+			recs = append(recs, journalRecord{Op: "checkpoint", ID: r.id, Key: r.key, Checkpoint: r.checkpoint, Cycle: r.ckptCycle})
 		}
 	}
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".journal-compact-*")
-	if err != nil {
-		return
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(buf.Bytes()); err != nil {
-		tmp.Close()
-		return
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return
-	}
-	if err := tmp.Close(); err != nil {
-		return
-	}
-	_ = os.Rename(tmp.Name(), path)
+	return recs
 }
 
 // gcBlobs sweeps both content stores down to what the replayed journal
@@ -527,36 +382,14 @@ func (j *journal) gcBlobs(restored map[string]*restoredJob, retain string) (int,
 			keepRes[r.result] = true
 		}
 	}
-	var firstErr error
-	sweep := func(sub string, keep map[string]bool, tmpOnly bool) int {
-		entries, err := os.ReadDir(filepath.Join(j.dir, sub))
-		if err != nil {
-			if firstErr == nil {
-				firstErr = fmt.Errorf("serve: %s GC: %w", sub, err)
-			}
-			return 0
-		}
-		removed := 0
-		for _, e := range entries {
-			name := e.Name()
-			if keep[name] || (tmpOnly && !strings.HasPrefix(name, ".")) {
-				continue
-			}
-			if err := os.Remove(filepath.Join(j.dir, sub, name)); err != nil {
-				if firstErr == nil {
-					firstErr = fmt.Errorf("serve: %s GC: %w", sub, err)
-				}
-				continue
-			}
-			removed++
-		}
-		return removed
+	// Under RetainAll only tmp litter leaves the checkpoint store; named
+	// blobs are permanent.
+	ckpts, ckptErr := j.ckpts.Sweep(func(h string) bool { return retain == RetainAll || keepCkpt[h] })
+	results, resErr := j.results.Sweep(func(h string) bool { return keepRes[h] })
+	if ckptErr != nil {
+		return ckpts, results, ckptErr
 	}
-	// Under RetainAll only tmp litter (dot-prefixed) leaves the checkpoint
-	// store; named blobs are permanent.
-	ckpts := sweep("checkpoints", keepCkpt, retain == RetainAll)
-	results := sweep("results", keepRes, false)
-	return ckpts, results, firstErr
+	return ckpts, results, resErr
 }
 
 // removeCheckpoint deletes one checkpoint blob by content address — the
@@ -564,14 +397,10 @@ func (j *journal) gcBlobs(restored map[string]*restoredJob, retain string) (int,
 // with another job's live checkpoint and pruned there first, or swept at
 // startup) is not an error.
 func (j *journal) removeCheckpoint(hash string) error {
-	if j == nil || hash == "" {
+	if j == nil {
 		return nil
 	}
-	err := os.Remove(filepath.Join(j.dir, "checkpoints", hash))
-	if err != nil && !os.IsNotExist(err) {
-		return fmt.Errorf("serve: checkpoint prune: %w", err)
-	}
-	return nil
+	return j.ckpts.Remove(hash)
 }
 
 // Close releases the journal file. Safe on nil.
@@ -579,7 +408,5 @@ func (j *journal) Close() error {
 	if j == nil {
 		return nil
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.f.Close()
+	return j.log.Close()
 }

@@ -55,6 +55,7 @@ import (
 	"time"
 
 	"dbpsim/internal/chaos"
+	"dbpsim/internal/durable"
 	"dbpsim/internal/obs"
 	"dbpsim/internal/sim"
 	"dbpsim/internal/tenant"
@@ -952,7 +953,7 @@ func (s *Server) Baselines(expKey string) map[string]float64 {
 // claimed address (the same verification the journal's content stores do);
 // staging is bounded and entries are consumed by the resuming run.
 func (s *Server) SeedCheckpoint(hash string, blob []byte) error {
-	if got := contentHash(blob); got != hash {
+	if got := durable.Hash(blob); got != hash {
 		return fmt.Errorf("serve: staged checkpoint corrupt: content hashes to %s, not %s", got, hash)
 	}
 	s.mu.Lock()

@@ -30,10 +30,10 @@
 // Usage: go run ./scripts/chaossmoke [-run REGEX] /path/to/dbpserved
 // (-run filters scenarios by name, e.g. -run tenants)
 //
-// With CHAOSSMOKE_ARTIFACTS=<dir> set (CI does this), every scratch
-// directory — journals, checkpoint blobs, per-daemon log files — is
-// created under <dir> and left in place instead of being cleaned up, so a
-// failing drill can be uploaded as a workflow artifact for post-mortem.
+// With DRILL_ARTIFACTS=<dir> set (CI does this), every scratch directory —
+// journals, checkpoint blobs, per-daemon log files — is created under <dir>
+// and left in place instead of being cleaned up, so a failing drill can be
+// uploaded as a workflow artifact for post-mortem.
 package main
 
 import (
@@ -41,7 +41,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
 	"os/exec"
@@ -49,8 +48,9 @@ import (
 	"regexp"
 	"strconv"
 	"strings"
-	"syscall"
 	"time"
+
+	"dbpsim/scripts/internal/drill"
 )
 
 // quickBody is the fast reference run (milliseconds); bigBody's budget
@@ -60,38 +60,8 @@ const (
 	bigBody   = `{"benchmarks": ["mcf-like", "gcc-like"], "seed": 9001, "warmup": 0, "measure": 500000000}`
 )
 
-// artifactsDir, when non-empty (CHAOSSMOKE_ARTIFACTS), roots every scratch
-// directory under one path and disables cleanup so CI can upload the whole
-// post-mortem — journals, checkpoints, daemon logs — on failure.
-var artifactsDir = os.Getenv("CHAOSSMOKE_ARTIFACTS")
-
-// scratchDir creates a scenario scratch directory, under artifactsDir when
-// artifacts are being kept.
-func scratchDir(pattern string) (string, error) {
-	if artifactsDir == "" {
-		return os.MkdirTemp("", pattern)
-	}
-	if err := os.MkdirAll(artifactsDir, 0o755); err != nil {
-		return "", err
-	}
-	return os.MkdirTemp(artifactsDir, pattern)
-}
-
-// scrub removes a scratch directory — a no-op when artifacts are kept.
-func scrub(path string) {
-	if artifactsDir == "" {
-		os.RemoveAll(path)
-	}
-}
-
-// artifactHint names the kept scratch directory in failure messages when
-// artifacts are retained, so the post-mortem starts at the right log.
-func artifactHint(tmp string) string {
-	if artifactsDir == "" {
-		return ""
-	}
-	return fmt.Sprintf(" (daemon.log kept under %s)", tmp)
-}
+// drainTimeout bounds every SIGTERM drain the drill requires to exit 0.
+const drainTimeout = 60 * time.Second
 
 func main() {
 	if err := run(os.Args[1:]); err != nil {
@@ -228,19 +198,19 @@ func scenarioChaosGate(bin string) error {
 // scenarioBaseline runs one clean daemon and captures the uninjected
 // ledger every later scenario compares against.
 func scenarioBaseline(bin string) ([]byte, error) {
-	d, err := startDaemon(bin)
+	d, err := drill.Start(bin, "chaos")
 	if err != nil {
 		return nil, err
 	}
-	defer d.kill()
-	status, ledger, _, err := d.post("/v1/runs", quickBody)
+	defer d.Kill()
+	status, ledger, _, err := d.Post("/v1/runs", quickBody)
 	if err != nil {
 		return nil, err
 	}
 	if status != http.StatusOK {
 		return nil, fmt.Errorf("baseline run: status %d: %s", status, ledger)
 	}
-	if err := d.drain(); err != nil {
+	if err := d.Drain(drainTimeout); err != nil {
 		return nil, err
 	}
 	fmt.Println("chaos-smoke: baseline: clean ledger captured")
@@ -251,13 +221,13 @@ func scenarioBaseline(bin string) ([]byte, error) {
 // byte-identical to the baseline, the second run fails as a structured
 // panic while the daemon stays healthy, and the third run succeeds.
 func scenarioPanic(bin string, baseline []byte) error {
-	d, err := startDaemon(bin, "-chaos", "panic=2", "-chaos-allow")
+	d, err := drill.Start(bin, "chaos", "-chaos", "panic=2", "-chaos-allow")
 	if err != nil {
 		return err
 	}
-	defer d.kill()
+	defer d.Kill()
 
-	status, ledger, _, err := d.post("/v1/runs", quickBody)
+	status, ledger, _, err := d.Post("/v1/runs", quickBody)
 	if err != nil {
 		return err
 	}
@@ -268,7 +238,7 @@ func scenarioPanic(bin string, baseline []byte) error {
 		return fmt.Errorf("ledger under injection differs from the uninjected baseline")
 	}
 
-	status, body, _, err := d.post("/v1/runs", seeded(9101))
+	status, body, _, err := d.Post("/v1/runs", seeded(9101))
 	if err != nil {
 		return err
 	}
@@ -289,10 +259,10 @@ func scenarioPanic(bin string, baseline []byte) error {
 		return fmt.Errorf("panic doc = %s", body)
 	}
 
-	if err := d.checkHealthz(); err != nil {
-		return fmt.Errorf("healthz after panic: %w", err)
+	if status, body, err := d.Get("/healthz"); err != nil || status != http.StatusOK {
+		return fmt.Errorf("healthz after panic: status %d: %s (%v)", status, body, err)
 	}
-	m, err := d.metrics()
+	m, err := d.Metrics()
 	if err != nil {
 		return err
 	}
@@ -300,14 +270,14 @@ func scenarioPanic(bin string, baseline []byte) error {
 		return fmt.Errorf("runs_panicked_total = %v, want 1", m["dbpserved_runs_panicked_total"])
 	}
 
-	status, body, _, err = d.post("/v1/runs", seeded(9102))
+	status, body, _, err = d.Post("/v1/runs", seeded(9102))
 	if err != nil {
 		return err
 	}
 	if status != http.StatusOK {
 		return fmt.Errorf("run after panic: status %d: %s", status, body)
 	}
-	if err := d.drain(); err != nil {
+	if err := d.Drain(drainTimeout); err != nil {
 		return err
 	}
 	fmt.Println("chaos-smoke: panic: isolated, healthz 200, ledgers byte-identical")
@@ -317,13 +287,13 @@ func scenarioPanic(bin string, baseline []byte) error {
 // scenarioTimeout: a huge run abandoned via ?timeout= is canceled and the
 // single worker is reusable right away.
 func scenarioTimeout(bin string) error {
-	d, err := startDaemon(bin, "-workers", "1")
+	d, err := drill.Start(bin, "chaos", "-workers", "1")
 	if err != nil {
 		return err
 	}
-	defer d.kill()
+	defer d.Kill()
 
-	status, body, _, err := d.post("/v1/runs?timeout=300ms", bigBody)
+	status, body, _, err := d.Post("/v1/runs?timeout=300ms", bigBody)
 	if err != nil {
 		return err
 	}
@@ -331,28 +301,20 @@ func scenarioTimeout(bin string) error {
 		return fmt.Errorf("abandoned run: status %d: %s", status, body)
 	}
 	// The next quick run must get the (sole) worker promptly.
-	status, body, _, err = d.post("/v1/runs?timeout=60s", quickBody)
+	status, body, _, err = d.Post("/v1/runs?timeout=60s", quickBody)
 	if err != nil {
 		return err
 	}
 	if status != http.StatusOK {
 		return fmt.Errorf("run after cancellation: status %d: %s", status, body)
 	}
-	deadline := time.Now().Add(15 * time.Second)
-	for {
-		m, err := d.metrics()
-		if err != nil {
-			return err
-		}
-		if m["dbpserved_runs_canceled_total"] >= 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("runs_canceled_total never incremented")
-		}
-		time.Sleep(50 * time.Millisecond)
+	if err := drill.Await(15*time.Second, func() (bool, error) {
+		m, err := d.Metrics()
+		return m["dbpserved_runs_canceled_total"] >= 1, err
+	}); err != nil {
+		return fmt.Errorf("runs_canceled_total never incremented: %w", err)
 	}
-	if err := d.drain(); err != nil {
+	if err := d.Drain(drainTimeout); err != nil {
 		return err
 	}
 	fmt.Println("chaos-smoke: timeout: abandoned run canceled, worker slot reused")
@@ -365,20 +327,20 @@ func scenarioTimeout(bin string) error {
 // (the journaled submit record carries the request body) instead of being
 // reported as a terminal failure.
 func scenarioRestart(bin string, baseline []byte) error {
-	jdir, err := scratchDir("dbpserved-chaos-journal")
+	jdir, err := drill.ScratchDir("dbpserved-chaos-journal")
 	if err != nil {
 		return err
 	}
-	defer scrub(jdir)
+	defer drill.Scrub(jdir)
 
-	d, err := startDaemon(bin, "-journal-dir", jdir, "-workers", "1")
+	d, err := drill.Start(bin, "chaos", "-journal-dir", jdir, "-workers", "1")
 	if err != nil {
 		return err
 	}
-	defer d.kill()
+	defer d.Kill()
 
 	// Async quick job → done.
-	status, body, _, err := d.post("/v1/runs?async=1", quickBody)
+	status, body, _, err := d.Post("/v1/runs?async=1", quickBody)
 	if err != nil {
 		return err
 	}
@@ -392,7 +354,7 @@ func scenarioRestart(bin string, baseline []byte) error {
 		return err
 	}
 	doneID := acc.ID
-	ledger, err := d.pollDone(doneID, 60*time.Second)
+	ledger, err := pollDone(d, doneID, 60*time.Second)
 	if err != nil {
 		return err
 	}
@@ -401,7 +363,7 @@ func scenarioRestart(bin string, baseline []byte) error {
 	}
 
 	// Async huge job → running when we pull the plug.
-	status, body, _, err = d.post("/v1/runs?async=1", bigBody)
+	status, body, _, err = d.Post("/v1/runs?async=1", bigBody)
 	if err != nil {
 		return err
 	}
@@ -412,26 +374,23 @@ func scenarioRestart(bin string, baseline []byte) error {
 		return err
 	}
 	lostID := acc.ID
-	if err := d.waitStatus(lostID, "running", 15*time.Second); err != nil {
+	if err := waitStatus(d, lostID, "running", 15*time.Second); err != nil {
 		return err
 	}
 
 	// The plug.
-	if err := d.cmd.Process.Kill(); err != nil {
-		return err
-	}
-	<-d.exited
+	d.Kill()
 
 	// Restart over the same journal. The short drain grace keeps the final
 	// SIGTERM bounded: the requeued multi-minute job is drain-canceled after
 	// 2s (checkpoint-then-release) instead of running to completion.
-	d2, err := startDaemon(bin, "-journal-dir", jdir, "-workers", "1", "-drain-grace", "2s")
+	d2, err := drill.Start(bin, "chaos", "-journal-dir", jdir, "-workers", "1", "-drain-grace", "2s")
 	if err != nil {
 		return err
 	}
-	defer d2.kill()
+	defer d2.Kill()
 
-	status, body, err = d2.get("/v1/runs/" + doneID)
+	status, body, err = d2.Get("/v1/runs/" + doneID)
 	if err != nil {
 		return err
 	}
@@ -443,7 +402,7 @@ func scenarioRestart(bin string, baseline []byte) error {
 	}
 
 	// The killed job is requeued live at its original id, not failed.
-	status, body, err = d2.get("/v1/runs/" + lostID)
+	status, body, err = d2.Get("/v1/runs/" + lostID)
 	if err != nil {
 		return err
 	}
@@ -458,17 +417,17 @@ func scenarioRestart(bin string, baseline []byte) error {
 	}
 
 	// The journaled result re-seeds the cache: no re-simulation needed.
-	status, body, cache, err := d2.post("/v1/runs", quickBody)
+	status, body, hdr, err := d2.Post("/v1/runs", quickBody)
 	if err != nil {
 		return err
 	}
-	if status != http.StatusOK || cache != "hit" {
+	if cache := hdr.Get("X-Cache"); status != http.StatusOK || cache != "hit" {
 		return fmt.Errorf("restored cache: status %d, X-Cache %q (want 200/hit)", status, cache)
 	}
 	if string(body) != string(baseline) {
 		return fmt.Errorf("restored cached ledger differs from baseline")
 	}
-	if err := d2.drain(); err != nil {
+	if err := d2.Drain(drainTimeout); err != nil {
 		return err
 	}
 	fmt.Println("chaos-smoke: restart: finished job preserved byte-identical, killed job requeued")
@@ -485,19 +444,19 @@ const resumeBody = `{"benchmarks": ["mcf-like", "gcc-like"], "seed": 9301, "warm
 // on a journal-less daemon — the byte-identity yardstick for both
 // checkpoint scenarios.
 func scenarioResumeReference(bin string) ([]byte, error) {
-	d, err := startDaemon(bin)
+	d, err := drill.Start(bin, "chaos")
 	if err != nil {
 		return nil, err
 	}
-	defer d.kill()
-	status, ledger, _, err := d.post("/v1/runs?timeout=120s", resumeBody)
+	defer d.Kill()
+	status, ledger, _, err := d.Post("/v1/runs?timeout=120s", resumeBody)
 	if err != nil {
 		return nil, err
 	}
 	if status != http.StatusOK {
 		return nil, fmt.Errorf("reference run: status %d: %s", status, ledger)
 	}
-	if err := d.drain(); err != nil {
+	if err := d.Drain(drainTimeout); err != nil {
 		return nil, err
 	}
 	fmt.Println("chaos-smoke: resume reference: uninterrupted ledger captured")
@@ -509,39 +468,38 @@ func scenarioResumeReference(bin string) ([]byte, error) {
 // journal, and require the job to resume from its latest checkpoint and
 // finish with the reference run's exact bytes.
 func scenarioResume(bin string, reference []byte) error {
-	jdir, err := scratchDir("dbpserved-chaos-ckpt")
+	jdir, err := drill.ScratchDir("dbpserved-chaos-ckpt")
 	if err != nil {
 		return err
 	}
-	defer scrub(jdir)
+	defer drill.Scrub(jdir)
 
 	d, id, err := startInterruptedRun(bin, jdir, 2)
 	if err != nil {
 		return err
 	}
-	d.kill()
-	<-d.exited
+	d.Kill()
 
-	d2, err := startDaemon(bin, "-journal-dir", jdir, "-workers", "1", "-checkpoint-interval", "1")
+	d2, err := drill.Start(bin, "chaos", "-journal-dir", jdir, "-workers", "1", "-checkpoint-interval", "1")
 	if err != nil {
 		return err
 	}
-	defer d2.kill()
-	ledger, err := d2.pollDone(id, 180*time.Second)
+	defer d2.Kill()
+	ledger, err := pollDone(d2, id, 180*time.Second)
 	if err != nil {
 		return fmt.Errorf("resumed job: %w", err)
 	}
 	if string(ledger) != string(reference) {
 		return fmt.Errorf("resumed ledger differs from the uninterrupted reference (%d vs %d bytes)", len(ledger), len(reference))
 	}
-	m, err := d2.metrics()
+	m, err := d2.Metrics()
 	if err != nil {
 		return err
 	}
 	if m["dbpserved_resumed_runs_total"] != 1 {
 		return fmt.Errorf("resumed_runs_total = %v, want 1", m["dbpserved_resumed_runs_total"])
 	}
-	if err := d2.drain(); err != nil {
+	if err := d2.Drain(drainTimeout); err != nil {
 		return err
 	}
 	fmt.Println("chaos-smoke: resume: killed mid-run, resumed from checkpoint, ledger byte-identical")
@@ -553,18 +511,17 @@ func scenarioResume(bin string, reference []byte) error {
 // cycle-0 rerun — checkpoint errors counted, nothing resumed — and still
 // produce the reference ledger.
 func scenarioCorruptCheckpoint(bin string, reference []byte) error {
-	jdir, err := scratchDir("dbpserved-chaos-ckpt-corrupt")
+	jdir, err := drill.ScratchDir("dbpserved-chaos-ckpt-corrupt")
 	if err != nil {
 		return err
 	}
-	defer scrub(jdir)
+	defer drill.Scrub(jdir)
 
 	d, id, err := startInterruptedRun(bin, jdir, 1)
 	if err != nil {
 		return err
 	}
-	d.kill()
-	<-d.exited
+	d.Kill()
 
 	ckptDir := filepath.Join(jdir, "checkpoints")
 	blobs, err := os.ReadDir(ckptDir)
@@ -580,19 +537,19 @@ func scenarioCorruptCheckpoint(bin string, reference []byte) error {
 		}
 	}
 
-	d2, err := startDaemon(bin, "-journal-dir", jdir, "-workers", "1", "-checkpoint-interval", "1")
+	d2, err := drill.Start(bin, "chaos", "-journal-dir", jdir, "-workers", "1", "-checkpoint-interval", "1")
 	if err != nil {
 		return err
 	}
-	defer d2.kill()
-	ledger, err := d2.pollDone(id, 180*time.Second)
+	defer d2.Kill()
+	ledger, err := pollDone(d2, id, 180*time.Second)
 	if err != nil {
 		return fmt.Errorf("rerun job: %w", err)
 	}
 	if string(ledger) != string(reference) {
 		return fmt.Errorf("cycle-0 rerun ledger differs from the reference (%d vs %d bytes)", len(ledger), len(reference))
 	}
-	m, err := d2.metrics()
+	m, err := d2.Metrics()
 	if err != nil {
 		return err
 	}
@@ -602,7 +559,7 @@ func scenarioCorruptCheckpoint(bin string, reference []byte) error {
 	if m["dbpserved_checkpoint_errors_total"] < 1 {
 		return fmt.Errorf("checkpoint_errors_total = %v, want >= 1", m["dbpserved_checkpoint_errors_total"])
 	}
-	if err := d2.drain(); err != nil {
+	if err := d2.Drain(drainTimeout); err != nil {
 		return err
 	}
 	fmt.Println("chaos-smoke: corrupt checkpoint: clean cycle-0 fallback, ledger byte-identical")
@@ -613,48 +570,41 @@ func scenarioCorruptCheckpoint(bin string, reference []byte) error {
 // resumeBody async, waits until at least minCkpts checkpoints are written,
 // and returns the still-running daemon plus the job id — ready for the
 // caller to pull the plug.
-func startInterruptedRun(bin, jdir string, minCkpts float64) (*daemon, string, error) {
-	d, err := startDaemon(bin, "-journal-dir", jdir, "-workers", "1", "-checkpoint-interval", "1")
+func startInterruptedRun(bin, jdir string, minCkpts float64) (*drill.Daemon, string, error) {
+	d, err := drill.Start(bin, "chaos", "-journal-dir", jdir, "-workers", "1", "-checkpoint-interval", "1")
 	if err != nil {
 		return nil, "", err
 	}
-	status, body, _, err := d.post("/v1/runs?async=1", resumeBody)
+	status, body, _, err := d.Post("/v1/runs?async=1", resumeBody)
 	if err != nil {
-		d.kill()
+		d.Kill()
 		return nil, "", err
 	}
 	if status != http.StatusAccepted {
-		d.kill()
+		d.Kill()
 		return nil, "", fmt.Errorf("async submit: status %d: %s", status, body)
 	}
 	var acc struct {
 		ID string `json:"id"`
 	}
 	if err := json.Unmarshal(body, &acc); err != nil {
-		d.kill()
+		d.Kill()
 		return nil, "", err
 	}
-	deadline := time.Now().Add(120 * time.Second)
-	for {
-		m, err := d.metrics()
-		if err != nil {
-			d.kill()
-			return nil, "", err
-		}
-		if m["dbpserved_checkpoints_written_total"] >= minCkpts {
-			return d, acc.ID, nil
-		}
+	err = drill.Await(120*time.Second, func() (bool, error) {
 		select {
-		case <-d.exited:
-			return nil, "", fmt.Errorf("daemon exited while waiting for checkpoints")
+		case <-d.Exited():
+			return false, fmt.Errorf("daemon exited")
 		default:
 		}
-		if time.Now().After(deadline) {
-			d.kill()
-			return nil, "", fmt.Errorf("checkpoints_written never reached %v", minCkpts)
-		}
-		time.Sleep(25 * time.Millisecond)
+		m, err := d.Metrics()
+		return m["dbpserved_checkpoints_written_total"] >= minCkpts, err
+	})
+	if err != nil {
+		d.Kill()
+		return nil, "", fmt.Errorf("checkpoints_written never reached %v: %w", minCkpts, err)
 	}
+	return d, acc.ID, nil
 }
 
 func seeded(seed int) string {
@@ -684,11 +634,11 @@ const greedyJobs = 4
 // + restart preserves both the per-tenant attribution of interrupted jobs
 // and the spent quota (journal replay).
 func scenarioTenants(bin string) error {
-	state, err := scratchDir("dbpserved-tenants")
+	state, err := drill.ScratchDir("dbpserved-tenants")
 	if err != nil {
 		return err
 	}
-	defer scrub(state)
+	defer drill.Scrub(state)
 	tenantsPath := filepath.Join(state, "tenants.json")
 	tenantsDoc := fmt.Sprintf(`{
   "schema_version": 1,
@@ -702,21 +652,21 @@ func scenarioTenants(bin string) error {
 	}
 	jdir := filepath.Join(state, "journal")
 	daemonFlags := []string{"-tenants", tenantsPath, "-journal-dir", jdir, "-workers", "1", "-queue", "32"}
-	d, err := startDaemon(bin, daemonFlags...)
+	d, err := drill.Start(bin, "chaos", daemonFlags...)
 	if err != nil {
 		return err
 	}
 	killed := false
 	defer func() {
 		if !killed {
-			d.kill()
+			d.Kill()
 		}
 	}()
 
 	// The greedy tenant floods the single worker with batch jobs.
 	var greedyIDs []string
 	for i := 0; i < greedyJobs; i++ {
-		status, body, _, err := d.postKey("/v1/runs?async=1", "k-greedy", tenantBody(100+i))
+		status, body, _, err := d.Post("/v1/runs?async=1", tenantBody(100+i), "X-API-Key", "k-greedy")
 		if err != nil {
 			return err
 		}
@@ -736,7 +686,7 @@ func scenarioTenants(bin string) error {
 		greedyIDs = append(greedyIDs, acc.ID)
 	}
 	// The interactive tenant submits one same-sized job into the backlog.
-	status, body, _, err := d.postKey("/v1/runs?lane=interactive&async=1", "k-vip", tenantBody(555))
+	status, body, _, err := d.Post("/v1/runs?lane=interactive&async=1", tenantBody(555), "X-API-Key", "k-vip")
 	if err != nil {
 		return err
 	}
@@ -753,11 +703,12 @@ func scenarioTenants(bin string) error {
 	// Cost-aware admission: greedy's next job is over budget and the
 	// refusal carries the bill — a structured quota_exceeded with the
 	// predicted cost and a refill-derived Retry-After, never a bare 429.
-	checkQuotaRefusal := func(d *daemon) error {
-		status, body, retryAfter, err := d.postKey("/v1/runs", "k-greedy", tenantBody(999))
+	checkQuotaRefusal := func(d *drill.Daemon) error {
+		status, body, hdr, err := d.Post("/v1/runs", tenantBody(999), "X-API-Key", "k-greedy")
 		if err != nil {
 			return err
 		}
+		retryAfter := hdr.Get("Retry-After")
 		if status != http.StatusTooManyRequests {
 			return fmt.Errorf("over-budget submit: status %d: %s", status, body)
 		}
@@ -790,12 +741,12 @@ func scenarioTenants(bin string) error {
 	// Starvation-freedom: the interactive job finishes while most of the
 	// greedy backlog is still pending — weighted-fair queueing let it jump
 	// the line instead of draining FIFO behind the flood.
-	if _, err := d.pollDone(iacc.ID, 120*time.Second); err != nil {
+	if _, err := pollDone(d, iacc.ID, 120*time.Second); err != nil {
 		return fmt.Errorf("interactive job under greedy flood: %w", err)
 	}
 	unfinished := 0
 	for _, id := range greedyIDs {
-		st, _, err := d.get("/v1/runs/" + id)
+		st, _, err := d.Get("/v1/runs/" + id)
 		if err != nil {
 			return err
 		}
@@ -809,7 +760,7 @@ func scenarioTenants(bin string) error {
 	// The paper's fairness metric, per tenant: the interactive job waited
 	// at most one residual batch job, so its (wait+service)/service
 	// slowdown stays small; FIFO behind the whole flood would be ~5×.
-	m, err := d.metrics()
+	m, err := d.Metrics()
 	if err != nil {
 		return err
 	}
@@ -822,19 +773,19 @@ func scenarioTenants(bin string) error {
 	}
 
 	// Record one finished greedy ledger, then SIGKILL mid-backlog.
-	firstLedger, err := d.pollDone(greedyIDs[0], 120*time.Second)
+	firstLedger, err := pollDone(d, greedyIDs[0], 120*time.Second)
 	if err != nil {
 		return err
 	}
-	d.kill()
+	d.Kill()
 	killed = true
 
 	// Restart over the same journal and tenant config.
-	d2, err := startDaemon(bin, daemonFlags...)
+	d2, err := drill.Start(bin, "chaos", daemonFlags...)
 	if err != nil {
 		return err
 	}
-	defer d2.kill()
+	defer d2.Kill()
 
 	// Spent quota survives the kill: the journal's tenancy stamps re-debit
 	// at startup, so greedy is still over budget on the fresh registry.
@@ -842,7 +793,7 @@ func scenarioTenants(bin string) error {
 		return fmt.Errorf("after restart: %w", err)
 	}
 	// The finished job's ledger is byte-identical across the kill.
-	got, err := d2.pollDone(greedyIDs[0], 60*time.Second)
+	got, err := pollDone(d2, greedyIDs[0], 60*time.Second)
 	if err != nil {
 		return err
 	}
@@ -851,7 +802,7 @@ func scenarioTenants(bin string) error {
 	}
 	// Interrupted jobs keep their tenant attribution and finish.
 	for _, id := range greedyIDs[1:] {
-		st, body, err := d2.get("/v1/runs/" + id)
+		st, body, err := d2.Get("/v1/runs/" + id)
 		if err != nil {
 			return err
 		}
@@ -863,217 +814,42 @@ func scenarioTenants(bin string) error {
 				return fmt.Errorf("requeued job %s attributed to %q, want greedy", id, acc.Tenant)
 			}
 		}
-		if _, err := d2.pollDone(id, 180*time.Second); err != nil {
+		if _, err := pollDone(d2, id, 180*time.Second); err != nil {
 			return fmt.Errorf("requeued greedy job: %w", err)
 		}
 	}
-	return d2.drain()
-}
-
-// --- daemon harness ------------------------------------------------------
-
-type daemon struct {
-	cmd    *exec.Cmd
-	base   string
-	tmp    string
-	exited chan error
-}
-
-// startDaemon launches the binary on a free port and waits for it to
-// report its bound address. When artifacts are kept, the daemon's output
-// is additionally teed to a daemon.log in its scratch directory.
-func startDaemon(bin string, extra ...string) (*daemon, error) {
-	tmp, err := scratchDir("dbpserved-chaos")
-	if err != nil {
-		return nil, err
-	}
-	addrFile := filepath.Join(tmp, "addr")
-	args := append([]string{"-addr", "127.0.0.1:0", "-addr-file", addrFile, "-log-json"}, extra...)
-	cmd := exec.Command(bin, args...)
-	var logFile *os.File
-	var sink io.Writer = os.Stderr
-	if artifactsDir != "" {
-		logFile, err = os.Create(filepath.Join(tmp, "daemon.log"))
-		if err != nil {
-			scrub(tmp)
-			return nil, err
-		}
-		sink = io.MultiWriter(os.Stderr, logFile)
-	}
-	cmd.Stderr = sink
-	cmd.Stdout = sink
-	if err := cmd.Start(); err != nil {
-		if logFile != nil {
-			logFile.Close()
-		}
-		scrub(tmp)
-		return nil, err
-	}
-	d := &daemon{cmd: cmd, tmp: tmp, exited: make(chan error, 1)}
-	go func() {
-		err := cmd.Wait()
-		if logFile != nil {
-			logFile.Close()
-		}
-		d.exited <- err
-	}()
-
-	deadline := time.Now().Add(15 * time.Second)
-	for {
-		if data, err := os.ReadFile(addrFile); err == nil && len(data) > 0 {
-			d.base = "http://" + string(data)
-			return d, nil
-		}
-		select {
-		case err := <-d.exited:
-			scrub(tmp)
-			return nil, fmt.Errorf("daemon exited before binding (flags: %s): %v — likely a bad flag or an occupied port; its log is above%s",
-				strings.Join(args, " "), err, artifactHint(tmp))
-		default:
-		}
-		if time.Now().After(deadline) {
-			cmd.Process.Kill()
-			scrub(tmp)
-			return nil, fmt.Errorf("daemon never wrote its bound address to %s within 15s (flags: %s) — it is running but never finished binding%s",
-				addrFile, strings.Join(args, " "), artifactHint(tmp))
-		}
-		time.Sleep(25 * time.Millisecond)
-	}
-}
-
-// kill is the unconditional cleanup; safe after drain.
-func (d *daemon) kill() {
-	d.cmd.Process.Kill()
-	scrub(d.tmp)
-}
-
-// drain SIGTERMs the daemon and requires a clean exit.
-func (d *daemon) drain() error {
-	if err := d.cmd.Process.Signal(syscall.SIGTERM); err != nil {
-		return err
-	}
-	select {
-	case err := <-d.exited:
-		if err != nil {
-			return fmt.Errorf("daemon exited non-zero after SIGTERM: %v", err)
-		}
-		return nil
-	case <-time.After(60 * time.Second):
-		return fmt.Errorf("daemon did not exit within 60s of SIGTERM")
-	}
-}
-
-func (d *daemon) post(path, body string) (status int, data []byte, cache string, err error) {
-	resp, err := http.Post(d.base+path, "application/json", strings.NewReader(body))
-	if err != nil {
-		return 0, nil, "", err
-	}
-	defer resp.Body.Close()
-	data, err = io.ReadAll(resp.Body)
-	return resp.StatusCode, data, resp.Header.Get("X-Cache"), err
-}
-
-// postKey POSTs with a tenant API key and surfaces the Retry-After header.
-func (d *daemon) postKey(path, key, body string) (status int, data []byte, retryAfter string, err error) {
-	req, err := http.NewRequest(http.MethodPost, d.base+path, strings.NewReader(body))
-	if err != nil {
-		return 0, nil, "", err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set("X-API-Key", key)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return 0, nil, "", err
-	}
-	defer resp.Body.Close()
-	data, err = io.ReadAll(resp.Body)
-	return resp.StatusCode, data, resp.Header.Get("Retry-After"), err
-}
-
-func (d *daemon) get(path string) (status int, data []byte, err error) {
-	resp, err := http.Get(d.base + path)
-	if err != nil {
-		return 0, nil, err
-	}
-	defer resp.Body.Close()
-	data, err = io.ReadAll(resp.Body)
-	return resp.StatusCode, data, err
-}
-
-func (d *daemon) checkHealthz() error {
-	status, data, err := d.get("/healthz")
-	if err != nil {
-		return err
-	}
-	if status != http.StatusOK {
-		return fmt.Errorf("status %d: %s", status, data)
-	}
-	return nil
-}
-
-// metrics scrapes /metrics into name{labels} → value.
-func (d *daemon) metrics() (map[string]float64, error) {
-	status, data, err := d.get("/metrics")
-	if err != nil {
-		return nil, err
-	}
-	if status != http.StatusOK {
-		return nil, fmt.Errorf("/metrics status %d", status)
-	}
-	out := make(map[string]float64)
-	for _, line := range strings.Split(string(data), "\n") {
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		i := strings.LastIndexByte(line, ' ')
-		if i < 0 {
-			continue
-		}
-		if v, err := strconv.ParseFloat(line[i+1:], 64); err == nil {
-			out[line[:i]] = v
-		}
-	}
-	return out, nil
+	return d2.Drain(drainTimeout)
 }
 
 // pollDone polls an async job until it answers 200 and returns the ledger.
-func (d *daemon) pollDone(id string, timeout time.Duration) ([]byte, error) {
-	deadline := time.Now().Add(timeout)
-	for {
-		status, data, err := d.get("/v1/runs/" + id)
-		if err != nil {
-			return nil, err
+func pollDone(d *drill.Daemon, id string, timeout time.Duration) (ledger []byte, err error) {
+	err = drill.Await(timeout, func() (bool, error) {
+		status, data, err := d.Get("/v1/runs/" + id)
+		if err == nil && status != http.StatusOK && status != http.StatusAccepted {
+			err = fmt.Errorf("status %d: %s", status, data)
 		}
-		if status == http.StatusOK {
-			return data, nil
-		}
-		if status != http.StatusAccepted {
-			return nil, fmt.Errorf("job %s: status %d: %s", id, status, data)
-		}
-		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("job %s never finished", id)
-		}
-		time.Sleep(25 * time.Millisecond)
+		ledger = data
+		return status == http.StatusOK, err
+	})
+	if err != nil {
+		return nil, fmt.Errorf("job %s never finished: %w", id, err)
 	}
+	return ledger, nil
 }
 
 // waitStatus polls until the job reports the wanted lifecycle status.
-func (d *daemon) waitStatus(id, want string, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for {
-		_, data, err := d.get("/v1/runs/" + id)
-		if err != nil {
-			return err
-		}
+func waitStatus(d *drill.Daemon, id, want string, timeout time.Duration) error {
+	var last []byte
+	err := drill.Await(timeout, func() (bool, error) {
+		_, data, err := d.Get("/v1/runs/" + id)
 		var st struct {
 			Status string `json:"status"`
 		}
-		if json.Unmarshal(data, &st) == nil && st.Status == want {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("job %s never reached %q (last: %s)", id, want, data)
-		}
-		time.Sleep(25 * time.Millisecond)
+		last = data
+		return json.Unmarshal(data, &st) == nil && st.Status == want, err
+	})
+	if err != nil {
+		return fmt.Errorf("job %s never reached %q (last: %s): %w", id, want, last, err)
 	}
+	return nil
 }

@@ -37,28 +37,25 @@
 //
 // Usage: go run ./scripts/fleetsmoke [-chaos] /path/to/dbpserved
 //
-// With FLEETSMOKE_ARTIFACTS=<dir> set (CI does this), every scratch
-// directory and per-daemon log file is created under <dir> and left in
-// place, so a failing drill can be uploaded as a workflow artifact.
+// With DRILL_ARTIFACTS=<dir> set (CI does this), every scratch directory
+// and per-daemon log file is created under <dir> and left in place, so a
+// failing drill can be uploaded as a workflow artifact.
 package main
 
 import (
 	"bufio"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"net/http"
 	"os"
-	"os/exec"
-	"path/filepath"
-	"strconv"
 	"strings"
 	"time"
 
+	"dbpsim/internal/durable"
 	"dbpsim/internal/serve"
+	"dbpsim/scripts/internal/drill"
 )
 
 // The sweep grid: one mix, three partition policies — three cells. Budgets
@@ -74,24 +71,6 @@ const (
 )
 
 var sweepPartitions = []string{"none", "equal", "dbp"}
-
-var artifactsDir = os.Getenv("FLEETSMOKE_ARTIFACTS")
-
-func scratchDir(pattern string) (string, error) {
-	if artifactsDir == "" {
-		return os.MkdirTemp("", pattern)
-	}
-	if err := os.MkdirAll(artifactsDir, 0o755); err != nil {
-		return "", err
-	}
-	return os.MkdirTemp(artifactsDir, pattern)
-}
-
-func scrub(path string) {
-	if artifactsDir == "" {
-		os.RemoveAll(path)
-	}
-}
 
 func main() {
 	if err := run(os.Args[1:]); err != nil {
@@ -149,11 +128,11 @@ func runChaos(bin string) error {
 	if err != nil {
 		return fmt.Errorf("single-node reference: %w", err)
 	}
-	journal, err := scratchDir("dbpserved-fleet-coord-journal")
+	journal, err := drill.ScratchDir("dbpserved-fleet-coord-journal")
 	if err != nil {
 		return err
 	}
-	defer scrub(journal)
+	defer drill.Scrub(journal)
 
 	f, err := startFleet(bin, 3, "-journal-dir", journal)
 	if err != nil {
@@ -176,14 +155,14 @@ func runChaos(bin string) error {
 // canonical ledger for every sweep cell and for the migration run — the
 // byte-identity yardstick for everything the fleet answers.
 func scenarioReference(bin string) (map[string][]byte, error) {
-	d, err := startDaemon(bin, "ref")
+	d, err := drill.Start(bin, "ref")
 	if err != nil {
 		return nil, err
 	}
-	defer d.kill()
+	defer d.Kill()
 	refs := make(map[string][]byte)
 	for _, part := range sweepPartitions {
-		status, ledger, _, err := d.post("/v1/runs", fmt.Sprintf(cellBodyT, part))
+		status, ledger, _, err := d.Post("/v1/runs", fmt.Sprintf(cellBodyT, part))
 		if err != nil {
 			return nil, err
 		}
@@ -192,7 +171,7 @@ func scenarioReference(bin string) (map[string][]byte, error) {
 		}
 		refs[part] = ledger
 	}
-	status, ledger, _, err := d.post("/v1/runs?timeout=120s", migrateBody)
+	status, ledger, _, err := d.Post("/v1/runs?timeout=120s", migrateBody)
 	if err != nil {
 		return nil, err
 	}
@@ -200,7 +179,7 @@ func scenarioReference(bin string) (map[string][]byte, error) {
 		return nil, fmt.Errorf("migration reference: status %d: %s", status, ledger)
 	}
 	refs["migrate"] = ledger
-	if err := d.drain(); err != nil {
+	if err := d.Drain(60 * time.Second); err != nil {
 		return nil, err
 	}
 	fmt.Println("fleet-smoke: reference: single-node ledgers captured")
@@ -261,7 +240,7 @@ func scenarioSingleflight(f *fleetHarness) error {
 	}
 	body := fmt.Sprintf(cellBodyT, "dbp")
 	for id, d := range f.workers {
-		status, ledger, _, err := d.post("/v1/runs", body)
+		status, ledger, _, err := d.Post("/v1/runs", body)
 		if err != nil {
 			return fmt.Errorf("direct post to %s: %w", id, err)
 		}
@@ -296,7 +275,7 @@ func scenarioMigration(f *fleetHarness, reference []byte) error {
 	}
 	replyCh := make(chan reply, 1)
 	go func() {
-		status, data, _, err := f.coord.post("/v1/runs", migrateBody)
+		status, data, _, err := f.coord.Post("/v1/runs", migrateBody)
 		replyCh <- reply{status, data, err}
 	}()
 
@@ -310,10 +289,7 @@ func scenarioMigration(f *fleetHarness, reference []byte) error {
 	if !ok {
 		return fmt.Errorf("ring names unknown owner %q", victim)
 	}
-	if err := vd.cmd.Process.Kill(); err != nil {
-		return err
-	}
-	<-vd.exited
+	vd.Kill()
 	delete(f.workers, victim)
 	fmt.Printf("fleet-smoke: migration: SIGKILLed owner %s mid-run\n", victim)
 
@@ -329,7 +305,7 @@ func scenarioMigration(f *fleetHarness, reference []byte) error {
 			len(r.data), len(reference))
 	}
 
-	m, err := f.coord.metrics()
+	m, err := f.coord.Metrics()
 	if err != nil {
 		return err
 	}
@@ -373,14 +349,14 @@ const (
 
 // chaosReference captures single-node ledgers for the chaos sweep's cells.
 func chaosReference(bin string) (map[string][]byte, error) {
-	d, err := startDaemon(bin, "chaos-ref")
+	d, err := drill.Start(bin, "chaos-ref")
 	if err != nil {
 		return nil, err
 	}
-	defer d.kill()
+	defer d.Kill()
 	refs := make(map[string][]byte)
 	for _, part := range sweepPartitions {
-		status, ledger, _, err := d.post("/v1/runs?timeout=120s", fmt.Sprintf(chaosCellT, part))
+		status, ledger, _, err := d.Post("/v1/runs?timeout=120s", fmt.Sprintf(chaosCellT, part))
 		if err != nil {
 			return nil, err
 		}
@@ -389,7 +365,7 @@ func chaosReference(bin string) (map[string][]byte, error) {
 		}
 		refs[part] = ledger
 	}
-	if err := d.drain(); err != nil {
+	if err := d.Drain(60 * time.Second); err != nil {
 		return nil, err
 	}
 	fmt.Println("fleet-smoke: chaos reference: single-node ledgers captured")
@@ -404,9 +380,9 @@ func chaosReference(bin string) (map[string][]byte, error) {
 // ledgers; and the fleet-wide unique-simulation count is exactly one per
 // cell — nothing with a journaled terminal record ever re-simulates.
 func scenarioCoordinatorKillRestart(bin string, f *fleetHarness, journal string, refs map[string][]byte) error {
-	coordAddr := strings.TrimPrefix(f.coord.base, "http://")
+	coordAddr := strings.TrimPrefix(f.coord.Base, "http://")
 
-	resp, err := http.Post(f.coord.base+"/v1/sweeps", "application/json", strings.NewReader(chaosSweepBody))
+	resp, err := http.Post(f.coord.Base+"/v1/sweeps", "application/json", strings.NewReader(chaosSweepBody))
 	if err != nil {
 		return err
 	}
@@ -431,10 +407,7 @@ func scenarioCoordinatorKillRestart(bin string, f *fleetHarness, journal string,
 		}
 		received++
 		if received == 1 {
-			if err := f.coord.cmd.Process.Kill(); err != nil {
-				return err
-			}
-			<-f.coord.exited
+			f.coord.Kill()
 			fmt.Println("fleet-smoke: chaos: SIGKILLed coordinator after the first streamed cell")
 		}
 	}
@@ -446,7 +419,7 @@ func scenarioCoordinatorKillRestart(bin string, f *fleetHarness, journal string,
 	// Restart on the same address over the same journal. The workers still
 	// point at this address; Go listeners set SO_REUSEADDR, so the port
 	// rebinds immediately.
-	coord2, err := startDaemonAt(bin, "coord-restarted", coordAddr, "-coordinator", "-journal-dir", journal)
+	coord2, err := drill.StartAt(bin, "coord-restarted", coordAddr, "-coordinator", "-journal-dir", journal)
 	if err != nil {
 		return fmt.Errorf("coordinator restart: %w", err)
 	}
@@ -455,20 +428,20 @@ func scenarioCoordinatorKillRestart(bin string, f *fleetHarness, journal string,
 
 	// The restarted coordinator must resync the workers and finish the
 	// sweep's remaining cells on its own.
-	deadline := time.Now().Add(120 * time.Second)
-	for {
-		m, err := f.coord.metrics()
-		if err == nil && m["dbpfleet_sweep_cells_done_total"] == float64(len(sweepPartitions)) {
-			break
+	var m map[string]float64
+	err = drill.Await(120*time.Second, func() (bool, error) {
+		var err error
+		if m, err = f.coord.Metrics(); err != nil {
+			return false, nil
 		}
-		if err == nil && m["dbpfleet_sweep_cells_failed_total"] > 0 {
-			return fmt.Errorf("resumed sweep failed cells: %v", m["dbpfleet_sweep_cells_failed_total"])
+		if failed := m["dbpfleet_sweep_cells_failed_total"]; failed > 0 {
+			return false, fmt.Errorf("resumed sweep failed cells: %v", failed)
 		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("restarted coordinator never finished the interrupted sweep (cells done: %v)",
-				m["dbpfleet_sweep_cells_done_total"])
-		}
-		time.Sleep(100 * time.Millisecond)
+		return m["dbpfleet_sweep_cells_done_total"] == float64(len(sweepPartitions)), nil
+	})
+	if err != nil {
+		return fmt.Errorf("restarted coordinator never finished the interrupted sweep (cells done: %v): %w",
+			m["dbpfleet_sweep_cells_done_total"], err)
 	}
 	fmt.Println("fleet-smoke: chaos: restarted coordinator resumed the sweep to completion")
 
@@ -504,9 +477,9 @@ func scenarioCoordinatorKillRestart(bin string, f *fleetHarness, journal string,
 // direct runs standalone, buffer its checkpoint mirrors locally, and never
 // appear in the coordinator's live-worker count.
 func scenarioPartitionedWorker(bin string, f *fleetHarness) error {
-	coordHost := strings.TrimPrefix(f.coord.base, "http://")
-	d, err := startDaemon(bin, "w4-partitioned",
-		"-join", f.coord.base,
+	coordHost := strings.TrimPrefix(f.coord.Base, "http://")
+	d, err := drill.Start(bin, "w4-partitioned",
+		"-join", f.coord.Base,
 		"-worker-id", "w4",
 		"-heartbeat", "100ms",
 		"-checkpoint-interval", "1",
@@ -517,28 +490,26 @@ func scenarioPartitionedWorker(bin string, f *fleetHarness) error {
 	if err != nil {
 		return err
 	}
-	defer d.kill()
+	defer d.Kill()
 
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		m, err := d.metrics()
-		if err == nil && m["dbpfleet_degraded"] == 1 {
-			if m["dbpfleet_heartbeat_failures_total"] < 1 {
-				return fmt.Errorf("degraded without counted heartbeat failures: %v", m)
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("partitioned worker never entered degraded mode")
-		}
-		time.Sleep(50 * time.Millisecond)
+	var m map[string]float64
+	err = drill.Await(30*time.Second, func() (bool, error) {
+		var err error
+		m, err = d.Metrics()
+		return err == nil && m["dbpfleet_degraded"] == 1, nil
+	})
+	if err != nil {
+		return fmt.Errorf("partitioned worker never entered degraded mode: %w", err)
+	}
+	if m["dbpfleet_heartbeat_failures_total"] < 1 {
+		return fmt.Errorf("degraded without counted heartbeat failures: %v", m)
 	}
 	fmt.Println("fleet-smoke: chaos: partitioned worker came up degraded")
 
 	// Standalone serving: a direct run on the partitioned worker answers.
 	// The run is long enough (seconds) that checkpoints fire mid-flight,
 	// which must land in the local mirror buffer, not on the floor.
-	status, ledger, _, err := d.post("/v1/runs?timeout=120s", fmt.Sprintf(chaosCellT, "equal"))
+	status, ledger, _, err := d.Post("/v1/runs?timeout=120s", fmt.Sprintf(chaosCellT, "equal"))
 	if err != nil {
 		return err
 	}
@@ -547,7 +518,7 @@ func scenarioPartitionedWorker(bin string, f *fleetHarness) error {
 	}
 
 	// Its checkpoint mirrors buffered locally instead of being dropped.
-	m, err := d.metrics()
+	m, err = d.Metrics()
 	if err != nil {
 		return err
 	}
@@ -559,7 +530,7 @@ func scenarioPartitionedWorker(bin string, f *fleetHarness) error {
 	var h struct {
 		Live int `json:"workers_live"`
 	}
-	hstatus, data, err := f.coord.get("/healthz")
+	hstatus, data, err := f.coord.Get("/healthz")
 	if err != nil || hstatus != http.StatusOK || json.Unmarshal(data, &h) != nil {
 		return fmt.Errorf("coordinator healthz: status %d, err %v", hstatus, err)
 	}
@@ -583,8 +554,7 @@ func checkCells(results []sweepResult, refs map[string][]byte) error {
 			return fmt.Errorf("unexpected or duplicate cell partition %q", res.Partition)
 		}
 		seen[res.Partition] = true
-		want := sha256.Sum256(ref)
-		if res.LedgerSHA256 != hex.EncodeToString(want[:]) {
+		if res.LedgerSHA256 != durable.Hash(ref) {
 			return fmt.Errorf("cell %s/%s ledger_sha256 differs from the single-node reference", res.Mix, res.Partition)
 		}
 		if res.Worker == "" {
@@ -600,8 +570,8 @@ func checkCells(results []sweepResult, refs map[string][]byte) error {
 // --- fleet harness -------------------------------------------------------
 
 type fleetHarness struct {
-	coord   *daemon
-	workers map[string]*daemon // worker id → daemon
+	coord   *drill.Daemon
+	workers map[string]*drill.Daemon // worker id → daemon
 }
 
 // startFleet boots one coordinator (plus any extra coordinator flags, e.g.
@@ -609,15 +579,15 @@ type fleetHarness struct {
 // heartbeating fast) and waits until the coordinator reports the whole
 // fleet live and every worker has a converged membership view.
 func startFleet(bin string, n int, coordExtra ...string) (*fleetHarness, error) {
-	coord, err := startDaemon(bin, "coord", append([]string{"-coordinator"}, coordExtra...)...)
+	coord, err := drill.Start(bin, "coord", append([]string{"-coordinator"}, coordExtra...)...)
 	if err != nil {
 		return nil, err
 	}
-	f := &fleetHarness{coord: coord, workers: make(map[string]*daemon)}
+	f := &fleetHarness{coord: coord, workers: make(map[string]*drill.Daemon)}
 	for i := 1; i <= n; i++ {
 		id := fmt.Sprintf("w%d", i)
-		d, err := startDaemon(bin, id,
-			"-join", coord.base,
+		d, err := drill.Start(bin, id,
+			"-join", coord.Base,
 			"-worker-id", id,
 			"-heartbeat", "250ms",
 			"-checkpoint-interval", "1",
@@ -633,20 +603,18 @@ func startFleet(bin string, n int, coordExtra ...string) (*fleetHarness, error) 
 	// Converged: coordinator sees n live workers, and every worker's metrics
 	// page is serving (its join completed — dbpserved starts heartbeats only
 	// after a successful first join).
-	deadline := time.Now().Add(30 * time.Second)
-	for {
+	var last []byte
+	err = drill.Await(30*time.Second, func() (bool, error) {
 		var h struct {
 			Live int `json:"workers_live"`
 		}
-		status, data, err := coord.get("/healthz")
-		if err == nil && status == http.StatusOK && json.Unmarshal(data, &h) == nil && h.Live == n {
-			break
-		}
-		if time.Now().After(deadline) {
-			f.kill()
-			return nil, fmt.Errorf("fleet never converged to %d live workers (last: %s)", n, data)
-		}
-		time.Sleep(50 * time.Millisecond)
+		status, data, err := coord.Get("/healthz")
+		last = data
+		return err == nil && status == http.StatusOK && json.Unmarshal(data, &h) == nil && h.Live == n, nil
+	})
+	if err != nil {
+		f.kill()
+		return nil, fmt.Errorf("fleet never converged to %d live workers (last: %s): %w", n, last, err)
 	}
 	// Give every worker one heartbeat round so its own membership snapshot
 	// includes the whole fleet (join responses carry the member list).
@@ -657,9 +625,9 @@ func startFleet(bin string, n int, coordExtra ...string) (*fleetHarness, error) 
 
 func (f *fleetHarness) kill() {
 	for _, d := range f.workers {
-		d.kill()
+		d.Kill()
 	}
-	f.coord.kill()
+	f.coord.Kill()
 }
 
 // totalExecuted sums dbpserved_runs_executed_total across the live fleet —
@@ -667,7 +635,7 @@ func (f *fleetHarness) kill() {
 func (f *fleetHarness) totalExecuted() (float64, error) {
 	var total float64
 	for id, d := range f.workers {
-		m, err := d.metrics()
+		m, err := d.Metrics()
 		if err != nil {
 			return 0, fmt.Errorf("worker %s metrics: %w", id, err)
 		}
@@ -697,7 +665,7 @@ type sweepSummary struct {
 // sweep POSTs the sweep body to the coordinator and parses the NDJSON
 // stream, requiring a clean summary line.
 func (f *fleetHarness) sweep(body string) ([]sweepResult, *sweepSummary, error) {
-	resp, err := http.Post(f.coord.base+"/v1/sweeps", "application/json", strings.NewReader(body))
+	resp, err := http.Post(f.coord.Base+"/v1/sweeps", "application/json", strings.NewReader(body))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -741,12 +709,11 @@ func (f *fleetHarness) sweep(body string) ([]sweepResult, *sweepSummary, error) 
 
 // waitMirroredCheckpoint polls GET /v1/fleet/ring until the coordinator
 // holds a checkpoint blob for key, returning the key's current ring owner.
-func (f *fleetHarness) waitMirroredCheckpoint(key string, timeout time.Duration) (string, error) {
-	deadline := time.Now().Add(timeout)
-	for {
-		status, data, err := f.coord.get("/v1/fleet/ring")
+func (f *fleetHarness) waitMirroredCheckpoint(key string, timeout time.Duration) (owner string, err error) {
+	err = drill.Await(timeout, func() (bool, error) {
+		status, data, err := f.coord.Get("/v1/fleet/ring")
 		if err != nil || status != http.StatusOK {
-			return "", fmt.Errorf("ring probe: status %d: %v", status, err)
+			return false, fmt.Errorf("ring probe: status %d: %v", status, err)
 		}
 		var ring struct {
 			Checkpoints []struct {
@@ -755,157 +722,18 @@ func (f *fleetHarness) waitMirroredCheckpoint(key string, timeout time.Duration)
 			} `json:"checkpoints"`
 		}
 		if err := json.Unmarshal(data, &ring); err != nil {
-			return "", err
+			return false, err
 		}
 		for _, ck := range ring.Checkpoints {
 			if ck.Key == key && ck.Owner != "" {
-				return ck.Owner, nil
+				owner = ck.Owner
+				return true, nil
 			}
 		}
-		if time.Now().After(deadline) {
-			return "", fmt.Errorf("no checkpoint mirrored for the migration run within %v", timeout)
-		}
-		time.Sleep(25 * time.Millisecond)
-	}
-}
-
-// --- daemon harness (chaossmoke's, with named log files) -----------------
-
-type daemon struct {
-	cmd    *exec.Cmd
-	base   string
-	tmp    string
-	exited chan error
-}
-
-// startDaemon launches the binary on a free port and waits for it to
-// report its bound address. name labels the scratch dir and log file.
-func startDaemon(bin, name string, extra ...string) (*daemon, error) {
-	return startDaemonAt(bin, name, "127.0.0.1:0", extra...)
-}
-
-// startDaemonAt is startDaemon pinned to a specific listen address — how
-// the chaos drill restarts a killed coordinator where its workers still
-// expect it.
-func startDaemonAt(bin, name, addr string, extra ...string) (*daemon, error) {
-	tmp, err := scratchDir("dbpserved-fleet-" + name)
+		return false, nil
+	})
 	if err != nil {
-		return nil, err
+		return "", fmt.Errorf("no checkpoint mirrored for the migration run: %w", err)
 	}
-	addrFile := filepath.Join(tmp, "addr")
-	args := append([]string{"-addr", addr, "-addr-file", addrFile, "-log-json"}, extra...)
-	cmd := exec.Command(bin, args...)
-	var logFile *os.File
-	var sink io.Writer = os.Stderr
-	if artifactsDir != "" {
-		logFile, err = os.Create(filepath.Join(tmp, "daemon.log"))
-		if err != nil {
-			scrub(tmp)
-			return nil, err
-		}
-		sink = io.MultiWriter(os.Stderr, logFile)
-	}
-	cmd.Stderr = sink
-	cmd.Stdout = sink
-	if err := cmd.Start(); err != nil {
-		if logFile != nil {
-			logFile.Close()
-		}
-		scrub(tmp)
-		return nil, err
-	}
-	d := &daemon{cmd: cmd, tmp: tmp, exited: make(chan error, 1)}
-	go func() {
-		err := cmd.Wait()
-		if logFile != nil {
-			logFile.Close()
-		}
-		d.exited <- err
-	}()
-
-	deadline := time.Now().Add(15 * time.Second)
-	for {
-		if data, err := os.ReadFile(addrFile); err == nil && len(data) > 0 {
-			d.base = "http://" + string(data)
-			return d, nil
-		}
-		select {
-		case err := <-d.exited:
-			scrub(tmp)
-			return nil, fmt.Errorf("daemon %s exited before binding: %v", name, err)
-		default:
-		}
-		if time.Now().After(deadline) {
-			cmd.Process.Kill()
-			scrub(tmp)
-			return nil, fmt.Errorf("daemon %s never wrote %s", name, addrFile)
-		}
-		time.Sleep(25 * time.Millisecond)
-	}
-}
-
-func (d *daemon) kill() {
-	d.cmd.Process.Kill()
-	scrub(d.tmp)
-}
-
-// drain SIGTERMs the daemon and requires a clean exit.
-func (d *daemon) drain() error {
-	if err := d.cmd.Process.Signal(os.Interrupt); err != nil {
-		return err
-	}
-	select {
-	case err := <-d.exited:
-		if err != nil {
-			return fmt.Errorf("daemon exited non-zero after SIGINT: %v", err)
-		}
-		return nil
-	case <-time.After(60 * time.Second):
-		return fmt.Errorf("daemon did not exit within 60s of SIGINT")
-	}
-}
-
-func (d *daemon) post(path, body string) (status int, data []byte, cache string, err error) {
-	resp, err := http.Post(d.base+path, "application/json", strings.NewReader(body))
-	if err != nil {
-		return 0, nil, "", err
-	}
-	defer resp.Body.Close()
-	data, err = io.ReadAll(resp.Body)
-	return resp.StatusCode, data, resp.Header.Get("X-Cache"), err
-}
-
-func (d *daemon) get(path string) (status int, data []byte, err error) {
-	resp, err := http.Get(d.base + path)
-	if err != nil {
-		return 0, nil, err
-	}
-	defer resp.Body.Close()
-	data, err = io.ReadAll(resp.Body)
-	return resp.StatusCode, data, err
-}
-
-// metrics scrapes /metrics into name{labels} → value.
-func (d *daemon) metrics() (map[string]float64, error) {
-	status, data, err := d.get("/metrics")
-	if err != nil {
-		return nil, err
-	}
-	if status != http.StatusOK {
-		return nil, fmt.Errorf("/metrics status %d", status)
-	}
-	out := make(map[string]float64)
-	for _, line := range strings.Split(string(data), "\n") {
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		i := strings.LastIndexByte(line, ' ')
-		if i < 0 {
-			continue
-		}
-		if v, err := strconv.ParseFloat(line[i+1:], 64); err == nil {
-			out[line[:i]] = v
-		}
-	}
-	return out, nil
+	return owner, nil
 }

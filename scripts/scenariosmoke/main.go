@@ -10,7 +10,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -18,10 +17,10 @@ import (
 	"os/exec"
 	"path/filepath"
 	"sort"
-	"syscall"
 	"time"
 
 	"dbpsim"
+	"dbpsim/scripts/internal/drill"
 )
 
 func main() {
@@ -47,11 +46,11 @@ func run(args []string) error {
 	}
 	sort.Strings(files)
 
-	tmp, err := os.MkdirTemp("", "scenario-smoke")
+	tmp, err := drill.ScratchDir("scenario-smoke")
 	if err != nil {
 		return err
 	}
-	defer os.RemoveAll(tmp)
+	defer drill.Scrub(tmp)
 
 	// Leg 1: every committed scenario through the real dbpsim binary at a
 	// short budget; the ledger must parse and carry the scenario identity.
@@ -79,13 +78,13 @@ func run(args []string) error {
 	}
 
 	// Leg 2: the service path, against the real daemon.
-	daemon, base, stop, err := startDaemon(servedBin, tmp)
+	d, err := drill.Start(servedBin, "scenario-smoke")
 	if err != nil {
 		return err
 	}
-	defer daemon.Process.Kill()
+	defer d.Kill()
 
-	client := &dbpsim.Client{BaseURL: base}
+	client := &dbpsim.Client{BaseURL: d.Base}
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
 	defer cancel()
 
@@ -136,7 +135,7 @@ func run(args []string) error {
 		fmt.Printf("scenario-smoke: served %-16s ok (hit on repeat, miss on content change)\n", sc.Name)
 	}
 
-	return stop()
+	return d.Drain(30 * time.Second)
 }
 
 // bumpSeed returns the scenario document with its seed changed — same
@@ -148,51 +147,4 @@ func bumpSeed(doc []byte) ([]byte, error) {
 	}
 	sc.Seed++
 	return json.Marshal(sc)
-}
-
-func startDaemon(bin, tmp string) (cmd *exec.Cmd, base string, stop func() error, err error) {
-	addrFile := filepath.Join(tmp, "addr")
-	cmd = exec.Command(bin, "-addr", "127.0.0.1:0", "-addr-file", addrFile, "-log-json")
-	var logs bytes.Buffer
-	cmd.Stderr = &logs
-	cmd.Stdout = &logs
-	if err := cmd.Start(); err != nil {
-		return nil, "", nil, err
-	}
-	exited := make(chan error, 1)
-	go func() { exited <- cmd.Wait() }()
-
-	deadline := time.Now().Add(15 * time.Second)
-	for {
-		if data, err := os.ReadFile(addrFile); err == nil && len(data) > 0 {
-			base = "http://" + string(data)
-			break
-		}
-		select {
-		case err := <-exited:
-			return nil, "", nil, fmt.Errorf("daemon exited before binding: %v\n%s", err, logs.String())
-		default:
-		}
-		if time.Now().After(deadline) {
-			cmd.Process.Kill()
-			return nil, "", nil, fmt.Errorf("daemon never wrote %s\n%s", addrFile, logs.String())
-		}
-		time.Sleep(25 * time.Millisecond)
-	}
-
-	stop = func() error {
-		if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
-			return err
-		}
-		select {
-		case err := <-exited:
-			if err != nil {
-				return fmt.Errorf("daemon exited non-zero after SIGTERM: %v\n%s", err, logs.String())
-			}
-			return nil
-		case <-time.After(30 * time.Second):
-			return fmt.Errorf("daemon did not exit within 30s of SIGTERM")
-		}
-	}
-	return cmd, base, stop, nil
 }

@@ -10,15 +10,12 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
-	"os/exec"
-	"path/filepath"
-	"syscall"
 	"time"
 
 	"dbpsim"
+	"dbpsim/scripts/internal/drill"
 )
 
 func main() {
@@ -33,50 +30,19 @@ func run(args []string) error {
 	if len(args) != 1 {
 		return fmt.Errorf("usage: smoke /path/to/dbpserved")
 	}
-	tmp, err := os.MkdirTemp("", "dbpserved-smoke")
+	d, err := drill.Start(args[0], "smoke")
 	if err != nil {
 		return err
 	}
-	defer os.RemoveAll(tmp)
-	addrFile := filepath.Join(tmp, "addr")
+	defer d.Kill()
 
-	cmd := exec.Command(args[0], "-addr", "127.0.0.1:0", "-addr-file", addrFile, "-log-json")
-	cmd.Stderr = os.Stderr
-	cmd.Stdout = os.Stdout
-	if err := cmd.Start(); err != nil {
-		return err
-	}
-	exited := make(chan error, 1)
-	go func() { exited <- cmd.Wait() }()
-	defer cmd.Process.Kill()
-
-	// Wait for the daemon to report its bound address.
-	var addr string
-	deadline := time.Now().Add(15 * time.Second)
-	for addr == "" {
-		if data, err := os.ReadFile(addrFile); err == nil && len(data) > 0 {
-			addr = string(data)
-			break
-		}
-		select {
-		case err := <-exited:
-			return fmt.Errorf("daemon exited before binding: %v", err)
-		default:
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("daemon never wrote %s", addrFile)
-		}
-		time.Sleep(25 * time.Millisecond)
-	}
-	base := "http://" + addr
-
-	if err := check(http.Get(base + "/healthz")); err != nil {
-		return fmt.Errorf("healthz: %w", err)
+	if status, _, err := d.Get("/healthz"); err != nil || status != http.StatusOK {
+		return fmt.Errorf("healthz: status %d: %v", status, err)
 	}
 
 	// Submit through the retrying client (backoff + Retry-After aware): the
 	// smoke test doubles as the client's end-to-end exercise.
-	client := &dbpsim.Client{BaseURL: base}
+	client := &dbpsim.Client{BaseURL: d.Base}
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 	warmup := uint64(1000)
@@ -108,33 +74,10 @@ func run(args []string) error {
 		return fmt.Errorf("second POST: X-Cache %q (want hit)", res.Cache)
 	}
 
-	if err := check(http.Get(base + "/metrics")); err != nil {
+	if _, err := d.Metrics(); err != nil {
 		return fmt.Errorf("metrics: %w", err)
 	}
 
 	// SIGTERM must drain and exit 0.
-	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
-		return err
-	}
-	select {
-	case err := <-exited:
-		if err != nil {
-			return fmt.Errorf("daemon exited non-zero after SIGTERM: %v", err)
-		}
-	case <-time.After(30 * time.Second):
-		return fmt.Errorf("daemon did not exit within 30s of SIGTERM")
-	}
-	return nil
-}
-
-func check(resp *http.Response, err error) error {
-	if err != nil {
-		return err
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("status %d", resp.StatusCode)
-	}
-	return nil
+	return d.Drain(30 * time.Second)
 }
