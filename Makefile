@@ -135,7 +135,7 @@ fleet-smoke:
 # incomplete cell, a resubmitted identical sweep is byte-identical to the
 # reference, and the fleet never re-simulates a completed cell), then boot
 # a worker behind an injected network partition (it must serve standalone
-# in degraded mode and buffer its checkpoint mirrors).
+# in degraded mode and never join the ring).
 fleet-chaos-smoke:
 	$(GO) build -o /tmp/dbpserved-fleet-chaos ./cmd/dbpserved
 	$(GO) run ./scripts/fleetsmoke -chaos /tmp/dbpserved-fleet-chaos

@@ -44,7 +44,7 @@ const (
 	// connection, not an HTTP status). Each takes either N (drop every Nth
 	// request) or a duration (delay every request, context-aware).
 
-	// PeerProbe faults a worker's peer cache/baseline probes.
+	// PeerProbe faults a worker's alone-baseline probes to its peers.
 	PeerProbe Point = "peer-probe"
 	// Forward faults a worker's owner-forwarded run dispatch.
 	Forward Point = "forward"

@@ -183,11 +183,11 @@ func TestTransportPartitionByPeer(t *testing.T) {
 	}
 	var calls int
 	rt := Transport(inj, PeerProbe, okRT(&calls))
-	blocked, _ := http.NewRequest(http.MethodGet, "http://127.0.0.1:9000/v1/cache", nil)
+	blocked, _ := http.NewRequest(http.MethodGet, "http://127.0.0.1:9000/v1/baselines", nil)
 	if _, err := rt.RoundTrip(blocked); !IsInjected(err) {
 		t.Errorf("partitioned host answered: %v", err)
 	}
-	open, _ := http.NewRequest(http.MethodGet, "http://127.0.0.1:9001/v1/cache", nil)
+	open, _ := http.NewRequest(http.MethodGet, "http://127.0.0.1:9001/v1/baselines", nil)
 	if _, err := rt.RoundTrip(open); err != nil {
 		t.Errorf("unpartitioned host dropped: %v", err)
 	}

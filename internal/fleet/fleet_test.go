@@ -11,6 +11,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -161,12 +162,13 @@ func scrapeCounter(t *testing.T, baseURL, name string) float64 {
 	return 0
 }
 
-// TestFleetSweepSingleflightAndPeerCache drives the whole happy path: a
-// 3-worker fleet runs a 1×2 sweep, every cell lands done with a ledger
-// hash, re-running the sweep is all cache hits with zero new simulations,
-// and a direct hit on a non-owner worker is served by the fleet (peer cache
-// or owner delegation), not by a duplicate simulation.
-func TestFleetSweepSingleflightAndPeerCache(t *testing.T) {
+// TestFleetSweepSingleflightAndOwnerForwarding drives the whole happy
+// path: a 3-worker fleet runs a 1×2 sweep, every cell lands done with a
+// ledger hash, re-running the sweep is all cache hits with zero new
+// simulations, and a direct hit on a non-owner worker is forwarded to the
+// key's owner — one forward per non-owner, no duplicate simulation, and no
+// peer result-cache endpoint left to probe.
+func TestFleetSweepSingleflightAndOwnerForwarding(t *testing.T) {
 	_, coordHS := startCoordinator(t)
 	workers := []*testWorker{
 		startWorker(t, coordHS.URL, "w1", nil),
@@ -195,13 +197,14 @@ func TestFleetSweepSingleflightAndPeerCache(t *testing.T) {
 		t.Fatalf("summary = %+v", lines.summary)
 	}
 
-	executed := func() float64 {
+	fleetSum := func(name string) float64 {
 		var n float64
 		for _, tw := range workers {
-			n += scrapeCounter(t, tw.hs.URL, "dbpserved_runs_executed_total")
+			n += scrapeCounter(t, tw.hs.URL, name)
 		}
 		return n
 	}
+	executed := func() float64 { return fleetSum("dbpserved_runs_executed_total") }
 	base := executed()
 	if base != 2 {
 		t.Fatalf("2 cells should cost exactly 2 simulations fleet-wide, counted %g", base)
@@ -218,10 +221,10 @@ func TestFleetSweepSingleflightAndPeerCache(t *testing.T) {
 		t.Fatalf("re-sweep added simulations: %g → %g", base, got)
 	}
 
-	// Direct single-run POST to every worker: the owner has it cached; the
-	// others must be served by the fleet (peer hit or delegation), never by
-	// a new local simulation.
+	// Direct single-run POST to every worker: the owner has it cached; each
+	// of the two others must forward to it exactly once, never simulate.
 	cellBody := `{"mix": "W4-M1", "partition": "equal", "warmup": 1000, "measure": 5000}`
+	fwdBase := fleetSum("dbpfleet_forwards_total")
 	var ledgers [][]byte
 	for _, tw := range workers {
 		resp, err := http.Post(tw.hs.URL+"/v1/runs", "application/json", strings.NewReader(cellBody))
@@ -237,6 +240,25 @@ func TestFleetSweepSingleflightAndPeerCache(t *testing.T) {
 	}
 	if got := executed(); got != base {
 		t.Fatalf("direct posts broke fleet singleflight: %g → %g simulations", base, got)
+	}
+	if got := fleetSum("dbpfleet_forwards_total") - fwdBase; got != float64(len(workers)-1) {
+		t.Fatalf("direct posts forwarded %g times fleet-wide, want one per non-owner (%d)", got, len(workers)-1)
+	}
+	// The peer result-cache probe endpoint is gone: the owner's cache is
+	// reached only through forwarding.
+	key, _, apiErr := serve.ResolveRequest([]byte(cellBody), 0)
+	if apiErr != nil {
+		t.Fatal(apiErr.Message)
+	}
+	for _, tw := range workers {
+		resp, err := http.Get(tw.hs.URL + "/v1/cache?key=" + url.QueryEscape(key))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Fatalf("GET /v1/cache on %s answered %d, want 404", tw.id, resp.StatusCode)
+		}
 	}
 	for i := 1; i < len(ledgers); i++ {
 		if !bytes.Equal(ledgers[0], ledgers[i]) {

@@ -78,8 +78,6 @@ func (m *coordMetrics) write(w io.Writer) {
 // workerMetrics instruments the worker-side fleet surface; the blocks are
 // appended to the wrapped server's /metrics page via serve.Options.ExtraMetrics.
 type workerMetrics struct {
-	peerHits      atomic.Int64 // runs answered from a peer's cache
-	peerMisses    atomic.Int64 // peer consults that found nothing (local run proceeds)
 	forwards      atomic.Int64 // runs delegated to their ring owner
 	forwardErrors atomic.Int64 // delegation attempts that failed (ran locally instead)
 	baselineHits  atomic.Int64 // alone-run baseline maps imported from peers
@@ -87,20 +85,14 @@ type workerMetrics struct {
 
 	heartbeatFailures atomic.Int64 // join/heartbeat POSTs that failed
 	degraded          atomic.Int64 // gauge: 1 while serving standalone, 0 while joined
-	mirrorsBuffered   atomic.Int64 // checkpoint mirrors buffered locally during an outage
-	mirrorsReplayed   atomic.Int64 // buffered mirrors successfully replayed after rejoin
 }
 
 func (m *workerMetrics) write(w io.Writer) {
 	counter := promtext.WriteCounter
-	counter(w, "dbpfleet_peer_cache_hits_total", "Runs answered from a peer worker's result cache instead of simulating.", float64(m.peerHits.Load()))
-	counter(w, "dbpfleet_peer_cache_misses_total", "Peer cache consults that found nothing (the local simulation proceeded).", float64(m.peerMisses.Load()))
 	counter(w, "dbpfleet_forwards_total", "Runs delegated to their ring owner for fleet-wide singleflight.", float64(m.forwards.Load()))
 	counter(w, "dbpfleet_forward_errors_total", "Owner delegations that failed; the run executed locally instead.", float64(m.forwardErrors.Load()))
 	counter(w, "dbpfleet_baseline_imports_total", "Alone-run baseline maps imported from peers.", float64(m.baselineHits.Load()))
 	counter(w, "dbpfleet_checkpoints_seeded_total", "Migration checkpoint blobs staged by the coordinator on this worker.", float64(m.ckptsSeeded.Load()))
 	counter(w, "dbpfleet_heartbeat_failures_total", "Coordinator join/heartbeat attempts that failed.", float64(m.heartbeatFailures.Load()))
-	counter(w, "dbpfleet_mirrors_buffered_total", "Checkpoint mirrors buffered locally while the coordinator was unreachable.", float64(m.mirrorsBuffered.Load()))
-	counter(w, "dbpfleet_mirrors_replayed_total", "Locally buffered checkpoint mirrors replayed to the coordinator after rejoining.", float64(m.mirrorsReplayed.Load()))
 	promtext.WriteGauge(w, "dbpfleet_degraded", "1 while this worker is serving standalone because the coordinator is unreachable, else 0.", float64(m.degraded.Load()))
 }

@@ -39,19 +39,15 @@ type WorkerOptions struct {
 	Replicas int
 	// HeartbeatFailureThreshold is K, the consecutive heartbeat failures
 	// after which the worker enters degraded mode: it keeps serving
-	// POST /v1/runs standalone, skips owner-forwarding and peer probes,
-	// buffers checkpoint mirrors locally, and rejoins with capped jittered
+	// POST /v1/runs standalone, skips owner-forwarding and baseline probes,
+	// skips checkpoint mirrors, and rejoins with capped jittered
 	// exponential backoff (default 3).
 	HeartbeatFailureThreshold int
 	// RejoinBackoffMax caps the degraded-mode rejoin backoff (default 30s).
 	RejoinBackoffMax time.Duration
-	// MirrorBufferSize bounds the degraded-mode local mirror buffer: latest
-	// blob per run key, oldest-buffered key evicted past the bound
-	// (default 64).
-	MirrorBufferSize int
 	// Chaos injects network faults (nil = off) on the worker's fleet-facing
-	// HTTP clients: "peer-probe", "forward", "heartbeat", "mirror", and the
-	// cross-cutting "partition".
+	// HTTP clients: "peer-probe" (baseline probes), "forward", "heartbeat",
+	// "mirror", and the cross-cutting "partition".
 	Chaos *chaos.Injector
 	// Logger receives structured logs (default slog.Default()).
 	Logger *slog.Logger
@@ -67,9 +63,6 @@ func (o WorkerOptions) withDefaults() WorkerOptions {
 	if o.RejoinBackoffMax <= 0 {
 		o.RejoinBackoffMax = 30 * time.Second
 	}
-	if o.MirrorBufferSize <= 0 {
-		o.MirrorBufferSize = 64
-	}
 	if o.Logger == nil {
 		o.Logger = slog.Default()
 	}
@@ -77,10 +70,11 @@ func (o WorkerOptions) withDefaults() WorkerOptions {
 }
 
 // Worker is the fleet wrapper around a single-node serve.Server: it adds
-// the peer endpoints (cache, baselines, checkpoint staging), keeps a ring
-// snapshot current via join heartbeats, and implements serve.PeerConsult —
-// forwarding non-owned runs to their ring owner (fleet-wide singleflight)
-// and consulting peer caches before simulating.
+// the peer endpoints (baselines, checkpoint staging), keeps a ring snapshot
+// current via join heartbeats, and implements serve.PeerConsult —
+// forwarding non-owned runs to their ring owner, whose cache and
+// singleflight make the fleet pay once per unique run, and importing
+// peers' alone-run baselines.
 //
 // Wire-up is two-phase because the worker and server reference each other:
 // build the Worker first, pass its Consult/OnCheckpoint into serve.Options,
@@ -94,7 +88,7 @@ type Worker struct {
 	// injection can partition exactly one kind of traffic. Without an
 	// injector they all share http.DefaultTransport.
 	hbClient     *http.Client // join/heartbeat POSTs to the coordinator
-	probeClient  *http.Client // peer cache/baseline probes
+	probeClient  *http.Client // peer baseline probes
 	mirrorClient *http.Client // checkpoint mirror POSTs
 	fwdTransport http.RoundTripper
 
@@ -113,23 +107,14 @@ type Worker struct {
 
 	// degraded marks the coordinator unreachable (K consecutive heartbeat
 	// failures, or an unreachable coordinator at startup): the worker serves
-	// standalone — no peer probes, no owner-forwarding — and buffers
-	// checkpoint mirrors until it rejoins.
-	degraded  atomic.Bool
-	mirrorBuf map[string]*bufferedMirror // run key → latest unbuffered blob (guarded by mu)
-	mirrorSeq uint64
+	// standalone — no peer probes, no owner-forwarding, no checkpoint
+	// mirrors — until it rejoins.
+	degraded atomic.Bool
 
 	stopOnce sync.Once
 	stop     chan struct{}
 	done     chan struct{}
 	started  bool // heartbeat loop launched (Start succeeded)
-}
-
-// bufferedMirror is one checkpoint blob waiting out a coordinator outage.
-type bufferedMirror struct {
-	blob  []byte
-	cycle uint64
-	seq   uint64 // insertion order, for bounded eviction
 }
 
 // NewWorker builds the fleet wrapper. Call Attach with the serve.Server
@@ -150,7 +135,6 @@ func NewWorker(opt WorkerOptions) (*Worker, error) {
 		ring:         NewRing(opt.Replicas),
 		members:      make(map[string]WorkerInfo),
 		noFwd:        make(map[string]int),
-		mirrorBuf:    make(map[string]*bufferedMirror),
 		stop:         make(chan struct{}),
 		done:         make(chan struct{}),
 	}
@@ -166,18 +150,15 @@ func (w *Worker) ExtraMetrics(out io.Writer) {
 // OnCheckpoint is the serve.Options.OnCheckpoint hook: mirrors every
 // checkpoint blob to the coordinator so this worker's death does not strand
 // its runs. Best-effort — a failed mirror costs the fast-resume path, never
-// the run. While the coordinator is unreachable (degraded mode, or a
-// mirror POST that fails mid-outage) the blob is buffered locally instead;
-// rejoining replays the buffer, so the coordinator's mirror index catches
-// up to the latest capture per run.
+// the run. While degraded the mirror is skipped: a running job mirrors its
+// next checkpoint within one CheckpointInterval of rejoining, and that
+// capture supersedes anything taken during the outage.
 func (w *Worker) OnCheckpoint(runKey string, blob []byte, cycle uint64) {
 	if w.degraded.Load() {
-		w.bufferMirror(runKey, blob, cycle)
 		return
 	}
 	if err := w.postMirror(runKey, blob, cycle); err != nil {
-		w.log.Warn("checkpoint mirror failed; buffering locally", "key", runKey, "err", err)
-		w.bufferMirror(runKey, blob, cycle)
+		w.log.Warn("checkpoint mirror failed; dropping it", "key", runKey, "err", err)
 	}
 }
 
@@ -202,53 +183,10 @@ func (w *Worker) postMirror(runKey string, blob []byte, cycle uint64) error {
 	return nil
 }
 
-// bufferMirror keeps the latest blob per run key, bounded: past
-// MirrorBufferSize keys, the oldest-buffered key is evicted (its run just
-// loses the fast-resume path, like a coordinator-side eviction).
-func (w *Worker) bufferMirror(runKey string, blob []byte, cycle uint64) {
-	w.mu.Lock()
-	w.mirrorSeq++
-	w.mirrorBuf[runKey] = &bufferedMirror{blob: blob, cycle: cycle, seq: w.mirrorSeq}
-	for len(w.mirrorBuf) > w.opt.MirrorBufferSize {
-		var oldestKey string
-		var oldestSeq uint64
-		for k, m := range w.mirrorBuf {
-			if oldestKey == "" || m.seq < oldestSeq {
-				oldestKey, oldestSeq = k, m.seq
-			}
-		}
-		delete(w.mirrorBuf, oldestKey)
-	}
-	w.mu.Unlock()
-	w.met.mirrorsBuffered.Add(1)
-}
-
-// replayMirrorBuffer drains the degraded-mode buffer into the freshly
-// rejoined coordinator, latest blob per key. A POST that fails mid-replay
-// re-buffers (the next rejoin retries).
-func (w *Worker) replayMirrorBuffer() {
-	w.mu.Lock()
-	buf := w.mirrorBuf
-	w.mirrorBuf = make(map[string]*bufferedMirror)
-	w.mu.Unlock()
-	for key, m := range buf {
-		if err := w.postMirror(key, m.blob, m.cycle); err != nil {
-			w.log.Warn("buffered mirror replay failed; re-buffering", "key", key, "err", err)
-			w.bufferMirror(key, m.blob, m.cycle)
-			continue
-		}
-		w.met.mirrorsReplayed.Add(1)
-	}
-	if n := len(buf); n > 0 {
-		w.log.Info("replayed buffered checkpoint mirrors", "count", n)
-	}
-}
-
 // Attach wires the built serve.Server in and finalizes the worker's mux.
 func (w *Worker) Attach(srv *serve.Server) {
 	w.srv = srv
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /v1/cache", w.handleCache)
 	mux.HandleFunc("GET /v1/baselines", w.handleBaselines)
 	mux.HandleFunc("PUT /v1/checkpoints/{hash}", w.handleSeedCheckpoint)
 	mux.Handle("/", http.HandlerFunc(w.handleServer))
@@ -289,26 +227,6 @@ func (w *Worker) handleServer(rw http.ResponseWriter, r *http.Request) {
 }
 
 // --- peer endpoints ------------------------------------------------------
-
-// handleCache answers a peer's result-cache probe: 200 + canonical ledger
-// bytes (with X-Content-SHA256 for transit verification) or 404. Never
-// triggers a simulation.
-func (w *Worker) handleCache(rw http.ResponseWriter, r *http.Request) {
-	key := r.URL.Query().Get("key")
-	if key == "" {
-		writeAPIError(rw, http.StatusBadRequest, &serve.APIError{Code: serve.CodeBadRequest, Message: "cache probe needs key="})
-		return
-	}
-	data, ok := w.srv.CachedResult(key)
-	if !ok {
-		writeAPIError(rw, http.StatusNotFound, &serve.APIError{Code: serve.CodeNotFound, Message: "not cached here"})
-		return
-	}
-	rw.Header().Set("Content-Type", "application/json; charset=utf-8")
-	rw.Header().Set("X-Content-SHA256", durable.Hash(data))
-	rw.WriteHeader(http.StatusOK)
-	_, _ = rw.Write(data)
-}
 
 // handleBaselines answers a peer's alone-baseline probe with the experiment
 // key's measured map (possibly empty).
@@ -353,34 +271,23 @@ func (w *Worker) Consult() serve.PeerConsult { return (*workerConsult)(w) }
 type workerConsult Worker
 
 // Lookup runs on the executing worker goroutine after the local cache
-// missed. Order: probe every live peer's cache (a hit anywhere answers the
-// run); then, if this worker does not own the key and the run was not
-// forwarded here, delegate the whole run to its owner — that owner's local
-// singleflight is what makes N identical requests cluster-wide cost one
-// simulation.
+// missed. If this worker does not own the key and the run was not
+// forwarded here, it delegates the whole run to its ring owner: the owner's
+// cache answers a hit, and its singleflight makes N identical requests
+// cluster-wide cost one simulation. Otherwise the local simulation
+// proceeds.
 func (wc *workerConsult) Lookup(ctx context.Context, runKey string, body []byte) ([]byte, bool) {
 	w := (*Worker)(wc)
 	if w.degraded.Load() {
 		// Coordinator unreachable: the membership snapshot is stale and
-		// peers may be on the far side of the same partition. Serve
-		// standalone — no probes, no forwarding — and let the rejoin path
-		// restore fleet behavior.
+		// the owner may be on the far side of the same partition. Serve
+		// standalone and let the rejoin path restore fleet behavior.
 		return nil, false
 	}
-	peers, ownerID := w.placement(runKey)
-	for _, p := range peers {
-		if data, ok := w.probeCache(ctx, p, runKey); ok {
-			w.met.peerHits.Add(1)
-			return data, true
-		}
+	if w.ownedOrForwarded(runKey) {
+		return nil, false
 	}
-	w.met.peerMisses.Add(1)
-	if ownerID != "" && ownerID != w.opt.ID && !w.forwarded(runKey) {
-		if data, ok := w.forwardToOwner(ctx, runKey, body); ok {
-			return data, true
-		}
-	}
-	return nil, false
+	return w.forwardToOwner(ctx, runKey, body)
 }
 
 // Baselines merges every live peer's alone-baseline map for an experiment
@@ -390,9 +297,8 @@ func (wc *workerConsult) Baselines(ctx context.Context, expKey string) map[strin
 	if w.degraded.Load() {
 		return nil
 	}
-	peers, _ := w.placement(expKey)
 	merged := make(map[string]float64)
-	for _, p := range peers {
+	for _, p := range w.livePeers() {
 		u := fmt.Sprintf("%s/v1/baselines?key=%s", p.Addr, url.QueryEscape(expKey))
 		req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
 		if err != nil {
@@ -420,9 +326,8 @@ func (wc *workerConsult) Baselines(ctx context.Context, expKey string) map[strin
 	return merged
 }
 
-// placement snapshots the live peers (everyone but this worker) and the
-// key's ring owner.
-func (w *Worker) placement(key string) ([]WorkerInfo, string) {
+// livePeers snapshots the live members other than this worker.
+func (w *Worker) livePeers() []WorkerInfo {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	var peers []WorkerInfo
@@ -431,41 +336,17 @@ func (w *Worker) placement(key string) ([]WorkerInfo, string) {
 			peers = append(peers, info)
 		}
 	}
-	return peers, w.ring.Owner(key)
+	return peers
 }
 
-// forwarded reports whether a run key arrived here via owner delegation.
-func (w *Worker) forwarded(key string) bool {
+// ownedOrForwarded reports whether a run must execute here: this worker
+// owns the key (or knows no owner), or the run arrived via owner
+// delegation.
+func (w *Worker) ownedOrForwarded(key string) bool {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.noFwd[key] > 0
-}
-
-// probeCache asks one peer's result cache, verifying the transit hash.
-func (w *Worker) probeCache(ctx context.Context, p WorkerInfo, key string) ([]byte, bool) {
-	u := fmt.Sprintf("%s/v1/cache?key=%s", p.Addr, url.QueryEscape(key))
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
-	if err != nil {
-		return nil, false
-	}
-	resp, err := w.probeClient.Do(req)
-	if err != nil {
-		return nil, false
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		io.Copy(io.Discard, resp.Body)
-		return nil, false
-	}
-	data, err := io.ReadAll(io.LimitReader(resp.Body, 64<<20))
-	if err != nil {
-		return nil, false
-	}
-	if want := resp.Header.Get("X-Content-SHA256"); want != "" && durable.Hash(data) != want {
-		w.log.Warn("peer cache hit corrupt in transit; ignoring", "peer", p.ID, "key", key)
-		return nil, false
-	}
-	return data, true
+	owner := w.ring.Owner(key)
+	return owner == "" || owner == w.opt.ID || w.noFwd[key] > 0
 }
 
 // forwardToOwner delegates a run to its ring owner and returns the ledger
@@ -555,8 +436,8 @@ func (w *Worker) startLoop() {
 	go w.heartbeatLoop()
 }
 
-// enterDegraded flips the worker to standalone serving: peer probes and
-// owner-forwarding stop, checkpoint mirrors buffer locally. Idempotent.
+// enterDegraded flips the worker to standalone serving: peer probes,
+// owner-forwarding and checkpoint mirrors stop. Idempotent.
 func (w *Worker) enterDegraded() {
 	if w.degraded.CompareAndSwap(false, true) {
 		w.met.degraded.Store(1)
@@ -565,13 +446,11 @@ func (w *Worker) enterDegraded() {
 	}
 }
 
-// exitDegraded restores fleet participation after a successful rejoin and
-// replays the locally buffered checkpoint mirrors.
+// exitDegraded restores fleet participation after a successful rejoin.
 func (w *Worker) exitDegraded() {
 	if w.degraded.CompareAndSwap(true, false) {
 		w.met.degraded.Store(0)
 		w.log.Info("rejoined coordinator; leaving degraded mode", "coordinator", w.opt.Coordinator)
-		w.replayMirrorBuffer()
 	}
 }
 
@@ -591,8 +470,7 @@ func (w *Worker) Stop() {
 // failures (HeartbeatFailureThreshold) it enters degraded mode and backs
 // off — jittered exponential, capped at RejoinBackoffMax — where every
 // join attempt doubles as the half-open recovery probe: the first success
-// exits degraded mode, replays buffered mirrors, and resumes the normal
-// cadence.
+// exits degraded mode and resumes the normal cadence.
 func (w *Worker) heartbeatLoop() {
 	defer close(w.done)
 	consecutive := 0

@@ -152,9 +152,10 @@ const (
 // carries the run's execution cap).
 type PeerConsult interface {
 	// Lookup may answer the run without simulating locally: it returns the
-	// canonical ledger bytes for the run key — a peer's cache hit, or the
-	// result of delegating execution to the key's owner — and true, or
-	// (nil, false) to let the local simulation proceed.
+	// canonical ledger bytes for the run key — the result of delegating
+	// the run to the key's owner, which answers from its cache, joins an
+	// in-flight run, or simulates — and true, or (nil, false) to let the
+	// local simulation proceed.
 	Lookup(ctx context.Context, runKey string, body []byte) ([]byte, bool)
 	// Baselines returns alone-run IPC baselines peers have measured for an
 	// experiment key (may be empty). Hits are imported into the local
@@ -230,8 +231,8 @@ type job struct {
 	// worker goroutine.
 	lastCkpt string
 
-	// peerServed marks a job answered by the fleet (peer cache hit or owner
-	// delegation) rather than a local simulation; it keeps
+	// peerServed marks a job answered by the fleet (owner delegation)
+	// rather than a local simulation; it keeps
 	// runs_executed_total an honest count of simulations this node ran.
 	// Written and read only on the job's worker goroutine.
 	peerServed bool
@@ -923,17 +924,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 //
 // These exported methods are the worker half of the fleet protocol
 // (internal/fleet wraps a Server and serves them over HTTP): peers read
-// each other's result cache and alone-run baselines, and the coordinator
-// stages checkpoint blobs here right before dispatching a migrated run.
-
-// CachedResult returns the canonical ledger bytes cached for a run key
-// (memory first, then the journal-restored disk cache), without ever
-// triggering a simulation.
-func (s *Server) CachedResult(key string) ([]byte, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.cacheLookupLocked(key)
-}
+// each other's alone-run baselines, and the coordinator stages checkpoint
+// blobs here right before dispatching a migrated run.
 
 // Baselines exports the alone-run IPC baselines measured so far for an
 // experiment key (nil when the experiment is unknown here). The map is a
@@ -1069,7 +1061,9 @@ func (s *Server) finishJob(j *job, data []byte, apiErr *APIError, dur time.Durat
 	drainCheckpointed := s.journal != nil && apiErr != nil && context.Cause(j.ctx) == errDrainCancel
 	j.data, j.apiErr = data, apiErr
 	j.cancel(nil) // release the context's timer/goroutine resources
-	close(j.done)
+	// Terminal counters and the slowdown gauge move before close(j.done)
+	// releases the waiters, so a client that scrapes /metrics right after
+	// its response sees its run.
 	if dur > 0 {
 		// Feed the tenant's slowdown gauge: shared time is queue wait plus
 		// service, alone time is service — the fairness metric of the paper,
@@ -1077,6 +1071,23 @@ func (s *Server) finishJob(j *job, data []byte, apiErr *APIError, dur time.Durat
 		// signal.
 		s.slow.observe(j.tenantName, j.queueWait, dur)
 	}
+	switch {
+	case apiErr == nil && j.peerServed:
+		// Answered by the fleet, not simulated here: runs_executed_total
+		// stays an honest per-node simulation count (and summing it across
+		// the fleet counts unique simulations — the singleflight invariant,
+		// measurable).
+	case apiErr == nil:
+		s.met.runsExecuted.Add(1)
+	case state == stateCanceled:
+		s.met.runsCanceled.Add(1)
+	default:
+		s.met.runsFailed.Add(1)
+		if apiErr.Code == CodePanic {
+			s.met.runsPanicked.Add(1)
+		}
+	}
+	close(j.done)
 	if !drainCheckpointed {
 		st := tenancyStamp{tenant: j.tenantName, lane: j.lane, cost: float64(j.est.SimCycles), ts: j.admitted.UnixNano()}
 		if err := s.journal.appendEnd(j.id, j.key, state, apiErr, resultHash, st); err != nil {
@@ -1097,28 +1108,19 @@ func (s *Server) finishJob(j *job, data []byte, apiErr *APIError, dur time.Durat
 
 	switch {
 	case apiErr == nil && j.peerServed:
-		// Answered by the fleet, not simulated here: the worker's
-		// dbpfleet_* counters carry the detail; runs_executed_total stays an
-		// honest per-node simulation count (and summing it across the fleet
-		// counts unique simulations — the singleflight invariant, measurable).
+		// The worker's dbpfleet_* counters carry the detail.
 		s.log.Info("run served by fleet peer",
 			"id", j.id, "mix", j.run.mix.Name, "dur_s", dur.Seconds())
 	case apiErr == nil:
-		s.met.runsExecuted.Add(1)
 		s.log.Info("run executed",
 			"id", j.id, "mix", j.run.mix.Name,
 			"scheduler", string(j.run.sched), "partition", string(j.run.part),
 			"config_hash", j.run.cfgHash[:12], "dur_s", dur.Seconds())
 	case state == stateCanceled:
-		s.met.runsCanceled.Add(1)
 		s.log.Warn("run canceled",
 			"id", j.id, "mix", j.run.mix.Name, "code", apiErr.Code,
 			"reason", apiErr.Message, "dur_s", dur.Seconds())
 	default:
-		s.met.runsFailed.Add(1)
-		if apiErr.Code == CodePanic {
-			s.met.runsPanicked.Add(1)
-		}
 		s.log.Error("run failed",
 			"id", j.id, "mix", j.run.mix.Name, "code", apiErr.Code,
 			"err", apiErr.Message, "dur_s", dur.Seconds())

@@ -1,5 +1,5 @@
-// Command doccheck keeps the reference docs honest. Two checks, both run
-// by `make lint`:
+// Command doccheck keeps the reference docs honest. Every check runs in
+// `make lint`:
 //
 //   - Scenario schema: every JSON object key used by the committed
 //     scenarios/*.json files must be mentioned (as `key`) in
@@ -9,6 +9,9 @@
 //     internal/serve + internal/fleet + internal/tenant (test files
 //     excluded) must appear somewhere in docs/SERVICE.md, docs/FLEET.md,
 //     or README.md, so a new flag or metric cannot land undocumented.
+//     In reverse, every dbpserved_*/dbpfleet_* name those docs mention
+//     (histogram _bucket/_sum/_count suffixes stripped) must be such a
+//     literal, so deleting a metric cannot leave stale docs behind.
 //   - Tenant config schema: every JSON object key used by the committed
 //     examples/tenants.json must be mentioned (as `key`) in
 //     docs/SERVICE.md, so a new tenant-file field cannot land without
@@ -109,6 +112,7 @@ func checkScenarioSchema() error {
 var (
 	flagDeclRe   = regexp.MustCompile(`fs\.(?:String|Bool|Int|Uint64|Duration)\("([a-z][a-z0-9-]*)"`)
 	metricNameRe = regexp.MustCompile(`"(dbp(?:served|fleet)_[a-z_]+)"`)
+	docMetricRe  = regexp.MustCompile(`dbp(?:served|fleet)_[a-z][a-z_]*`)
 )
 
 func checkServiceSurface() error {
@@ -169,6 +173,15 @@ func checkServiceSurface() error {
 			missing = append(missing, "metric "+name)
 		}
 	}
+	var stale []string
+	for _, name := range docMetricRe.FindAllString(text, -1) {
+		for _, suffix := range []string{"_bucket", "_sum", "_count"} {
+			name = strings.TrimSuffix(name, suffix)
+		}
+		if !metrics[name] && !contains(stale, name) {
+			stale = append(stale, name)
+		}
+	}
 
 	if len(missing) > 0 {
 		sort.Strings(missing)
@@ -176,6 +189,13 @@ func checkServiceSurface() error {
 			fmt.Fprintf(os.Stderr, "doccheck: %s is not documented in %s\n", m, where)
 		}
 		return fmt.Errorf("%d service flag(s)/metric(s) missing from %s", len(missing), where)
+	}
+	if len(stale) > 0 {
+		sort.Strings(stale)
+		for _, m := range stale {
+			fmt.Fprintf(os.Stderr, "doccheck: %s mentions metric %s, which no longer exists under internal/serve + internal/fleet + internal/tenant\n", where, m)
+		}
+		return fmt.Errorf("%d documented metric(s) not exported by the code", len(stale))
 	}
 	fmt.Printf("doccheck: ok (%d flags, %d metrics, all documented in %s)\n",
 		len(flags), len(metrics), where)
