@@ -32,8 +32,8 @@
 // or an expired drain grace is requeued at its original id on the next
 // start and resumes from its latest checkpoint — bit-identical to an
 // uninterrupted run — falling back to a clean rerun when no usable
-// checkpoint exists. -retain-checkpoints picks the blob retention policy
-// (latest: prune superseded blobs eagerly; all: keep everything).
+// checkpoint exists. Superseded checkpoint blobs are pruned as newer ones
+// land.
 //
 // -chaos enables the fault-injection layer (internal/chaos) for resilience
 // drills — e.g. -chaos 'panic=2,delay=250ms'. It is refused unless
@@ -83,7 +83,6 @@ func run(args []string) error {
 		logJSON    = fs.Bool("log-json", false, "structured logs as JSON lines instead of key=value text")
 		journalDir = fs.String("journal-dir", "", "persist job state, checkpoints, and results under this directory (survives restarts)")
 		ckptEvery  = fs.Uint64("checkpoint-interval", 25_000_000, "simulated CPU cycles between run checkpoints (needs -journal-dir or -join)")
-		retain     = fs.String("retain-checkpoints", serve.RetainLatest, "checkpoint blob retention: 'latest' keeps each job's newest blob and prunes the rest; 'all' never deletes")
 		chaosSpec  = fs.String("chaos", "", "fault-injection spec, e.g. 'panic=2,delay=250ms,journal=3' (requires -chaos-allow)")
 		chaosAllow = fs.Bool("chaos-allow", false, "explicitly permit -chaos (refused otherwise)")
 
@@ -206,7 +205,6 @@ func run(args []string) error {
 		Logger:             log,
 		JournalDir:         *journalDir,
 		CheckpointInterval: *ckptEvery,
-		RetainCheckpoints:  *retain,
 		Chaos:              injector,
 		Tenants:            reg,
 		CostModel:          costModel,

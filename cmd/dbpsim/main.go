@@ -210,7 +210,7 @@ func run(args []string, stdout io.Writer) error {
 	sched, part := dbpsim.SchedulerKind(*schedName), dbpsim.PartitionKind(*partName)
 	doRun := func() (dbpsim.MixRun, error) {
 		if scen != nil {
-			return dbpsim.RunScenario(context.Background(), exp, scen, sched, part, rec, ck)
+			return exp.RunScenarioCheckpointedContext(context.Background(), scen, sched, part, rec, ck)
 		}
 		return exp.RunMixCheckpointedContext(context.Background(), mix, sched, part, rec, ck)
 	}

@@ -18,7 +18,6 @@
 package dbpsim
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -91,12 +90,6 @@ func DecodeScenario(data []byte) (*Scenario, error) { return scenario.Decode(dat
 // ScenarioMix builds the synthetic mix identity a scenario run reports
 // under ("scenario:<name>"). It is a label, not a runnable suite mix.
 func ScenarioMix(sc *Scenario) Mix { return sim.ScenarioMix(sc) }
-
-// RunScenario evaluates one (scheduler, partition) policy on a
-// phase-shifting scenario, with optional recorder and checkpointer.
-func RunScenario(ctx context.Context, exp *Experiment, sc *Scenario, scheduler SchedulerKind, partition PartitionKind, rec *Recorder, ck *Checkpointer) (MixRun, error) {
-	return exp.RunScenarioCheckpointedContext(ctx, sc, scheduler, partition, rec, ck)
-}
 
 // Observability types (see internal/obs).
 type (
@@ -239,8 +232,9 @@ func LoadConfig(path string, base Config) (Config, error) { return sim.LoadConfi
 // SaveConfig writes a configuration file as indented JSON.
 func SaveConfig(path string, c Config) error { return sim.SaveConfig(path, c) }
 
-// NewRecorder builds an observability recorder; attach it via
-// Experiment.Recorder (shared runs only) or System.AttachRecorder.
+// NewRecorder builds an observability recorder; pass it to
+// Experiment.RunMixCheckpointedContext or RunScenarioCheckpointedContext
+// (shared runs only), or to System.AttachRecorder.
 func NewRecorder(opt RecorderOptions) (*Recorder, error) { return obs.NewRecorder(opt) }
 
 // BuildLedger assembles the machine-readable run ledger for one mix run.

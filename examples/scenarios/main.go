@@ -45,7 +45,8 @@ func main() {
 	for _, part := range []dbpsim.PartitionKind{dbpsim.PartEqual, dbpsim.PartDBP} {
 		// A recorder captures the epoch series and the shift records;
 		// scenario runs work without one, but then the reaction story is
-		// lost.
+		// lost. The last argument is an optional checkpointer (nil: no
+		// snapshots, no resume).
 		rec, err := dbpsim.NewRecorder(dbpsim.RecorderOptions{
 			NumThreads: sc.Cores(),
 			NumBanks:   cfg.Geometry.NumColors(),
@@ -53,7 +54,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		run, err := dbpsim.RunScenario(context.Background(), exp, sc, dbpsim.SchedFRFCFS, part, rec, nil)
+		run, err := exp.RunScenarioCheckpointedContext(context.Background(), sc, dbpsim.SchedFRFCFS, part, rec, nil)
 		if err != nil {
 			log.Fatal(err)
 		}

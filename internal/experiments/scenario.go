@@ -49,7 +49,7 @@ func ScenarioSweep(o Options, sc *scenario.Scenario) (Outcome, error) {
 		if err != nil {
 			return Outcome{}, err
 		}
-		run, err := e.RunScenarioRecordedContext(context.Background(), sc, p.Scheduler, p.Partition, rec)
+		run, err := e.RunScenarioCheckpointedContext(context.Background(), sc, p.Scheduler, p.Partition, rec, nil)
 		if err != nil {
 			return Outcome{}, fmt.Errorf("%s on scenario %s: %w", p.Label, sc.Name, err)
 		}

@@ -20,6 +20,24 @@ import (
 	"dbpsim/internal/tenant"
 )
 
+// Coordinator limits.
+const (
+	// dispatchPerWorker is the number of sweep cells in flight per live
+	// worker. A sweep's dispatch window is this × the live workers counted
+	// when the sweep starts; it is then fixed for the sweep's lifetime and
+	// shared across actively sweeping tenants by weight (sweepWindow).
+	dispatchPerWorker = 2
+	// maxMirroredCheckpoints bounds the in-memory blob mirror (oldest-first
+	// eviction). One blob per interrupted run is live at a time.
+	maxMirroredCheckpoints = 256
+	// coordMaxBodyBytes bounds request bodies: sweeps and checkpoint blobs
+	// are bigger than single-run bodies.
+	coordMaxBodyBytes = 4 << 20
+	// resyncTimeout bounds each worker health probe during Resume's resync
+	// handshake.
+	resyncTimeout = 2 * time.Second
+)
+
 // CoordinatorOptions configures a Coordinator. The zero value is usable.
 type CoordinatorOptions struct {
 	// MaxInstructions mirrors the workers' per-run cap so sweep cells are
@@ -28,21 +46,9 @@ type CoordinatorOptions struct {
 	// CellTimeout bounds one cell's dispatch, including failover attempts
 	// (default 15m — a cell is one full simulation, not one HTTP roundtrip).
 	CellTimeout time.Duration
-	// DispatchPerWorker bounds concurrent cells in flight per live worker
-	// (default 2). The cluster-wide dispatch window is this × live workers,
-	// recomputed as membership changes.
-	DispatchPerWorker int
 	// HeartbeatTimeout marks a worker down when it has not checked in for
 	// this long (default 10s). Down workers leave the ring; their keys move.
 	HeartbeatTimeout time.Duration
-	// MaxMirroredCheckpoints bounds the in-memory blob mirror (default 256,
-	// oldest-first eviction). One blob per interrupted run is live at a time.
-	MaxMirroredCheckpoints int
-	// Replicas is the ring's virtual-node count (default DefaultReplicas).
-	Replicas int
-	// MaxBodyBytes bounds request bodies (default 4 MiB — sweeps and
-	// checkpoint blobs are bigger than single-run bodies).
-	MaxBodyBytes int64
 	// Tenants, when non-nil, makes the coordinator the fleet's tenancy entry
 	// point: it authenticates API keys, charges entry-node quotas, shares
 	// the sweep dispatch window weight-proportionally across active tenants,
@@ -62,9 +68,6 @@ type CoordinatorOptions struct {
 	// from their first incomplete cell. Empty = in-memory only (a crash
 	// loses in-flight sweeps, the pre-journal behavior).
 	JournalDir string
-	// ResyncTimeout bounds each worker health probe during Resume's resync
-	// handshake (default 2s).
-	ResyncTimeout time.Duration
 	// Chaos injects faults (nil = off): journal appends via the "journal"
 	// point, mirrored-blob I/O via "checkpoint", and sweep stream tears via
 	// "sweep-stream".
@@ -77,20 +80,8 @@ func (o CoordinatorOptions) withDefaults() CoordinatorOptions {
 	if o.CellTimeout <= 0 {
 		o.CellTimeout = 15 * time.Minute
 	}
-	if o.DispatchPerWorker <= 0 {
-		o.DispatchPerWorker = 2
-	}
 	if o.HeartbeatTimeout <= 0 {
 		o.HeartbeatTimeout = 10 * time.Second
-	}
-	if o.MaxMirroredCheckpoints <= 0 {
-		o.MaxMirroredCheckpoints = 256
-	}
-	if o.MaxBodyBytes <= 0 {
-		o.MaxBodyBytes = 4 << 20
-	}
-	if o.ResyncTimeout <= 0 {
-		o.ResyncTimeout = 2 * time.Second
 	}
 	if o.Logger == nil {
 		o.Logger = slog.Default()
@@ -160,7 +151,7 @@ func NewCoordinator(opt CoordinatorOptions) (*Coordinator, error) {
 		mux:     http.NewServeMux(),
 		client:  &http.Client{}, // per-request contexts carry the deadlines
 		workers: make(map[string]*workerState),
-		ring:    NewRing(opt.Replicas),
+		ring:    NewRing(),
 		ckpts:   make(map[string]*mirroredCkpt),
 
 		activeSweeps: make(map[string]int),
@@ -266,7 +257,7 @@ func (c *Coordinator) resync(ctx context.Context) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			pctx, cancel := context.WithTimeout(ctx, c.opt.ResyncTimeout)
+			pctx, cancel := context.WithTimeout(ctx, resyncTimeout)
 			defer cancel()
 			req, err := http.NewRequestWithContext(pctx, http.MethodGet, target.Addr+"/healthz", nil)
 			if err != nil {
@@ -328,60 +319,68 @@ func (c *Coordinator) resumeSweep(ctx context.Context, sw *replayedSweep) {
 	}
 	c.log.Info("resuming interrupted sweep", "sweep", sw.id,
 		"cells", len(cells), "completed", len(cells)-len(todo), "remaining", len(todo))
-	ten := c.opt.Tenants.Lookup(sw.tenant)
+	// No workers yet (resync found none alive): wait for heartbeats rather
+	// than burning the whole grid as no_workers failures.
+	for len(todo) > 0 && c.liveWorkers() == 0 && ctx.Err() == nil {
+		select {
+		case <-ctx.Done():
+		case <-time.After(500 * time.Millisecond):
+		}
+	}
+	if ctx.Err() != nil {
+		return // shutting down; the still-unfinished sweep resumes next start
+	}
+	done, failed := c.runSweep(ctx, sw.id, todo, c.opt.Tenants.Lookup(sw.tenant), sw.doneCount(), sw.failedCount(), nil)
+	c.log.Info("resumed sweep finished", "sweep", sw.id, "done", done, "failed", failed)
+}
+
+// runSweep dispatches cells through ten's share of the dispatch window
+// (dispatchPerWorker × the live workers now), hands each cell's stream line
+// to onLine (when non-nil; called from the cells' goroutines), and journals
+// the sweep's end. done and failed are the tallies of cells that already
+// finished before this call; the returned tallies include them.
+func (c *Coordinator) runSweep(ctx context.Context, id string, cells []sweepCell, ten *tenant.Tenant, done, failed int, onLine func(SweepResult)) (int, int) {
+	// The tenant's window is its weight-proportional share of the
+	// cluster-wide window, so a heavy batch sweep cannot monopolize worker
+	// slots an interactive tenant's concurrent sweep is entitled to.
 	c.sweepEnter(ten.Name())
 	defer c.sweepExit(ten.Name())
-	done, failed := sw.doneCount(), sw.failedCount()
+	sem := make(chan struct{}, c.sweepWindow(ten, dispatchPerWorker*c.liveWorkers()))
 	var countMu sync.Mutex
 	var wg sync.WaitGroup
-	for len(todo) > 0 {
-		if ctx.Err() != nil {
-			return // shutting down; the still-unfinished sweep resumes next start
-		}
-		c.mu.Lock()
-		live := 0
-		for _, ws := range c.workers {
-			if ws.up {
-				live++
+	for _, cell := range cells {
+		sem <- struct{}{}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() { <-sem }()
+			line := c.runCell(ctx, id, cell, ten)
+			countMu.Lock()
+			if line.Status == "done" {
+				done++
+			} else {
+				failed++
 			}
-		}
-		c.mu.Unlock()
-		if live == 0 {
-			// No workers yet (resync found none alive): wait for heartbeats
-			// rather than burning the whole grid as no_workers failures.
-			select {
-			case <-ctx.Done():
-				return
-			case <-time.After(500 * time.Millisecond):
+			countMu.Unlock()
+			if onLine != nil {
+				onLine(line)
 			}
-			continue
-		}
-		window := c.sweepWindow(ten, c.opt.DispatchPerWorker*live)
-		sem := make(chan struct{}, window)
-		for i := range todo {
-			cell := todo[i]
-			sem <- struct{}{}
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				defer func() { <-sem }()
-				line := c.runCell(ctx, sw.id, cell, ten)
-				countMu.Lock()
-				if line.Status == "done" {
-					done++
-				} else {
-					failed++
-				}
-				countMu.Unlock()
-			}()
-		}
-		todo = nil
+		}()
 	}
 	wg.Wait()
-	if err := c.jr.appendSweepEnd(sw.id, done, failed); err != nil {
-		c.log.Warn("journal append failed", "op", "sweep-end", "sweep", sw.id, "err", err)
+	if err := c.jr.appendSweepEnd(id, done, failed); err != nil {
+		c.log.Warn("journal append failed", "op", "sweep-end", "sweep", id, "err", err)
 	}
-	c.log.Info("resumed sweep finished", "sweep", sw.id, "done", done, "failed", failed)
+	return done, failed
+}
+
+// liveWorkers counts the workers that are up. The ring is rebuilt from
+// exactly the up workers on every membership transition, so its size is
+// the count.
+func (c *Coordinator) liveWorkers() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.ring.Len()
 }
 
 func (c *Coordinator) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -412,7 +411,7 @@ type WorkerInfo struct {
 
 func (c *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request) {
 	var req joinRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, c.opt.MaxBodyBytes)).Decode(&req); err != nil {
+	if err := json.NewDecoder(io.LimitReader(r.Body, coordMaxBodyBytes)).Decode(&req); err != nil {
 		writeAPIError(w, http.StatusBadRequest, &serve.APIError{Code: serve.CodeBadRequest, Message: fmt.Sprintf("decode join: %v", err)})
 		return
 	}
@@ -468,7 +467,7 @@ func (c *Coordinator) rebuildRingLocked() {
 			up = append(up, id)
 		}
 	}
-	c.ring = NewRing(c.opt.Replicas, up...)
+	c.ring = NewRing(up...)
 }
 
 // markDown records a worker fault observed during dispatch and removes the
@@ -541,8 +540,8 @@ func (c *Coordinator) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 		writeAPIError(w, http.StatusBadRequest, &serve.APIError{Code: serve.CodeBadRequest, Message: "checkpoint mirror needs key= and hash="})
 		return
 	}
-	blob, err := io.ReadAll(io.LimitReader(r.Body, c.opt.MaxBodyBytes+1))
-	if err != nil || int64(len(blob)) > c.opt.MaxBodyBytes {
+	blob, err := io.ReadAll(io.LimitReader(r.Body, coordMaxBodyBytes+1))
+	if err != nil || len(blob) > coordMaxBodyBytes {
 		writeAPIError(w, http.StatusRequestEntityTooLarge, &serve.APIError{Code: serve.CodeTooLarge, Message: "checkpoint blob too large or unreadable"})
 		return
 	}
@@ -564,7 +563,7 @@ func (c *Coordinator) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	c.ckptSeq++
 	c.ckpts[key] = &mirroredCkpt{hash: hash, blob: blob, cycle: cycle, seq: c.ckptSeq}
 	var evicted []string
-	for len(c.ckpts) > c.opt.MaxMirroredCheckpoints {
+	for len(c.ckpts) > maxMirroredCheckpoints {
 		var oldestKey string
 		var oldestSeq uint64
 		for k, m := range c.ckpts {
@@ -628,10 +627,10 @@ type dispatchOutcome struct {
 }
 
 // dispatch routes one run body to its ring owner and rides out worker
-// deaths: a transport error or a retryable 5xx marks the worker down,
-// re-resolves placement, stages the run's mirrored checkpoint (when one
-// exists) on the new owner, and re-POSTs with X-Resume-Checkpoint — the
-// live-migration path. It keeps failing over until a worker answers
+// deaths: a transport error while ctx is live, or a 503, marks the worker
+// down, re-resolves placement, stages the run's mirrored checkpoint (when
+// one exists) on the new owner, and re-POSTs with X-Resume-Checkpoint —
+// the live-migration path. It keeps failing over until a worker answers
 // terminally, no workers remain, or ctx expires.
 func (c *Coordinator) dispatch(ctx context.Context, key string, body []byte, ft serve.ForwardedTenancy) dispatchOutcome {
 	var lastErr error
@@ -691,18 +690,20 @@ func (c *Coordinator) dispatch(ctx context.Context, key string, body []byte, ft 
 			req.Header.Set("X-Resume-Checkpoint", resumeHash)
 		}
 		resp, err := c.client.Do(req)
-		if err != nil {
-			lastErr = err
-			c.met.failovers.Add(1)
-			c.markDown(target.ID, err)
-			continue
+		var respBody []byte
+		if err == nil {
+			respBody, err = io.ReadAll(resp.Body)
+			resp.Body.Close()
 		}
-		respBody, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
 		if err != nil {
 			lastErr = err
-			c.met.failovers.Add(1)
-			c.markDown(target.ID, err)
+			if ctx.Err() == nil {
+				// A worker fault. When ctx is done instead (the caller hung
+				// up, or the cell timed out), the worker is not to blame:
+				// the next iteration returns the timeout verdict.
+				c.met.failovers.Add(1)
+				c.markDown(target.ID, err)
+			}
 			continue
 		}
 		if resp.StatusCode == http.StatusServiceUnavailable {
@@ -777,8 +778,8 @@ func retryAfter(resp *http.Response) time.Duration {
 // (?timeout=, ?async=) are not forwarded — the coordinator's dispatch is
 // synchronous and owns its own deadline.
 func (c *Coordinator) handleRun(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, c.opt.MaxBodyBytes+1))
-	if err != nil || int64(len(body)) > c.opt.MaxBodyBytes {
+	body, err := io.ReadAll(io.LimitReader(r.Body, coordMaxBodyBytes+1))
+	if err != nil || len(body) > coordMaxBodyBytes {
 		writeAPIError(w, http.StatusRequestEntityTooLarge, &serve.APIError{Code: serve.CodeTooLarge, Message: "body too large or unreadable"})
 		return
 	}
@@ -824,13 +825,13 @@ func (c *Coordinator) handleRun(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleSweep expands the grid and streams one NDJSON line per cell as it
-// lands, then a summary line. Cells dispatch concurrently (bounded by
-// DispatchPerWorker × live workers); lines are written in completion
+// lands, then a summary line. Cells dispatch concurrently (bounded by the
+// sweep's dispatch window, see runSweep); lines are written in completion
 // order, which is what "streaming" means here — a slow cell never blocks a
 // fast one's result.
 func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, c.opt.MaxBodyBytes+1))
-	if err != nil || int64(len(body)) > c.opt.MaxBodyBytes {
+	body, err := io.ReadAll(io.LimitReader(r.Body, coordMaxBodyBytes+1))
+	if err != nil || len(body) > coordMaxBodyBytes {
 		writeAPIError(w, http.StatusRequestEntityTooLarge, &serve.APIError{Code: serve.CodeTooLarge, Message: "body too large or unreadable"})
 		return
 	}
@@ -861,21 +862,6 @@ func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 		c.log.Warn("journal append failed", "op", "sweep", "sweep", sweepID, "err", err)
 	}
 
-	c.mu.Lock()
-	live := 0
-	for _, ws := range c.workers {
-		if ws.up {
-			live++
-		}
-	}
-	c.mu.Unlock()
-	// The tenant's dispatch window is its weight-proportional share of the
-	// cluster-wide window — a heavy batch sweep cannot monopolize worker
-	// slots an interactive tenant's concurrent sweep is entitled to.
-	c.sweepEnter(ten.Name())
-	defer c.sweepExit(ten.Name())
-	window := c.sweepWindow(ten, c.opt.DispatchPerWorker*live)
-
 	w.Header().Set("Content-Type", "application/x-ndjson; charset=utf-8")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
@@ -883,33 +869,13 @@ func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	lines := make(chan []byte)
 	var done, failed int
-	var countMu sync.Mutex
-
 	go func() {
 		defer close(lines)
-		sem := make(chan struct{}, window)
-		var wg sync.WaitGroup
-		for i := range cells {
-			cell := cells[i]
-			sem <- struct{}{}
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				defer func() { <-sem }()
-				line := c.runCell(r.Context(), sweepID, cell, ten)
-				countMu.Lock()
-				if line.Status == "done" {
-					done++
-				} else {
-					failed++
-				}
-				countMu.Unlock()
-				if data, err := encodeNDJSON(line); err == nil {
-					lines <- data
-				}
-			}()
-		}
-		wg.Wait()
+		done, failed = c.runSweep(r.Context(), sweepID, cells, ten, 0, 0, func(line SweepResult) {
+			if data, err := encodeNDJSON(line); err == nil {
+				lines <- data
+			}
+		})
 	}()
 
 	for data := range lines {
@@ -923,8 +889,9 @@ func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		if _, err := w.Write(data); err != nil {
-			// Client gone: drain the channel so workers finish, results land
-			// in caches, but stop writing.
+			// Client gone: its request context is canceled, so the cells
+			// still in flight or queued end as failed timeouts (their
+			// workers stay in the ring). Drain the channel and stop writing.
 			for range lines {
 			}
 			return
@@ -945,9 +912,6 @@ func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 		if flusher != nil {
 			flusher.Flush()
 		}
-	}
-	if err := c.jr.appendSweepEnd(sweepID, done, failed); err != nil {
-		c.log.Warn("journal append failed", "op", "sweep-end", "sweep", sweepID, "err", err)
 	}
 	c.log.Info("sweep finished", "cells", len(cells), "done", done, "failed", failed,
 		"elapsed_s", time.Since(start).Seconds())
@@ -1063,12 +1027,7 @@ func (c *Coordinator) handleRing(w http.ResponseWriter, r *http.Request) {
 func (c *Coordinator) handleHealth(w http.ResponseWriter, r *http.Request) {
 	c.mu.Lock()
 	c.reapStaleLocked(time.Now())
-	live := 0
-	for _, ws := range c.workers {
-		if ws.up {
-			live++
-		}
-	}
+	live := c.ring.Len()
 	total := len(c.workers)
 	ckpts := len(c.ckpts)
 	c.mu.Unlock()

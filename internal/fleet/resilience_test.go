@@ -3,6 +3,7 @@ package fleet
 import (
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -241,5 +242,93 @@ func TestWorkerDegradedMode(t *testing.T) {
 	coord.mu.Unlock()
 	if mirrored {
 		t.Fatal("a checkpoint offered during the outage reached the coordinator after rejoin")
+	}
+}
+
+// TestClientHangupKeepsWorkerInRing pins that a caller abandoning its
+// request is not a worker fault: a client that disconnects from POST
+// /v1/runs or from a sweep stream while its cell is in flight on a healthy
+// owner must leave that owner in the ring, with no failover counted.
+func TestClientHangupKeepsWorkerInRing(t *testing.T) {
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/runs", `{"mix":"W4-M1","warmup":1000,"measure":5000}`},
+		{"/v1/sweeps", `{"mixes":["W4-M1"],"warmup":1000,"measure":5000}`},
+	} {
+		t.Run(strings.TrimPrefix(tc.path, "/v1/"), func(t *testing.T) {
+			coord := mustCoordinator(t, CoordinatorOptions{
+				HeartbeatTimeout: time.Minute,
+				CellTimeout:      time.Minute,
+				Logger:           quietLogger(),
+			})
+			handled := make(chan struct{}, 1)
+			coordHS := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				coord.ServeHTTP(w, r)
+				if r.URL.Path == tc.path {
+					handled <- struct{}{}
+				}
+			}))
+			t.Cleanup(coordHS.Close)
+
+			// A healthy worker whose run outlasts the client: it blocks until
+			// the coordinator's dispatch request ends (the body is drained
+			// first, so the server notices the connection closing).
+			started := make(chan struct{}, 1)
+			workerHS := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				io.Copy(io.Discard, r.Body)
+				started <- struct{}{}
+				<-r.Context().Done()
+			}))
+			t.Cleanup(workerHS.Close)
+			join := `{"id":"h1","addr":"` + workerHS.URL + `"}`
+			resp, err := http.Post(coordHS.URL+"/v1/fleet/join", "application/json", strings.NewReader(join))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			req, err := http.NewRequestWithContext(ctx, http.MethodPost, coordHS.URL+tc.path, strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			clientDone := make(chan struct{})
+			go func() {
+				defer close(clientDone)
+				if resp, err := http.DefaultClient.Do(req); err == nil {
+					io.Copy(io.Discard, resp.Body)
+					resp.Body.Close()
+				}
+			}()
+			select {
+			case <-started:
+			case <-time.After(10 * time.Second):
+				t.Fatal("the cell never reached the worker")
+			}
+			cancel()
+			<-clientDone
+			select {
+			case <-handled:
+			case <-time.After(10 * time.Second):
+				t.Fatal("the coordinator never finished the abandoned request")
+			}
+
+			var ring ringResponse
+			resp, err = http.Get(coordHS.URL + "/v1/fleet/ring")
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = json.NewDecoder(resp.Body).Decode(&ring)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(ring.Workers) != 1 || !ring.Workers[0].Up {
+				t.Errorf("ring after a client hangup = %+v, want h1 up", ring.Workers)
+			}
+			if got := scrapeCounter(t, coordHS.URL, "dbpfleet_failovers_total"); got != 0 {
+				t.Errorf("dbpfleet_failovers_total = %g after a client hangup, want 0", got)
+			}
+		})
 	}
 }

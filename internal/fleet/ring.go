@@ -21,18 +21,18 @@ import (
 	"sort"
 )
 
-// DefaultReplicas is the virtual-node count per worker. 128 points per node
-// keeps the load imbalance for realistic fleet sizes within a few percent
-// while the ring stays small enough to rebuild on every membership change.
-const DefaultReplicas = 128
+// replicas is the virtual-node count per worker. 128 points per node keeps
+// the load imbalance for realistic fleet sizes within a few percent while
+// the ring stays small enough to rebuild on every membership change. It is
+// a constant so the coordinator and every worker build identical rings.
+const replicas = 128
 
 // Ring is an immutable consistent-hash ring: build one with NewRing, build
 // a new one when membership changes. Immutability is what makes placement
 // reads lock-free for callers that swap the ring atomically.
 type Ring struct {
-	replicas int
-	points   []ringPoint // sorted by hash
-	nodes    []string    // sorted, deduped
+	points []ringPoint // sorted by hash
+	nodes  []string    // sorted, deduped
 }
 
 type ringPoint struct {
@@ -41,13 +41,10 @@ type ringPoint struct {
 }
 
 // NewRing builds a ring over the given nodes with replicas virtual nodes
-// each (replicas <= 0 means DefaultReplicas). Node order does not matter:
+// each. Node order does not matter:
 // any permutation of the same set yields an identical ring. An empty node
 // set is a valid ring that owns nothing.
-func NewRing(replicas int, nodes ...string) *Ring {
-	if replicas <= 0 {
-		replicas = DefaultReplicas
-	}
+func NewRing(nodes ...string) *Ring {
 	seen := make(map[string]bool, len(nodes))
 	uniq := make([]string, 0, len(nodes))
 	for _, n := range nodes {
@@ -58,7 +55,7 @@ func NewRing(replicas int, nodes ...string) *Ring {
 		uniq = append(uniq, n)
 	}
 	sort.Strings(uniq)
-	r := &Ring{replicas: replicas, nodes: uniq}
+	r := &Ring{nodes: uniq}
 	r.points = make([]ringPoint, 0, len(uniq)*replicas)
 	for _, n := range uniq {
 		for i := 0; i < replicas; i++ {

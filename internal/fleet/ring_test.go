@@ -24,10 +24,10 @@ func ringKeys(n int) []string {
 // across ring rebuilds and across any permutation of the node list.
 func TestRingPlacementDeterministic(t *testing.T) {
 	nodes := []string{"w1", "w2", "w3", "w4", "w5"}
-	r1 := NewRing(0, nodes...)
-	r2 := NewRing(0, nodes...)
+	r1 := NewRing(nodes...)
+	r2 := NewRing(nodes...)
 	perm := []string{"w4", "w1", "w5", "w3", "w2"}
-	r3 := NewRing(0, perm...)
+	r3 := NewRing(perm...)
 	for _, key := range ringKeys(500) {
 		a, b, c := r1.Owner(key), r2.Owner(key), r3.Owner(key)
 		if a != b {
@@ -42,8 +42,8 @@ func TestRingPlacementDeterministic(t *testing.T) {
 // TestRingDuplicateAndEmptyNodes pins that degenerate member lists do not
 // perturb the ring: duplicates and empty ids are dropped.
 func TestRingDuplicateAndEmptyNodes(t *testing.T) {
-	clean := NewRing(0, "w1", "w2", "w3")
-	dirty := NewRing(0, "w2", "", "w1", "w3", "w2", "w1", "")
+	clean := NewRing("w1", "w2", "w3")
+	dirty := NewRing("w2", "", "w1", "w3", "w2", "w1", "")
 	if got, want := fmt.Sprint(dirty.Nodes()), fmt.Sprint(clean.Nodes()); got != want {
 		t.Fatalf("node set differs: %s vs %s", got, want)
 	}
@@ -67,7 +67,7 @@ func TestRingMinimalMovement(t *testing.T) {
 		for i := range nodes {
 			nodes[i] = fmt.Sprintf("worker-%d-%d", trial, i)
 		}
-		before := NewRing(0, nodes...)
+		before := NewRing(nodes...)
 		victim := nodes[rng.Intn(n)]
 		var survivors []string
 		for _, id := range nodes {
@@ -75,7 +75,7 @@ func TestRingMinimalMovement(t *testing.T) {
 				survivors = append(survivors, id)
 			}
 		}
-		after := NewRing(0, survivors...)
+		after := NewRing(survivors...)
 
 		moved := 0
 		for _, key := range keys {
@@ -100,7 +100,7 @@ func TestRingMinimalMovement(t *testing.T) {
 		}
 
 		// Re-adding the node must restore placement bit-for-bit.
-		restored := NewRing(0, append(survivors, victim)...)
+		restored := NewRing(append(survivors, victim)...)
 		for _, key := range keys {
 			if before.Owner(key) != restored.Owner(key) {
 				t.Fatalf("trial %d: re-adding %s did not restore placement for %q", trial, victim, key)
@@ -114,7 +114,7 @@ func TestRingMinimalMovement(t *testing.T) {
 // uniform key corpus.
 func TestRingBalance(t *testing.T) {
 	nodes := []string{"w1", "w2", "w3", "w4", "w5"}
-	r := NewRing(0, nodes...)
+	r := NewRing(nodes...)
 	counts := make(map[string]int)
 	for i := 0; i < 20000; i++ {
 		counts[r.Owner(fmt.Sprintf("key-%d", i))]++
@@ -132,7 +132,7 @@ func TestRingBalance(t *testing.T) {
 
 // TestRingEmpty pins the no-workers behavior.
 func TestRingEmpty(t *testing.T) {
-	r := NewRing(0)
+	r := NewRing()
 	if owner := r.Owner("anything"); owner != "" {
 		t.Fatalf("empty ring returned owner %q", owner)
 	}

@@ -34,9 +34,6 @@ type WorkerOptions struct {
 	// MaxInstructions mirrors the wrapped server's per-run cap, so forwarded
 	// keys resolve identically (0 = uncapped).
 	MaxInstructions uint64
-	// Replicas is the ring's virtual-node count; must match the
-	// coordinator's (default DefaultReplicas).
-	Replicas int
 	// HeartbeatFailureThreshold is K, the consecutive heartbeat failures
 	// after which the worker enters degraded mode: it keeps serving
 	// POST /v1/runs standalone, skips owner-forwarding and baseline probes,
@@ -132,7 +129,7 @@ func NewWorker(opt WorkerOptions) (*Worker, error) {
 		probeClient:  &http.Client{Timeout: 30 * time.Second, Transport: chaos.Transport(opt.Chaos, chaos.PeerProbe, nil)},
 		mirrorClient: &http.Client{Timeout: 30 * time.Second, Transport: chaos.Transport(opt.Chaos, chaos.Mirror, nil)},
 		fwdTransport: chaos.Transport(opt.Chaos, chaos.Forward, nil),
-		ring:         NewRing(opt.Replicas),
+		ring:         NewRing(),
 		members:      make(map[string]WorkerInfo),
 		noFwd:        make(map[string]int),
 		stop:         make(chan struct{}),
@@ -204,7 +201,7 @@ func (w *Worker) ServeHTTP(rw http.ResponseWriter, r *http.Request) {
 // forward them onward.
 func (w *Worker) handleServer(rw http.ResponseWriter, r *http.Request) {
 	if r.Method == http.MethodPost && r.URL.Path == "/v1/runs" && r.Header.Get("X-Fleet-Forwarded") != "" {
-		body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20+1))
+		body, err := io.ReadAll(io.LimitReader(r.Body, serve.MaxBodyBytes+1))
 		if err != nil {
 			writeAPIError(rw, http.StatusBadRequest, &serve.APIError{Code: serve.CodeBadRequest, Message: fmt.Sprintf("read body: %v", err)})
 			return
@@ -545,7 +542,7 @@ func (w *Worker) join(ctx context.Context) error {
 	}
 	w.mu.Lock()
 	w.members = members
-	w.ring = NewRing(w.opt.Replicas, up...)
+	w.ring = NewRing(up...)
 	w.mu.Unlock()
 	return nil
 }

@@ -35,10 +35,9 @@ import (
 //
 // Garbage collection happens at startup (the record stream is compacted to
 // one generation of state, gcBlobs sweeps both content stores down to what
-// replay still references) and incrementally at runtime under the
-// RetainLatest policy (removeCheckpoint prunes a job's superseded blob as
-// soon as a newer one is journaled, and its final blob when the job ends).
-// RetainAll keeps every checkpoint blob for forensics.
+// replay still references) and incrementally at runtime (removeCheckpoint
+// prunes a job's superseded blob as soon as a newer one is journaled, and
+// its final blob when the job ends).
 //
 // A nil *journal is a valid, always-off journal (the server runs without
 // -journal-dir); every method no-ops on a nil receiver, mirroring
@@ -365,10 +364,8 @@ func compactRecords(restored map[string]*restoredJob) []journalRecord {
 // still references: results named by a done job survive, checkpoints named
 // by an interrupted job's resume point survive, everything else — orphans
 // from crashed appends, superseded snapshots, abandoned tmp files — is
-// deleted. Checkpoint deletion is skipped under RetainAll (the forensics
-// policy); orphaned results and tmp litter are collected under either.
-// Returns (checkpoints removed, orphan results removed).
-func (j *journal) gcBlobs(restored map[string]*restoredJob, retain string) (int, int, error) {
+// deleted. Returns (checkpoints removed, orphan results removed).
+func (j *journal) gcBlobs(restored map[string]*restoredJob) (int, int, error) {
 	if j == nil {
 		return 0, 0, nil
 	}
@@ -382,9 +379,7 @@ func (j *journal) gcBlobs(restored map[string]*restoredJob, retain string) (int,
 			keepRes[r.result] = true
 		}
 	}
-	// Under RetainAll only tmp litter leaves the checkpoint store; named
-	// blobs are permanent.
-	ckpts, ckptErr := j.ckpts.Sweep(func(h string) bool { return retain == RetainAll || keepCkpt[h] })
+	ckpts, ckptErr := j.ckpts.Sweep(func(h string) bool { return keepCkpt[h] })
 	results, resErr := j.results.Sweep(func(h string) bool { return keepRes[h] })
 	if ckptErr != nil {
 		return ckpts, results, ckptErr
@@ -393,7 +388,7 @@ func (j *journal) gcBlobs(restored map[string]*restoredJob, retain string) (int,
 }
 
 // removeCheckpoint deletes one checkpoint blob by content address — the
-// RetainLatest runtime prune. A blob already gone (deduped address shared
+// runtime prune. A blob already gone (deduped address shared
 // with another job's live checkpoint and pruned there first, or swept at
 // startup) is not an error.
 func (j *journal) removeCheckpoint(hash string) error {

@@ -11,7 +11,7 @@ import (
 )
 
 // TestJournalReplaysOversizedRecord: a submit record whose request body is
-// just under the default 1 MiB MaxBodyBytes — so its JSONL line, envelope
+// just under the 1 MiB MaxBodyBytes — so its JSONL line, envelope
 // included, is over 1 MiB — must not stop the journal from reopening.
 func TestJournalReplaysOversizedRecord(t *testing.T) {
 	dir := t.TempDir()
@@ -20,8 +20,8 @@ func TestJournalReplaysOversizedRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	body := []byte(`{"mix":"W4-M1","pad":"` + strings.Repeat("x", 1<<20-64) + `"}`)
-	if limit := (Options{}).withDefaults().MaxBodyBytes; int64(len(body)) > limit {
-		t.Fatalf("body of %d bytes is over the %d-byte request limit", len(body), limit)
+	if len(body) > MaxBodyBytes {
+		t.Fatalf("body of %d bytes is over the %d-byte request limit", len(body), MaxBodyBytes)
 	}
 	if err := j.appendSubmit("run-00000001", "k1", body, tenancyStamp{}); err != nil {
 		t.Fatal(err)

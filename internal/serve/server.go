@@ -77,13 +77,6 @@ type Options struct {
 	RunTimeout time.Duration
 	// MaxInstructions, when non-zero, caps warmup+measure per request.
 	MaxInstructions uint64
-	// MaxBodyBytes bounds request bodies (default 1 MiB).
-	MaxBodyBytes int64
-	// MaxJobs bounds the async job registry; oldest finished jobs are
-	// evicted first (default 1024). The result cache itself is unbounded.
-	MaxJobs int
-	// Tool is the ledger Tool field for served runs (default "dbpserved").
-	Tool string
 	// Logger receives structured request and lifecycle logs (default:
 	// slog.Default()).
 	Logger *slog.Logger
@@ -102,14 +95,6 @@ type Options struct {
 	// stack. Test-and-drill only; the daemon refuses to enable it without
 	// an explicit opt-in flag.
 	Chaos *chaos.Injector
-	// RetainCheckpoints selects the checkpoint-blob retention policy:
-	// RetainLatest (the default) keeps only each live job's newest blob —
-	// superseded blobs are pruned as new ones land, a finished job's last
-	// blob is pruned with its end record, and startup sweeps the store down
-	// to the interrupted jobs' resume points. RetainAll never deletes
-	// (forensics mode). The job journal itself is compacted at startup
-	// under either policy.
-	RetainCheckpoints string
 	// Peers, when non-nil, is consulted on the worker goroutine before a
 	// job simulates: a fleet worker uses it to pull the result from (or
 	// delegate execution to) the rest of the cluster, and to import
@@ -140,10 +125,14 @@ type Options struct {
 	CostModel *tenant.CostModel
 }
 
-// Checkpoint retention policies for Options.RetainCheckpoints.
 const (
-	RetainLatest = "latest"
-	RetainAll    = "all"
+	// MaxBodyBytes bounds run request bodies.
+	MaxBodyBytes = 1 << 20
+	// maxJobs bounds the async job registry; oldest finished jobs are
+	// evicted first. The result cache itself is unbounded.
+	maxJobs = 1024
+	// ledgerTool is the ledger Tool field of served runs.
+	ledgerTool = "dbpserved"
 )
 
 // PeerConsult lets a server participate in a fleet: both methods run on the
@@ -174,20 +163,8 @@ func (o Options) withDefaults() Options {
 	if o.RunTimeout <= 0 {
 		o.RunTimeout = 5 * time.Minute
 	}
-	if o.MaxBodyBytes <= 0 {
-		o.MaxBodyBytes = 1 << 20
-	}
-	if o.MaxJobs <= 0 {
-		o.MaxJobs = 1024
-	}
 	if o.CheckpointInterval == 0 {
 		o.CheckpointInterval = 25_000_000
-	}
-	if o.RetainCheckpoints == "" {
-		o.RetainCheckpoints = RetainLatest
-	}
-	if o.Tool == "" {
-		o.Tool = "dbpserved"
 	}
 	if o.Logger == nil {
 		o.Logger = slog.Default()
@@ -226,8 +203,8 @@ type job struct {
 	resumeFrom []byte
 
 	// lastCkpt is the content address of the job's newest journaled
-	// checkpoint blob; under RetainLatest it names the blob to prune when a
-	// newer one lands or the job ends. Written and read only on the job's
+	// checkpoint blob; it names the blob to prune when a newer one lands
+	// or the job ends. Written and read only on the job's
 	// worker goroutine.
 	lastCkpt string
 
@@ -291,7 +268,7 @@ type Server struct {
 	diskCache map[string]string          // run key → result-store address (journal restore)
 	inflight  map[string]*job            // run key → queued/executing job
 	jobs      map[string]*job            // job id → job (async polling)
-	jobOrder  []string                   // insertion order, for MaxJobs eviction
+	jobOrder  []string                   // insertion order, for maxJobs eviction
 	restored  map[string]*restoredJob    // job id → journal-restored terminal job
 	exps      map[string]*sim.Experiment // experiment key → shared baseline pool
 	nextID    uint64
@@ -314,10 +291,6 @@ const maxSeededCheckpoints = 64
 // the worker pool.
 func New(opt Options) (*Server, error) {
 	opt = opt.withDefaults()
-	if opt.RetainCheckpoints != RetainLatest && opt.RetainCheckpoints != RetainAll {
-		return nil, fmt.Errorf("serve: unknown checkpoint retention policy %q (want %q or %q)",
-			opt.RetainCheckpoints, RetainLatest, RetainAll)
-	}
 	s := &Server{
 		opt:       opt,
 		log:       opt.Logger,
@@ -366,17 +339,16 @@ func New(opt Options) (*Server, error) {
 		}
 		// Startup garbage collection: blobs no replayed record references are
 		// unreachable (their jobs ended, or their checkpoints were superseded)
-		// and — under RetainLatest — are deleted before the store grows
-		// another generation. GC failures are logged, never fatal.
-		ckpts, results, err := jnl.gcBlobs(restored, opt.RetainCheckpoints)
+		// and are deleted before the store grows another generation. GC
+		// failures are logged, never fatal.
+		ckpts, results, err := jnl.gcBlobs(restored)
 		if err != nil {
 			s.journalTrouble("blob store GC failed", "startup", err)
 		}
 		s.met.checkpointsPruned.Add(int64(ckpts))
 		if ckpts > 0 || results > 0 {
 			s.log.Info("blob stores collected",
-				"checkpoints_removed", ckpts, "orphan_results_removed", results,
-				"retention", opt.RetainCheckpoints)
+				"checkpoints_removed", ckpts, "orphan_results_removed", results)
 		}
 		s.requeueInterrupted(resume)
 	}
@@ -557,15 +529,15 @@ func (s *Server) Close(ctx context.Context) error {
 // otherwise enqueue (429 + Retry-After when the queue is full). Sync
 // requests then wait; ?async=1 returns 202 + a poll URL instead.
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, s.opt.MaxBodyBytes+1))
+	body, err := io.ReadAll(io.LimitReader(r.Body, MaxBodyBytes+1))
 	if err != nil {
 		writeError(w, http.StatusBadRequest,
 			&APIError{Code: CodeBadRequest, Message: fmt.Sprintf("read body: %v", err)})
 		return
 	}
-	if int64(len(body)) > s.opt.MaxBodyBytes {
+	if len(body) > MaxBodyBytes {
 		writeError(w, http.StatusRequestEntityTooLarge,
-			&APIError{Code: CodeTooLarge, Message: fmt.Sprintf("body exceeds %d bytes", s.opt.MaxBodyBytes)})
+			&APIError{Code: CodeTooLarge, Message: fmt.Sprintf("body exceeds %d bytes", MaxBodyBytes)})
 		return
 	}
 	req, derr := decodeRunRequest(body)
@@ -1093,10 +1065,10 @@ func (s *Server) finishJob(j *job, data []byte, apiErr *APIError, dur time.Durat
 		if err := s.journal.appendEnd(j.id, j.key, state, apiErr, resultHash, st); err != nil {
 			s.journalTrouble("journal end record failed", j.id, err)
 		}
-		// A terminal job will never resume; under RetainLatest its last
-		// checkpoint blob is garbage the moment the end record lands. A
-		// drain-checkpointed job keeps its blob — that IS the resume point.
-		if s.opt.RetainCheckpoints == RetainLatest && j.lastCkpt != "" {
+		// A terminal job will never resume; its last checkpoint blob is
+		// garbage the moment the end record lands. A drain-checkpointed job
+		// keeps its blob — that IS the resume point.
+		if j.lastCkpt != "" {
 			if err := s.journal.removeCheckpoint(j.lastCkpt); err != nil {
 				s.journalTrouble("final checkpoint prune failed", j.id, err)
 			} else {
@@ -1191,7 +1163,7 @@ func (s *Server) execute(ctx context.Context, j *job) ([]byte, error) {
 			return nil, err
 		}
 	}
-	led, err := sim.BuildLedger(s.opt.Tool, rr.base, rr.warmup, rr.measure, run, rec)
+	led, err := sim.BuildLedger(ledgerTool, rr.base, rr.warmup, rr.measure, run, rec)
 	if err != nil {
 		return nil, err
 	}
@@ -1224,9 +1196,9 @@ func (s *Server) checkpointer(j *job) *sim.Checkpointer {
 					return
 				}
 				// The journal now names the new blob as this job's resume
-				// point; under RetainLatest the one it supersedes is dead
-				// weight and goes immediately.
-				if s.opt.RetainCheckpoints == RetainLatest && j.lastCkpt != "" && j.lastCkpt != hash {
+				// point; the one it supersedes is dead weight and goes
+				// immediately.
+				if j.lastCkpt != "" && j.lastCkpt != hash {
 					if err := s.journal.removeCheckpoint(j.lastCkpt); err != nil {
 						s.journalTrouble("superseded checkpoint prune failed", j.id, err)
 					} else {
@@ -1266,11 +1238,11 @@ func (s *Server) experiment(rr resolvedRun) *sim.Experiment {
 }
 
 // registerJobLocked adds a job to the async registry, evicting the oldest
-// finished jobs beyond MaxJobs. Callers hold s.mu.
+// finished jobs beyond maxJobs. Callers hold s.mu.
 func (s *Server) registerJobLocked(j *job) {
 	s.jobs[j.id] = j
 	s.jobOrder = append(s.jobOrder, j.id)
-	for len(s.jobs) > s.opt.MaxJobs && len(s.jobOrder) > 0 {
+	for len(s.jobs) > maxJobs && len(s.jobOrder) > 0 {
 		oldest := s.jobs[s.jobOrder[0]]
 		if oldest != nil {
 			select {

@@ -180,7 +180,7 @@ func TestServedLedgerMatchesCLI(t *testing.T) {
 		t.Fatal(err)
 	}
 	exp := sim.NewExperiment(cfg, 1000, 5000)
-	run, err := exp.RunMixRecorded(mix, sim.SchedFRFCFS, sim.PartEqual, rec)
+	run, err := exp.RunMixCheckpointedContext(context.Background(), mix, sim.SchedFRFCFS, sim.PartEqual, rec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

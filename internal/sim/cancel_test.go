@@ -92,10 +92,10 @@ func TestRunContextBackgroundMatchesRun(t *testing.T) {
 	}
 }
 
-// TestRunMixRecordedContextCanceled pins cancellation through the
+// TestRunMixCheckpointedContextCanceled pins cancellation through the
 // experiment layer: the error surfaces the cause and nothing lands in the
 // alone-run baseline cache.
-func TestRunMixRecordedContextCanceled(t *testing.T) {
+func TestRunMixCheckpointedContextCanceled(t *testing.T) {
 	exp := NewExperiment(DefaultConfig(4), 5_000, 10_000)
 	mix, ok := workload.MixByName("W4-M1")
 	if !ok {
@@ -103,11 +103,11 @@ func TestRunMixRecordedContextCanceled(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := exp.RunMixRecordedContext(ctx, mix, SchedFRFCFS, PartNone, nil)
+	_, err := exp.RunMixCheckpointedContext(ctx, mix, SchedFRFCFS, PartNone, nil, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("canceled mix run returned %v", err)
 	}
-	if n := exp.CachedAloneRuns(); n != 0 {
+	if n := exp.BaselineCount(); n != 0 {
 		t.Errorf("canceled run cached %d baselines", n)
 	}
 }

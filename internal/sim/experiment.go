@@ -26,18 +26,6 @@ type Experiment struct {
 	Measure uint64
 	// MaxCycles bounds each run (0 = automatic).
 	MaxCycles uint64
-	// Recorder, when non-nil, is attached to the shared system of every
-	// RunMix call (alone-run baselines stay unobserved so the recorded
-	// series describe exactly one contended run). Attach a fresh recorder
-	// per RunMix when comparing policies, or the series concatenate.
-	//
-	// Recorder is a convenience for single-goroutine callers only: it is a
-	// shared mutable field, so concurrent RunMix calls through it would race
-	// on the recorder's buffers. Concurrent callers (e.g. the dbpserved
-	// worker pool) must leave it nil and pass a per-call recorder to
-	// RunMixRecorded instead.
-	Recorder *obs.Recorder
-
 	// DisableCycleSkipping turns off the event-driven clock-jump fast path
 	// on every system the experiment builds (mix runs and alone baselines).
 	// Skipping is bit-identical to per-cycle execution (asserted by test),
@@ -91,41 +79,61 @@ func (e *Experiment) benches(mix workload.Mix) ([]Bench, []int64, error) {
 // safe for concurrent use (runs are deterministic, so a racing duplicate
 // computation is wasted work, never a wrong answer).
 func (e *Experiment) AloneIPC(name string, seed int64) (float64, error) {
-	return e.AloneIPCContext(context.Background(), name, seed)
+	return e.aloneBench(context.Background(), name, seed)
 }
 
-// AloneIPCContext is AloneIPC with cooperative cancellation (see
-// System.RunContext). A canceled baseline run is never cached.
-func (e *Experiment) AloneIPCContext(ctx context.Context, name string, seed int64) (float64, error) {
-	key := fmt.Sprintf("%s/%d", name, seed)
+// aloneBench is AloneIPC under ctx.
+func (e *Experiment) aloneBench(ctx context.Context, name string, seed int64) (float64, error) {
+	spec, ok := workload.ByName(name)
+	if !ok {
+		return 0, fmt.Errorf("sim: unknown benchmark %q", name)
+	}
+	return e.alone(ctx, fmt.Sprintf("%s/%d", name, seed), Bench{Name: name, Gen: spec.New(seed)}, nil)
+}
+
+// alone measures (or recalls) the alone-run IPC of one thread, cached under
+// key: bench on the baseline system, driven by the scenario runtime rt when
+// it is non-nil. A canceled run is never cached.
+func (e *Experiment) alone(ctx context.Context, key string, bench Bench, rt *scenario.Runtime) (float64, error) {
 	e.mu.Lock()
 	ipc, ok := e.aloneIPC[key]
 	e.mu.Unlock()
 	if ok {
 		return ipc, nil
 	}
-	spec, ok := workload.ByName(name)
-	if !ok {
-		return 0, fmt.Errorf("sim: unknown benchmark %q", name)
-	}
 	cfg := e.Base
 	cfg.Cores = 1
 	cfg.Scheduler = SchedFRFCFS
 	cfg.Partition = PartNone
-	sys, err := NewSystem(cfg, []Bench{{Name: name, Gen: spec.New(seed)}})
+	sys, err := e.newSystem(cfg, []Bench{bench}, rt)
 	if err != nil {
 		return 0, err
 	}
-	sys.SetCycleSkipping(!e.DisableCycleSkipping)
 	res, err := sys.RunContext(ctx, e.Warmup, e.Measure, e.MaxCycles)
 	if err != nil {
-		return 0, fmt.Errorf("sim: alone run of %s: %w", name, err)
+		what := bench.Name
+		if rt != nil {
+			what = "scenario thread " + what
+		}
+		return 0, fmt.Errorf("sim: alone run of %s: %w", what, err)
 	}
 	ipc = res.Threads[0].IPC
 	e.mu.Lock()
 	e.aloneIPC[key] = ipc
 	e.mu.Unlock()
 	return ipc, nil
+}
+
+// newSystem builds a system with the experiment's cycle-skipping setting,
+// driven by the scenario runtime rt when it is non-nil.
+func (e *Experiment) newSystem(cfg Config, benches []Bench, rt *scenario.Runtime) (*System, error) {
+	sys, err := NewSystem(cfg, benches)
+	if err != nil {
+		return nil, err
+	}
+	sys.SetCycleSkipping(!e.DisableCycleSkipping)
+	sys.SetScenario(rt)
+	return sys, nil
 }
 
 // ExportBaselines snapshots the alone-run IPC cache: key → IPC, where keys
@@ -180,77 +188,35 @@ type MixRun struct {
 	ScenarioHash string
 }
 
-// RunMix evaluates one mix under the given scheduler/partition pair, using
-// the experiment's shared Recorder field (see its doc comment for the
-// single-goroutine restriction).
+// RunMix evaluates one mix under the given scheduler/partition pair, with
+// no recorder and no checkpointer.
 func (e *Experiment) RunMix(mix workload.Mix, scheduler SchedulerKind, partition PartitionKind) (MixRun, error) {
-	return e.RunMixRecorded(mix, scheduler, partition, e.Recorder)
+	return e.RunMixCheckpointedContext(context.Background(), mix, scheduler, partition, nil, nil)
 }
 
-// RunMixRecorded evaluates one mix under the given scheduler/partition pair
-// with a per-call recorder (nil disables recording). Unlike RunMix it never
-// touches the shared Recorder field, so it is safe to call from many
-// goroutines at once: each call builds its own System, the alone-run
-// baseline cache is mutex-protected, and runs are deterministic, so
-// concurrent identical calls produce bit-identical metrics.
-func (e *Experiment) RunMixRecorded(mix workload.Mix, scheduler SchedulerKind, partition PartitionKind, rec *obs.Recorder) (MixRun, error) {
-	return e.RunMixRecordedContext(context.Background(), mix, scheduler, partition, rec)
-}
-
-// RunMixRecordedContext is RunMixRecorded with cooperative cancellation
-// threaded through both the contended run and any alone-run baselines it
-// still has to measure (see System.RunContext for the quantum-boundary
-// semantics). It is how dbpserved stops a timed-out, client-abandoned, or
-// drain-interrupted simulation without burning the worker slot.
-func (e *Experiment) RunMixRecordedContext(ctx context.Context, mix workload.Mix, scheduler SchedulerKind, partition PartitionKind, rec *obs.Recorder) (MixRun, error) {
-	return e.RunMixCheckpointedContext(ctx, mix, scheduler, partition, rec, nil)
-}
-
-// RunMixCheckpointedContext is RunMixRecordedContext with snapshot support:
-// ck (may be nil) configures periodic checkpoint emission and/or resume from
-// an earlier checkpoint (see Checkpointer). A resumed run reproduces the
-// uninterrupted run bit-identically, including its ledger bytes; the
-// alone-run baselines are not part of the snapshot — they are recomputed
-// deterministically (or recalled from the cache) after the contended run
-// finishes.
+// RunMixCheckpointedContext evaluates one mix under the given
+// scheduler/partition pair. rec (may be nil) observes the contended run
+// only; alone-run baselines stay unobserved. ck (may be nil) configures
+// periodic checkpoint emission and/or resume from an earlier checkpoint
+// (see Checkpointer): a resumed run reproduces the uninterrupted run
+// bit-identically, including its ledger bytes. The alone-run baselines are
+// not part of the snapshot; they are recomputed deterministically (or
+// recalled from the cache) after the contended run finishes. ctx cancels
+// both the contended run and any baseline still to measure (see
+// System.RunContext for the quantum-boundary semantics).
+//
+// It is safe to call from many goroutines at once: each call builds its own
+// System, the baseline cache is mutex-protected, and runs are
+// deterministic, so concurrent identical calls give bit-identical metrics.
 func (e *Experiment) RunMixCheckpointedContext(ctx context.Context, mix workload.Mix, scheduler SchedulerKind, partition PartitionKind, rec *obs.Recorder, ck *Checkpointer) (MixRun, error) {
 	benches, seeds, err := e.benches(mix)
 	if err != nil {
 		return MixRun{}, err
 	}
-	cfg := e.Base
-	cfg.Cores = mix.Cores()
-	cfg.Scheduler = scheduler
-	cfg.Partition = partition
-	sys, err := NewSystem(cfg, benches)
-	if err != nil {
-		return MixRun{}, err
-	}
-	sys.SetCycleSkipping(!e.DisableCycleSkipping)
-	if rec != nil {
-		sys.AttachRecorder(rec)
-	}
-	res, err := sys.RunCheckpointed(ctx, e.Warmup, e.Measure, e.MaxCycles, ck)
-	if err != nil {
-		var rerr *RestoreError
-		if errors.As(err, &rerr) {
-			return MixRun{}, err
-		}
-		return MixRun{}, fmt.Errorf("sim: mix %s under %s/%s: %w", mix.Name, scheduler, partition, err)
-	}
-	threads := make([]stats.ThreadPerf, len(res.Threads))
-	for i, t := range res.Threads {
-		alone, err := e.AloneIPCContext(ctx, t.Name, seeds[i])
-		if err != nil {
-			return MixRun{}, err
-		}
-		threads[i] = stats.ThreadPerf{Name: t.Name, IPCShared: t.IPC, IPCAlone: alone}
-	}
-	m, err := stats.ComputeMetrics(threads)
-	if err != nil {
-		return MixRun{}, fmt.Errorf("sim: metrics for mix %s: %w", mix.Name, err)
-	}
-	return MixRun{Mix: mix, Scheduler: scheduler, Partition: partition, Metrics: m, Result: res}, nil
+	run := MixRun{Mix: mix, Scheduler: scheduler, Partition: partition}
+	return e.run(ctx, run, benches, nil, rec, ck, func(i int) (float64, error) {
+		return e.aloneBench(ctx, mix.Members[i], seeds[i])
+	})
 }
 
 // ScenarioMix is the synthetic mix identity of a scenario run: the
@@ -261,115 +227,81 @@ func ScenarioMix(sc *scenario.Scenario) workload.Mix {
 	return workload.Mix{Name: "scenario:" + sc.Name, Members: sc.ThreadNames()}
 }
 
-// RunScenarioRecordedContext evaluates one phase-shifting scenario under the
-// given scheduler/partition pair. See RunScenarioCheckpointedContext.
-func (e *Experiment) RunScenarioRecordedContext(ctx context.Context, sc *scenario.Scenario, scheduler SchedulerKind, partition PartitionKind, rec *obs.Recorder) (MixRun, error) {
-	return e.RunScenarioCheckpointedContext(ctx, sc, scheduler, partition, rec, nil)
-}
-
 // RunScenarioCheckpointedContext is the scenario analogue of
 // RunMixCheckpointedContext: it compiles the timeline onto the experiment's
 // quantum grid, runs it under the given policy pair, and computes the paper
 // metrics against per-thread alone baselines. Each thread's alone baseline
-// is the thread extracted into a single-thread scenario (same seeds, same
-// timeline) on the neutral 1-core FR-FCFS system, cached under the scenario
-// hash. Scenario runs checkpoint and resume bit-identically: the runtime's
-// timeline position and generator switch logs ride inside the blob.
+// is the thread extracted into a single-thread scenario on the neutral
+// 1-core FR-FCFS system, cached under the scenario hash. Generator seeds
+// derive from the thread name, so the extracted run replays exactly the
+// access stream the thread has in the full scenario. Scenario runs
+// checkpoint and resume bit-identically: the runtime's timeline position and
+// generator switch logs ride inside the blob.
 func (e *Experiment) RunScenarioCheckpointedContext(ctx context.Context, sc *scenario.Scenario, scheduler SchedulerKind, partition PartitionKind, rec *obs.Recorder, ck *Checkpointer) (MixRun, error) {
 	rt, err := sc.Compile(e.Base.SchedQuantumCPUCycles)
 	if err != nil {
 		return MixRun{}, err
 	}
-	hash := sc.Hash()
-	cfg := e.Base
-	cfg.Cores = rt.Cores()
-	cfg.Scheduler = scheduler
-	cfg.Partition = partition
-	cfg.ScenarioHash = hash
 	benches := make([]Bench, rt.Cores())
 	for i, name := range rt.Names() {
 		benches[i] = Bench{Name: name, Gen: rt.Generator(i)}
 	}
-	sys, err := NewSystem(cfg, benches)
+	hash := sc.Hash()
+	run := MixRun{Mix: ScenarioMix(sc), Scheduler: scheduler, Partition: partition, Scenario: sc.Name, ScenarioHash: hash}
+	return e.run(ctx, run, benches, rt, rec, ck, func(t int) (float64, error) {
+		single, err := sc.Single(t)
+		if err != nil {
+			return 0, err
+		}
+		srt, err := single.Compile(e.Base.SchedQuantumCPUCycles)
+		if err != nil {
+			return 0, err
+		}
+		return e.alone(ctx, fmt.Sprintf("scn:%s/%d", hash, t), Bench{Name: single.Threads[0].Name, Gen: srt.Generator(0)}, srt)
+	})
+}
+
+// run is the pipeline both entry points share: the contended run of
+// benches under run's policy pair (driven by rt when it is non-nil), then
+// each thread's alone IPC from aloneOf, then the paper metrics filled into
+// run. A *RestoreError passes through unwrapped, so callers can tell a
+// checkpoint that does not restore from a failed run.
+func (e *Experiment) run(ctx context.Context, run MixRun, benches []Bench, rt *scenario.Runtime, rec *obs.Recorder, ck *Checkpointer, aloneOf func(thread int) (float64, error)) (MixRun, error) {
+	what := "mix " + run.Mix.Name
+	cfg := e.Base
+	if run.ScenarioHash != "" {
+		what = "scenario " + run.Scenario
+		cfg.ScenarioHash = run.ScenarioHash
+	}
+	cfg.Cores = len(benches)
+	cfg.Scheduler = run.Scheduler
+	cfg.Partition = run.Partition
+	sys, err := e.newSystem(cfg, benches, rt)
 	if err != nil {
 		return MixRun{}, err
 	}
-	sys.SetCycleSkipping(!e.DisableCycleSkipping)
-	sys.SetScenario(rt)
-	if rec != nil {
-		sys.AttachRecorder(rec)
-	}
+	sys.AttachRecorder(rec)
 	res, err := sys.RunCheckpointed(ctx, e.Warmup, e.Measure, e.MaxCycles, ck)
 	if err != nil {
 		var rerr *RestoreError
 		if errors.As(err, &rerr) {
 			return MixRun{}, err
 		}
-		return MixRun{}, fmt.Errorf("sim: scenario %s under %s/%s: %w", sc.Name, scheduler, partition, err)
+		return MixRun{}, fmt.Errorf("sim: %s under %s/%s: %w", what, run.Scheduler, run.Partition, err)
 	}
 	threads := make([]stats.ThreadPerf, len(res.Threads))
 	for i, t := range res.Threads {
-		alone, err := e.aloneScenarioIPC(ctx, sc, hash, i)
+		alone, err := aloneOf(i)
 		if err != nil {
 			return MixRun{}, err
 		}
 		threads[i] = stats.ThreadPerf{Name: t.Name, IPCShared: t.IPC, IPCAlone: alone}
 	}
-	m, err := stats.ComputeMetrics(threads)
-	if err != nil {
-		return MixRun{}, fmt.Errorf("sim: metrics for scenario %s: %w", sc.Name, err)
+	if run.Metrics, err = stats.ComputeMetrics(threads); err != nil {
+		return MixRun{}, fmt.Errorf("sim: metrics for %s: %w", what, err)
 	}
-	return MixRun{
-		Mix:          ScenarioMix(sc),
-		Scheduler:    scheduler,
-		Partition:    partition,
-		Metrics:      m,
-		Result:       res,
-		Scenario:     sc.Name,
-		ScenarioHash: hash,
-	}, nil
-}
-
-// aloneScenarioIPC measures (or recalls) a scenario thread's alone-run IPC:
-// the thread extracted into a single-thread scenario on the 1-core neutral
-// baseline system. Generator seeds derive from the thread name, so the
-// extracted run replays exactly the access stream the thread has in the full
-// scenario. Cached in the shared alone-IPC map under a hash-scoped key.
-func (e *Experiment) aloneScenarioIPC(ctx context.Context, sc *scenario.Scenario, hash string, t int) (float64, error) {
-	key := fmt.Sprintf("scn:%s/%d", hash, t)
-	e.mu.Lock()
-	ipc, ok := e.aloneIPC[key]
-	e.mu.Unlock()
-	if ok {
-		return ipc, nil
-	}
-	single, err := sc.Single(t)
-	if err != nil {
-		return 0, err
-	}
-	rt, err := single.Compile(e.Base.SchedQuantumCPUCycles)
-	if err != nil {
-		return 0, err
-	}
-	cfg := e.Base
-	cfg.Cores = 1
-	cfg.Scheduler = SchedFRFCFS
-	cfg.Partition = PartNone
-	sys, err := NewSystem(cfg, []Bench{{Name: single.Threads[0].Name, Gen: rt.Generator(0)}})
-	if err != nil {
-		return 0, err
-	}
-	sys.SetCycleSkipping(!e.DisableCycleSkipping)
-	sys.SetScenario(rt)
-	res, err := sys.RunContext(ctx, e.Warmup, e.Measure, e.MaxCycles)
-	if err != nil {
-		return 0, fmt.Errorf("sim: alone run of scenario thread %s: %w", single.Threads[0].Name, err)
-	}
-	ipc = res.Threads[0].IPC
-	e.mu.Lock()
-	e.aloneIPC[key] = ipc
-	e.mu.Unlock()
-	return ipc, nil
+	run.Result = res
+	return run, nil
 }
 
 // PolicyPoint names one (scheduler, partition) combination under study.

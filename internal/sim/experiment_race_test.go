@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"reflect"
 	"sync"
 	"testing"
@@ -9,14 +10,14 @@ import (
 	"dbpsim/internal/workload"
 )
 
-// TestRunMixRecordedConcurrent pins the concurrency contract the dbpserved
+// TestRunMixConcurrent pins the concurrency contract the dbpserved
 // worker pool depends on: two goroutines running the same mix through one
 // shared Experiment (each with its own recorder) race neither on the
 // alone-run baseline cache nor on any recorder state, and — because runs
 // are deterministic — produce bit-identical metrics, results and epoch
-// series. Run under -race this is the regression gate for the shared
-// Experiment.Recorder hazard.
-func TestRunMixRecordedConcurrent(t *testing.T) {
+// series. Run under -race this is the regression gate for per-call
+// recorders on a shared Experiment.
+func TestRunMixConcurrent(t *testing.T) {
 	mix := workload.Mix{Name: "race-mix", Category: "M", Members: []string{"mcf-like", "gcc-like"}}
 	cfg := DefaultConfig(mix.Cores())
 	cfg.Seed = 7
@@ -36,7 +37,7 @@ func TestRunMixRecordedConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			runs[i], errs[i] = exp.RunMixRecorded(mix, SchedFRFCFS, PartDBP, recs[i])
+			runs[i], errs[i] = exp.RunMixCheckpointedContext(context.Background(), mix, SchedFRFCFS, PartDBP, recs[i], nil)
 		}(i)
 	}
 	wg.Wait()

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"path/filepath"
 	"testing"
 
@@ -31,9 +32,8 @@ func runWithRecorder(t *testing.T, withRec bool) (MixRun, *obs.Recorder) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		exp.Recorder = rec
 	}
-	run, err := exp.RunMix(mix, SchedTCM, PartDBP)
+	run, err := exp.RunMixCheckpointedContext(context.Background(), mix, SchedTCM, PartDBP, rec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -150,7 +150,7 @@ func TestScenarioDBPReactsStaticDoesNot(t *testing.T) {
 		t.Helper()
 		exp := NewExperiment(cfg, snapTestWarmup, snapTestMeasure)
 		rec := snapshotTestRecorder(t, cfg)
-		_, err := exp.RunScenarioRecordedContext(context.Background(), scenarioTestDoc(), SchedFRFCFS, part, rec)
+		_, err := exp.RunScenarioCheckpointedContext(context.Background(), scenarioTestDoc(), SchedFRFCFS, part, rec, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -204,7 +204,7 @@ func TestScenarioEpochSeriesCarriesPhases(t *testing.T) {
 	cfg := snapshotTestConfig()
 	exp := NewExperiment(cfg, snapTestWarmup, snapTestMeasure)
 	rec := snapshotTestRecorder(t, cfg)
-	run, err := exp.RunScenarioRecordedContext(context.Background(), scenarioTestDoc(), SchedFRFCFS, PartDBP, rec)
+	run, err := exp.RunScenarioCheckpointedContext(context.Background(), scenarioTestDoc(), SchedFRFCFS, PartDBP, rec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +244,7 @@ func TestScenarioEpochSeriesCarriesPhases(t *testing.T) {
 	// The stationary path must stay label-free (additive schema: old
 	// ledgers are unchanged).
 	recM := snapshotTestRecorder(t, cfg)
-	if _, err := exp.RunMixRecordedContext(context.Background(), snapshotTestMix, SchedFRFCFS, PartDBP, recM); err != nil {
+	if _, err := exp.RunMixCheckpointedContext(context.Background(), snapshotTestMix, SchedFRFCFS, PartDBP, recM, nil); err != nil {
 		t.Fatal(err)
 	}
 	for _, e := range recM.Epochs() {

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"os"
 	"strings"
 	"testing"
 
@@ -546,56 +545,6 @@ func TestLatencyHistograms(t *testing.T) {
 	}
 	if h.MeanValue() <= 0 {
 		t.Error("zero mean latency")
-	}
-}
-
-func TestAloneCachePersistence(t *testing.T) {
-	dir := t.TempDir()
-	path := dir + "/alone.json"
-	e := NewExperiment(fastConfig(2), 5_000, 10_000)
-	ipc, err := e.AloneIPC("gcc-like", 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.SaveAloneCache(path); err != nil {
-		t.Fatal(err)
-	}
-	// Fresh experiment, same parameters: load and hit the cache.
-	e2 := NewExperiment(fastConfig(2), 5_000, 10_000)
-	if err := e2.LoadAloneCache(path); err != nil {
-		t.Fatal(err)
-	}
-	if e2.CachedAloneRuns() != 1 {
-		t.Fatalf("cached runs = %d", e2.CachedAloneRuns())
-	}
-	got, err := e2.AloneIPC("gcc-like", 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != ipc {
-		t.Errorf("loaded IPC %g != saved %g", got, ipc)
-	}
-	// Different budget: fingerprint mismatch must be rejected.
-	e3 := NewExperiment(fastConfig(2), 5_000, 20_000)
-	if err := e3.LoadAloneCache(path); err == nil {
-		t.Error("mismatched budget accepted")
-	}
-	// Different geometry: also rejected.
-	cfg := fastConfig(2)
-	cfg.Geometry.BanksPerRank = 16
-	e4 := NewExperiment(cfg, 5_000, 10_000)
-	if err := e4.LoadAloneCache(path); err == nil {
-		t.Error("mismatched config accepted")
-	}
-	// Missing / corrupt files error.
-	if err := e2.LoadAloneCache(dir + "/absent.json"); err == nil {
-		t.Error("missing file accepted")
-	}
-	if err := os.WriteFile(dir+"/junk.json", []byte("{"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := e2.LoadAloneCache(dir + "/junk.json"); err == nil {
-		t.Error("corrupt file accepted")
 	}
 }
 

@@ -11,7 +11,9 @@
 //     or README.md, so a new flag or metric cannot land undocumented.
 //     In reverse, every dbpserved_*/dbpfleet_* name those docs mention
 //     (histogram _bucket/_sum/_count suffixes stripped) must be such a
-//     literal, so deleting a metric cannot leave stale docs behind.
+//     literal, and every backticked `-name` they mention must be a flag
+//     declared in some cmd/*/main.go, so deleting a metric or a flag
+//     cannot leave stale docs behind.
 //   - Tenant config schema: every JSON object key used by the committed
 //     examples/tenants.json must be mentioned (as `key`) in
 //     docs/SERVICE.md, so a new tenant-file field cannot land without
@@ -110,7 +112,8 @@ func checkScenarioSchema() error {
 }
 
 var (
-	flagDeclRe   = regexp.MustCompile(`fs\.(?:String|Bool|Int|Uint64|Duration)\("([a-z][a-z0-9-]*)"`)
+	flagDeclRe   = regexp.MustCompile(`(?:fs|flag)\.(?:String|Bool|Int|Int64|Uint64|Float64|Duration)\("([a-z][a-z0-9-]*)"`)
+	docFlagRe    = regexp.MustCompile("`-([a-z][a-z0-9-]*)[` ]")
 	metricNameRe = regexp.MustCompile(`"(dbp(?:served|fleet)_[a-z_]+)"`)
 	docMetricRe  = regexp.MustCompile(`dbp(?:served|fleet)_[a-z][a-z_]*`)
 )
@@ -183,6 +186,26 @@ func checkServiceSurface() error {
 		}
 	}
 
+	mains, err := filepath.Glob("cmd/*/main.go")
+	if err != nil {
+		return err
+	}
+	declared := map[string]bool{}
+	for _, f := range mains {
+		data, err := os.ReadFile(f)
+		if err != nil {
+			return err
+		}
+		for _, m := range flagDeclRe.FindAllStringSubmatch(string(data), -1) {
+			declared[m[1]] = true
+		}
+	}
+	for _, m := range docFlagRe.FindAllStringSubmatch(text, -1) {
+		if name := "-" + m[1]; !declared[m[1]] && !contains(stale, name) {
+			stale = append(stale, name)
+		}
+	}
+
 	if len(missing) > 0 {
 		sort.Strings(missing)
 		for _, m := range missing {
@@ -193,9 +216,13 @@ func checkServiceSurface() error {
 	if len(stale) > 0 {
 		sort.Strings(stale)
 		for _, m := range stale {
-			fmt.Fprintf(os.Stderr, "doccheck: %s mentions metric %s, which no longer exists under internal/serve + internal/fleet + internal/tenant\n", where, m)
+			if strings.HasPrefix(m, "-") {
+				fmt.Fprintf(os.Stderr, "doccheck: %s mentions flag %s, which no cmd/*/main.go declares\n", where, m)
+			} else {
+				fmt.Fprintf(os.Stderr, "doccheck: %s mentions metric %s, which no longer exists under internal/serve + internal/fleet + internal/tenant\n", where, m)
+			}
 		}
-		return fmt.Errorf("%d documented metric(s) not exported by the code", len(stale))
+		return fmt.Errorf("%d documented metric(s)/flag(s) not in the code", len(stale))
 	}
 	fmt.Printf("doccheck: ok (%d flags, %d metrics, all documented in %s)\n",
 		len(flags), len(metrics), where)
