@@ -43,10 +43,16 @@ test-short:
 # benchmarks (per-cycle and substrate costs; wall-clock benchtime), because
 # no single -benchtime suits both.
 BENCH_COUNT ?= 6
-BENCH_PR ?= 6
+BENCH_PR ?= 16
 BENCH_BASELINE ?= BENCH_$(BENCH_PR).json
 BENCH_MACRO = 'PolicyCycles|IdleHeavy'
 BENCH_MICRO = 'MeasureLoopSteadyState|DRAMCommandIssue|CacheAccess|TraceGeneration|AddressDecode'
+# bench-gate writes the raw benchmark output and the parsed head ledger here.
+BENCH_LOG ?= /tmp/bench-output.txt
+BENCH_HEAD ?= /tmp/bench-head.json
+# The perf-ledger set, as one shell command printing raw benchmark output.
+BENCH_SET = { $(GO) test -run='^$$' -bench=$(BENCH_MACRO) -benchmem -benchtime=1x -count=3 . ; \
+	  $(GO) test -run='^$$' -bench=$(BENCH_MICRO) -benchmem -benchtime=100ms -count=3 . ./internal/sim ; }
 
 # Full benchmark sweep: every benchmark (paper figures + perf ledger).
 bench:
@@ -59,18 +65,14 @@ bench-quick:
 
 # Record the perf-ledger baseline (commit the resulting BENCH_<pr>.json).
 bench-json:
-	{ $(GO) test -run='^$$' -bench=$(BENCH_MACRO) -benchmem -benchtime=1x -count=3 . ; \
-	  $(GO) test -run='^$$' -bench=$(BENCH_MICRO) -benchmem -benchtime=100ms -count=3 . ./internal/sim ; } \
-	| $(GO) run ./scripts/benchjson parse -pr $(BENCH_PR) -o $(BENCH_BASELINE)
+	$(BENCH_SET) | $(GO) run ./scripts/benchjson parse -pr $(BENCH_PR) -o $(BENCH_BASELINE)
 
 # Regression gate: rerun the perf-ledger set and compare against the
 # committed baseline. Time metrics tolerate 35% (override with
 # BENCH_MAX_SLOWER); allocs/op is strict — zero-alloc stays zero-alloc.
 bench-gate:
-	{ $(GO) test -run='^$$' -bench=$(BENCH_MACRO) -benchmem -benchtime=1x -count=3 . ; \
-	  $(GO) test -run='^$$' -bench=$(BENCH_MICRO) -benchmem -benchtime=100ms -count=3 . ./internal/sim ; } \
-	| $(GO) run ./scripts/benchjson parse -o /tmp/bench-head.json
-	$(GO) run ./scripts/benchjson compare $(BENCH_BASELINE) /tmp/bench-head.json
+	$(BENCH_SET) | tee $(BENCH_LOG) | $(GO) run ./scripts/benchjson parse -o $(BENCH_HEAD)
+	$(GO) run ./scripts/benchjson compare $(BENCH_BASELINE) $(BENCH_HEAD)
 
 # Run the simulation service in the foreground (ctrl-C drains).
 serve:

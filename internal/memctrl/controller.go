@@ -62,6 +62,86 @@ type inflight struct {
 	req     *Request
 }
 
+// bankQueue is one request queue in arrival (and ID) order, plus a cached
+// most-preferred request per bank so selection compares one candidate per
+// bank instead of re-ranking the whole queue every cycle. head[b] is the
+// less-minimum of bank b's queued requests unless stale[b] is set; a fresh
+// nil head means the bank has nothing queued. The heads are unserialised
+// scratch: anything that may change a bank's ranking marks it stale, and
+// refresh recomputes every stale bank in one pass over the queue.
+type bankQueue struct {
+	q        []*Request
+	head     []*Request
+	stale    []bool
+	anyStale bool
+	banks    int // banks per rank, to flatten (rank, bank)
+	less     func(a, b *Request) bool
+}
+
+func newBankQueue(capacity, ranks, banks int, less func(a, b *Request) bool) bankQueue {
+	return bankQueue{
+		q:     make([]*Request, 0, capacity),
+		head:  make([]*Request, ranks*banks),
+		stale: make([]bool, ranks*banks),
+		banks: banks,
+		less:  less,
+	}
+}
+
+func (bq *bankQueue) bankOf(r *Request) int { return r.Loc.Rank*bq.banks + r.Loc.Bank }
+
+// push appends r, offering it against its bank's fresh head with one less
+// call (a stale bank picks it up at the next refresh).
+func (bq *bankQueue) push(r *Request) {
+	bq.q = append(bq.q, r)
+	if b := bq.bankOf(r); !bq.stale[b] && (bq.head[b] == nil || bq.less(r, bq.head[b])) {
+		bq.head[b] = r
+	}
+}
+
+// remove deletes r from the queue, preserving order, and re-ranks its bank.
+func (bq *bankQueue) remove(r *Request) {
+	for i, o := range bq.q {
+		if o == r {
+			copy(bq.q[i:], bq.q[i+1:])
+			bq.q[len(bq.q)-1] = nil // no stale alias in the backing array
+			bq.q = bq.q[:len(bq.q)-1]
+			break
+		}
+	}
+	bq.invalidate(bq.bankOf(r))
+}
+
+// invalidate marks bank b's head for recomputation.
+func (bq *bankQueue) invalidate(b int) {
+	bq.head[b] = nil
+	bq.stale[b] = true
+	bq.anyStale = true
+}
+
+// invalidateAll marks every bank's head for recomputation.
+func (bq *bankQueue) invalidateAll() {
+	for b := range bq.head {
+		bq.invalidate(b)
+	}
+}
+
+// refresh recomputes every stale head in one pass over the queue.
+func (bq *bankQueue) refresh() {
+	if !bq.anyStale {
+		return
+	}
+	for _, r := range bq.q {
+		if b := bq.bankOf(r); bq.stale[b] && (bq.head[b] == nil || bq.less(r, bq.head[b])) {
+			bq.head[b] = r
+		}
+	}
+	for b := range bq.stale {
+		bq.stale[b] = false
+	}
+	bq.anyStale = false
+}
+
 // Controller drives one DRAM channel.
 type Controller struct {
 	cfg       Config
@@ -70,8 +150,8 @@ type Controller struct {
 	mapper    *addr.Mapper
 	sched     Scheduler
 
-	readQ    []*Request
-	writeQ   []*Request
+	reads    bankQueue
+	writes   bankQueue
 	inflight []inflight
 	nextID   uint64
 	now      uint64
@@ -84,6 +164,13 @@ type Controller struct {
 	// hot path is a nil branch instead of a per-event type assertion.
 	qobs   QueueObserver
 	tickEv TickEventer
+	// epoch is the scheduler's PriorityEpocher (nil: re-rank the read queue
+	// every cycle); readEpoch is the epoch the read heads were ranked under.
+	epoch     PriorityEpocher
+	readEpoch uint64
+	// outstandingGen changes whenever the set of outstanding reads may have
+	// changed; see OutstandingGeneration.
+	outstandingGen uint64
 
 	// free is the request pool: pool-owned requests are recycled here after
 	// service so the steady-state enqueue path allocates nothing.
@@ -100,8 +187,6 @@ type Controller struct {
 	// activate, column access, completion). Every call site is guarded by
 	// a nil check so the disabled path does no work at all.
 	rec *obs.Recorder
-	// bankBlocked is a scratch buffer reused across cycles.
-	bankBlocked []bool
 
 	// BusyReadCycles counts cycles with at least one queued or in-flight
 	// read (used for utilisation reporting).
@@ -119,20 +204,27 @@ func NewController(channelID int, ch *dram.Channel, m *addr.Mapper, sched Schedu
 	if numThreads <= 0 {
 		return nil, fmt.Errorf("memctrl: numThreads must be positive, got %d", numThreads)
 	}
+	ranks, banks := ch.NumRanks(), ch.NumBanksPerRank()
 	c := &Controller{
 		cfg:        cfg,
 		channelID:  channelID,
 		ch:         ch,
 		mapper:     m,
 		sched:      sched,
-		readQ:      make([]*Request, 0, cfg.ReadQueueCap),
-		writeQ:     make([]*Request, 0, cfg.WriteQueueCap),
 		inflight:   make([]inflight, 0, 16),
 		perThread:  make([]ThreadStats, numThreads),
-		lastColCmd: make([]uint64, ch.NumRanks()*ch.NumBanksPerRank()),
+		lastColCmd: make([]uint64, ranks*banks),
 	}
+	// Both less-funcs are bound once here: a method value or closure built
+	// per cycle would allocate on the hot path.
+	c.reads = newBankQueue(cfg.ReadQueueCap, ranks, banks, func(a, b *Request) bool { return c.sched.Less(c, a, b) })
+	c.writes = newBankQueue(cfg.WriteQueueCap, ranks, banks, c.writeLess)
 	c.qobs, _ = sched.(QueueObserver)
 	c.tickEv, _ = sched.(TickEventer)
+	c.epoch, _ = sched.(PriorityEpocher)
+	if c.epoch != nil {
+		c.readEpoch = c.epoch.PriorityEpoch()
+	}
 	return c, nil
 }
 
@@ -152,10 +244,10 @@ func (c *Controller) RowHit(r *Request) bool {
 }
 
 // QueuedReads returns the current read-queue depth.
-func (c *Controller) QueuedReads() int { return len(c.readQ) }
+func (c *Controller) QueuedReads() int { return len(c.reads.q) }
 
 // QueuedWrites returns the current write-queue depth.
-func (c *Controller) QueuedWrites() int { return len(c.writeQ) }
+func (c *Controller) QueuedWrites() int { return len(c.writes.q) }
 
 // PerThread returns a copy of the per-thread service counters.
 func (c *Controller) PerThread() []ThreadStats {
@@ -205,8 +297,14 @@ func (c *Controller) SetDemandCompleter(fn func(thread int, tag uint64)) {
 // HasOutstandingReads reports whether any read is queued or in flight (the
 // profiler's cheap gate for BLP sampling).
 func (c *Controller) HasOutstandingReads() bool {
-	return len(c.readQ) > 0 || len(c.inflight) > 0
+	return len(c.reads.q) > 0 || len(c.inflight) > 0
 }
+
+// OutstandingGeneration returns a counter that changes whenever the set of
+// outstanding reads (what ForEachOutstandingRead visits) may have changed:
+// on read enqueue, read completion and Restore. While it holds, the
+// profiler reuses its last sampling pass. Unserialised scratch.
+func (c *Controller) OutstandingGeneration() uint64 { return c.outstandingGen }
 
 // SetRecorder attaches (or, with nil, detaches) the observability recorder.
 func (c *Controller) SetRecorder(r *obs.Recorder) { c.rec = r }
@@ -248,11 +346,11 @@ func (c *Controller) recycle(r *Request) {
 // Arrival are filled in here.
 func (c *Controller) Enqueue(r *Request) bool {
 	if r.IsWrite {
-		if len(c.writeQ) >= c.cfg.WriteQueueCap {
+		if len(c.writes.q) >= c.cfg.WriteQueueCap {
 			c.recycle(r)
 			return false
 		}
-	} else if len(c.readQ) >= c.cfg.ReadQueueCap {
+	} else if len(c.reads.q) >= c.cfg.ReadQueueCap {
 		c.recycle(r)
 		return false
 	}
@@ -264,9 +362,10 @@ func (c *Controller) Enqueue(r *Request) bool {
 		c.perThread[r.Thread].Arrivals++
 	}
 	if r.IsWrite {
-		c.writeQ = append(c.writeQ, r)
+		c.writes.push(r)
 	} else {
-		c.readQ = append(c.readQ, r)
+		c.reads.push(r)
+		c.outstandingGen++
 		if c.qobs != nil {
 			c.qobs.OnEnqueue(r)
 		}
@@ -284,7 +383,7 @@ func (c *Controller) Enqueue(r *Request) bool {
 func (c *Controller) ForEachOutstandingRead(fn func(thread, globalBank int, pageKey uint64)) {
 	g := c.mapper.Geometry()
 	shift := c.mapper.PageShift()
-	for _, r := range c.readQ {
+	for _, r := range c.reads.q {
 		fn(r.Thread, g.BankID(r.Loc.Channel, r.Loc.Rank, r.Loc.Bank), r.Addr>>shift)
 	}
 	for _, f := range c.inflight {
@@ -296,7 +395,7 @@ func (c *Controller) ForEachOutstandingRead(fn func(thread, globalBank int, page
 // transfers, manages refresh, and issues at most one DRAM command.
 func (c *Controller) Tick() {
 	c.completeTransfers()
-	if len(c.readQ) > 0 || len(c.inflight) > 0 {
+	if len(c.reads.q) > 0 || len(c.inflight) > 0 {
 		c.BusyReadCycles++
 	}
 	c.sched.OnTick(c.now)
@@ -304,14 +403,14 @@ func (c *Controller) Tick() {
 	issued := c.serviceRefresh()
 	if !issued {
 		c.updateDrainMode()
-		if c.draining || (len(c.readQ) == 0 && len(c.writeQ) > 0) {
+		if c.draining || (len(c.reads.q) == 0 && len(c.writes.q) > 0) {
 			issued = c.issueBestWrite()
 			if !issued && !c.draining {
 				issued = c.issueBestRead()
 			}
 		} else {
 			issued = c.issueBestRead()
-			if !issued && len(c.writeQ) > 0 && len(c.readQ) == 0 {
+			if !issued && len(c.writes.q) > 0 && len(c.reads.q) == 0 {
 				issued = c.issueBestWrite()
 			}
 		}
@@ -333,12 +432,12 @@ func (c *Controller) closeIdleRows() {
 			if !open || c.now-c.lastColCmd[rank*nb+bank] < c.cfg.RowTimeout {
 				continue
 			}
-			probe := &Request{Loc: addr.Location{Channel: c.channelID, Rank: rank, Bank: bank, Row: row}}
-			if c.pendingSameRow(probe) {
+			if c.pendingSameRow(rank, bank, row, nil) {
 				continue
 			}
 			if c.ch.CanIssue(dram.CmdPrecharge, rank, bank, 0, c.now) {
 				c.ch.Issue(dram.CmdPrecharge, rank, bank, 0, c.now)
+				c.bankChanged(rank, bank)
 				return
 			}
 		}
@@ -374,6 +473,7 @@ func (c *Controller) completeTransfers() {
 			c.inflight[i] = c.inflight[last]
 			c.inflight[last] = inflight{} // drop the stale alias
 			c.inflight = c.inflight[:last]
+			c.outstandingGen++
 			c.recycle(r)
 			continue
 		}
@@ -383,10 +483,10 @@ func (c *Controller) completeTransfers() {
 
 func (c *Controller) updateDrainMode() {
 	if c.draining {
-		if len(c.writeQ) <= c.cfg.WriteLowWatermark {
+		if len(c.writes.q) <= c.cfg.WriteLowWatermark {
 			c.draining = false
 		}
-	} else if len(c.writeQ) >= c.cfg.WriteHighWatermark {
+	} else if len(c.writes.q) >= c.cfg.WriteHighWatermark {
 		c.draining = true
 	}
 }
@@ -400,6 +500,9 @@ func (c *Controller) serviceRefresh() bool {
 		}
 		if c.ch.CanIssue(dram.CmdRefresh, rank, 0, 0, c.now) {
 			c.ch.Issue(dram.CmdRefresh, rank, 0, 0, c.now)
+			for bank := 0; bank < c.ch.NumBanksPerRank(); bank++ {
+				c.bankChanged(rank, bank)
+			}
 			return true
 		}
 		// Close open banks so the refresh can proceed.
@@ -407,6 +510,7 @@ func (c *Controller) serviceRefresh() bool {
 			if _, open := c.ch.OpenRow(rank, bank); open &&
 				c.ch.CanIssue(dram.CmdPrecharge, rank, bank, 0, c.now) {
 				c.ch.Issue(dram.CmdPrecharge, rank, bank, 0, c.now)
+				c.bankChanged(rank, bank)
 				return true
 			}
 		}
@@ -432,6 +536,19 @@ func (c *Controller) nextCommand(r *Request) dram.Command {
 	}
 }
 
+// ready reports whether r's next DRAM command is legal this cycle.
+func (c *Controller) ready(r *Request) bool {
+	return c.ch.CanIssue(c.nextCommand(r), r.Loc.Rank, r.Loc.Bank, r.Loc.Row, c.now)
+}
+
+// bankChanged re-ranks one bank in both queues after a command to it: the
+// bank's open row is what Less reads through RowHit.
+func (c *Controller) bankChanged(rank, bank int) {
+	b := rank*c.ch.NumBanksPerRank() + bank
+	c.reads.invalidate(b)
+	c.writes.invalidate(b)
+}
+
 // issueFor advances the given request by one command; returns true if a
 // command was issued, and served=true when the data command went out.
 func (c *Controller) issueFor(r *Request) (issued, served bool) {
@@ -439,6 +556,7 @@ func (c *Controller) issueFor(r *Request) (issued, served bool) {
 	if !c.ch.CanIssue(cmd, r.Loc.Rank, r.Loc.Bank, r.Loc.Row, c.now) {
 		return false, false
 	}
+	c.bankChanged(r.Loc.Rank, r.Loc.Bank)
 	switch cmd {
 	case dram.CmdActivate:
 		c.ch.Issue(cmd, r.Loc.Rank, r.Loc.Bank, r.Loc.Row, c.now)
@@ -456,7 +574,7 @@ func (c *Controller) issueFor(r *Request) (issued, served bool) {
 			c.rec.OnColumn(r.Thread, c.globalBank(r), false)
 		}
 		var dataEnd uint64
-		if c.cfg.ClosedPage && !c.pendingSameRow(r) {
+		if c.cfg.ClosedPage && !c.pendingSameRow(r.Loc.Rank, r.Loc.Bank, r.Loc.Row, r) {
 			dataEnd = c.ch.IssueAutoPrecharge(cmd, r.Loc.Rank, r.Loc.Bank, r.Loc.Row, c.now)
 		} else {
 			dataEnd = c.ch.Issue(cmd, r.Loc.Rank, r.Loc.Bank, r.Loc.Row, c.now)
@@ -468,7 +586,7 @@ func (c *Controller) issueFor(r *Request) (issued, served bool) {
 		if c.rec != nil {
 			c.rec.OnColumn(r.Thread, c.globalBank(r), true)
 		}
-		if c.cfg.ClosedPage && !c.pendingSameRow(r) {
+		if c.cfg.ClosedPage && !c.pendingSameRow(r.Loc.Rank, r.Loc.Bank, r.Loc.Row, r) {
 			c.ch.IssueAutoPrecharge(cmd, r.Loc.Rank, r.Loc.Bank, r.Loc.Row, c.now)
 		} else {
 			c.ch.Issue(cmd, r.Loc.Rank, r.Loc.Bank, r.Loc.Row, c.now)
@@ -485,18 +603,15 @@ func (c *Controller) issueFor(r *Request) (issued, served bool) {
 	return false, false
 }
 
-// pendingSameRow reports whether any other queued request targets the same
-// (rank, bank, row) as r — if so, a closed-page controller keeps the row
+// pendingSameRow reports whether any queued request other than except
+// targets (rank, bank, row) — if so, a closed-page controller keeps the row
 // open for it.
-func (c *Controller) pendingSameRow(r *Request) bool {
-	for _, o := range c.readQ {
-		if o != r && o.Loc.Rank == r.Loc.Rank && o.Loc.Bank == r.Loc.Bank && o.Loc.Row == r.Loc.Row {
-			return true
-		}
-	}
-	for _, o := range c.writeQ {
-		if o != r && o.Loc.Rank == r.Loc.Rank && o.Loc.Bank == r.Loc.Bank && o.Loc.Row == r.Loc.Row {
-			return true
+func (c *Controller) pendingSameRow(rank, bank, row int, except *Request) bool {
+	for _, q := range [2][]*Request{c.reads.q, c.writes.q} {
+		for _, o := range q {
+			if o != except && o.Loc.Rank == rank && o.Loc.Bank == bank && o.Loc.Row == row {
+				return true
+			}
 		}
 	}
 	return false
@@ -504,112 +619,85 @@ func (c *Controller) pendingSameRow(r *Request) bool {
 
 // issueBestRead serves the read queue in scheduler order.
 func (c *Controller) issueBestRead() bool {
-	if len(c.readQ) == 0 {
+	if len(c.reads.q) == 0 {
 		return false
 	}
-	// Starvation guard: a too-old request pre-empts scheduler order.
-	starved := -1
-	if c.cfg.StarvationThreshold > 0 {
-		var oldest uint64
-		for i, r := range c.readQ {
-			if c.now-r.Arrival >= c.cfg.StarvationThreshold {
-				if starved < 0 || r.Arrival < oldest {
-					starved, oldest = i, r.Arrival
-				}
-			}
-		}
+	if c.epoch == nil {
+		c.reads.invalidateAll()
+	} else if e := c.epoch.PriorityEpoch(); e != c.readEpoch {
+		c.readEpoch = e
+		c.reads.invalidateAll()
 	}
-	less := func(a, b *Request) bool { return c.sched.Less(c, a, b) }
-	return c.selectAndIssue(&c.readQ, starved, less)
+	// Starvation guard: a too-old request pre-empts scheduler order. The
+	// queue is in arrival order, so if any read is starved its front is the
+	// oldest one.
+	var starved *Request
+	if t := c.cfg.StarvationThreshold; t > 0 && c.now-c.reads.q[0].Arrival >= t {
+		starved = c.reads.q[0]
+	}
+	return c.selectAndIssue(&c.reads, starved)
 }
 
 // issueBestWrite drains the write queue FR-FCFS (row hit first, then age).
 func (c *Controller) issueBestWrite() bool {
-	if len(c.writeQ) == 0 {
+	if len(c.writes.q) == 0 {
 		return false
 	}
-	less := func(a, b *Request) bool {
-		ha, hb := c.RowHit(a), c.RowHit(b)
-		if ha != hb {
-			return ha
-		}
-		return a.ID < b.ID
-	}
-	return c.selectAndIssue(&c.writeQ, -1, less)
+	return c.selectAndIssue(&c.writes, nil)
 }
 
-// selectAndIssue repeatedly picks the most-preferred request among banks not
-// yet blocked and tries to advance it by one command. Per-bank priority
-// blocking: when a bank's best candidate is timing-blocked, lower-priority
-// requests may not sneak onto that bank — otherwise an endless stream of
-// row hits would push the precharge point forever and starve a promoted
-// conflict request. preferred, if ≥0, is an index served before all others.
-func (c *Controller) selectAndIssue(q *[]*Request, preferred int, less func(a, b *Request) bool) bool {
-	nb := c.ch.NumBanksPerRank()
-	need := c.ch.NumRanks() * nb
-	if cap(c.bankBlocked) < need {
-		c.bankBlocked = make([]bool, need)
+// writeLess is the write queue's FR-FCFS order.
+func (c *Controller) writeLess(a, b *Request) bool {
+	ha, hb := c.RowHit(a), c.RowHit(b)
+	if ha != hb {
+		return ha
 	}
-	blocked := c.bankBlocked[:need]
-	for i := range blocked {
-		blocked[i] = false
-	}
-	bankOf := func(r *Request) int { return r.Loc.Rank*nb + r.Loc.Bank }
+	return a.ID < b.ID
+}
 
-	if preferred >= 0 && preferred < len(*q) {
-		r := (*q)[preferred]
-		issued, served := c.issueFor(r)
-		if issued {
-			if served {
-				removeAt(q, preferred)
-				c.notifyServed(r)
-				if r.IsWrite {
-					c.recycle(r) // writes complete on issue
-				}
-			}
+// selectAndIssue advances the most-preferred request whose next command is
+// legal this cycle by one command, with per-bank priority blocking: only a
+// bank's head (its most-preferred request) may issue, so when the head is
+// timing-blocked, lower-priority requests may not sneak onto that bank —
+// otherwise an endless stream of row hits would push the precharge point
+// forever and starve a promoted conflict request. Because less is a strict
+// total order, the winner is the least ready head, which is exactly the
+// request a full re-ranking that blocks banks one by one would pick.
+// preferred, if non-nil, is tried before all others and blocks its bank
+// when it cannot issue.
+func (c *Controller) selectAndIssue(bq *bankQueue, preferred *Request) bool {
+	bq.refresh()
+	blocked := -1
+	if preferred != nil {
+		if c.issueFrom(bq, preferred) {
 			return true
 		}
-		blocked[bankOf(r)] = true
+		blocked = bq.bankOf(preferred)
 	}
-
-	for {
-		best := -1
-		for i, r := range *q {
-			if blocked[bankOf(r)] {
-				continue
-			}
-			if best < 0 || less(r, (*q)[best]) {
-				best = i
-			}
-		}
-		if best < 0 {
-			return false
-		}
-		r := (*q)[best]
-		issued, served := c.issueFor(r)
-		if !issued {
-			blocked[bankOf(r)] = true
+	var best *Request
+	for b, r := range bq.head {
+		if r == nil || b == blocked || !c.ready(r) {
 			continue
 		}
-		if served {
-			removeAt(q, best)
-			c.notifyServed(r)
-			if r.IsWrite {
-				c.recycle(r) // writes complete on issue
-			}
+		if best == nil || bq.less(r, best) {
+			best = r
 		}
-		return true
 	}
+	return best != nil && c.issueFrom(bq, best)
 }
 
-// removeAt deletes index i from q preserving order, shifting the tail down
-// in place and clearing the vacated slot so no stale request stays reachable
-// through the backing array.
-func removeAt(q *[]*Request, i int) {
-	s := *q
-	copy(s[i:], s[i+1:])
-	s[len(s)-1] = nil
-	*q = s[:len(s)-1]
+// issueFrom advances r, a request queued in bq, by one command; when that
+// command is its data command, r leaves the queue.
+func (c *Controller) issueFrom(bq *bankQueue, r *Request) bool {
+	issued, served := c.issueFor(r)
+	if served {
+		bq.remove(r)
+		c.notifyServed(r)
+		if r.IsWrite {
+			c.recycle(r) // writes complete on issue
+		}
+	}
+	return issued
 }
 
 // notifyServed reports a served read to an observing scheduler.
@@ -672,14 +760,11 @@ func (c *Controller) NextEvent() uint64 {
 	// constraints lapse. Scheduler order does not matter here: skipping is
 	// only legal when no command at all can issue, and no request's command
 	// can issue before its own earliest-issue time.
-	for _, r := range c.readQ {
-		if t := c.earliestIssue(r); t < wake {
-			wake = t
-		}
-	}
-	for _, r := range c.writeQ {
-		if t := c.earliestIssue(r); t < wake {
-			wake = t
+	for _, q := range [2][]*Request{c.reads.q, c.writes.q} {
+		for _, r := range q {
+			if t := c.earliestIssue(r); t < wake {
+				wake = t
+			}
 		}
 	}
 	// Row-timeout policy: an idle open row is precharged once it has seen no
@@ -713,7 +798,7 @@ func (c *Controller) NextEvent() uint64 {
 // invoke it after NextEvent reported no activity anywhere in the skipped
 // range.
 func (c *Controller) Skip(m uint64) {
-	if len(c.readQ) > 0 || len(c.inflight) > 0 {
+	if len(c.reads.q) > 0 || len(c.inflight) > 0 {
 		c.BusyReadCycles += m
 	}
 	// Every no-op tick runs the drain-mode check; it is idempotent while the

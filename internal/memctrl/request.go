@@ -68,10 +68,20 @@ type SchedContext interface {
 
 // Scheduler orders the read queue. The controller serves the most-preferred
 // request whose next DRAM command is legal this cycle.
+//
+// The controller caches each bank's most-preferred request across cycles
+// and re-ranks a bank only when something Less may read has changed. Less
+// must therefore be a strict total order whose last criterion is the ID
+// tiebreak (so no two queued requests compare equal), and it may depend
+// only on the requests themselves, on ctx.RowHit (the open row of the
+// request's own bank), and on scheduler state whose every change bumps
+// PriorityEpoch. A scheduler that does not implement PriorityEpocher is
+// re-ranked every cycle.
 type Scheduler interface {
 	// Name identifies the scheduler in reports.
 	Name() string
-	// Less reports whether a should be served before b.
+	// Less reports whether a should be served before b (see the contract
+	// above).
 	Less(ctx SchedContext, a, b *Request) bool
 	// OnTick is called once per memory cycle before scheduling.
 	OnTick(now uint64)
@@ -90,6 +100,16 @@ const NeverEvent = ^uint64(0)
 // the conservative default for third-party schedulers with stateful OnTick.
 type TickEventer interface {
 	NextTickEvent(now uint64) uint64
+}
+
+// PriorityEpocher is an optional Scheduler extension that lets the
+// controller keep its per-bank ranking across cycles. PriorityEpoch must
+// return a different value after any change to scheduler state that Less
+// reads (ranks, batches, blacklists, streaks, restored snapshots); between
+// changes it returns the same value. The epoch is unserialised scratch: it
+// need not survive a snapshot, only change across Restore.
+type PriorityEpocher interface {
+	PriorityEpoch() uint64
 }
 
 // QueueObserver is an optional Scheduler extension: schedulers that need to

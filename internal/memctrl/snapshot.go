@@ -76,8 +76,8 @@ func unsnapRequest(st RequestState) *Request {
 // kernel.
 func (c *Controller) Snapshot() ControllerState {
 	st := ControllerState{
-		ReadQ:          make([]RequestState, len(c.readQ)),
-		WriteQ:         make([]RequestState, len(c.writeQ)),
+		ReadQ:          make([]RequestState, len(c.reads.q)),
+		WriteQ:         make([]RequestState, len(c.writes.q)),
 		Inflight:       make([]InflightState, len(c.inflight)),
 		NextID:         c.nextID,
 		Now:            c.now,
@@ -87,10 +87,10 @@ func (c *Controller) Snapshot() ControllerState {
 		BusyReadCycles: c.BusyReadCycles,
 		Channel:        c.ch.Snapshot(),
 	}
-	for i, r := range c.readQ {
+	for i, r := range c.reads.q {
 		st.ReadQ[i] = snapRequest(r)
 	}
-	for i, r := range c.writeQ {
+	for i, r := range c.writes.q {
 		st.WriteQ[i] = snapRequest(r)
 	}
 	for i, f := range c.inflight {
@@ -100,9 +100,9 @@ func (c *Controller) Snapshot() ControllerState {
 }
 
 // Restore installs a previously captured state, rebuilding the request
-// queues in their exact order. Restored requests carry nil OnComplete
-// hooks; the kernel relinks demand reads to their cores afterwards (see
-// ForEachRequest).
+// queues in their exact order and re-ranking every bank. Restored requests
+// carry nil OnComplete hooks; the kernel relinks demand reads to their
+// cores afterwards (see ForEachRequest).
 func (c *Controller) Restore(st ControllerState) error {
 	if len(st.LastColCmd) != len(c.lastColCmd) {
 		return fmt.Errorf("memctrl: snapshot has %d bank slots, controller has %d", len(st.LastColCmd), len(c.lastColCmd))
@@ -113,14 +113,17 @@ func (c *Controller) Restore(st ControllerState) error {
 	if err := c.ch.Restore(st.Channel); err != nil {
 		return err
 	}
-	c.readQ = make([]*Request, len(st.ReadQ))
+	c.reads.q = make([]*Request, len(st.ReadQ))
 	for i, rs := range st.ReadQ {
-		c.readQ[i] = unsnapRequest(rs)
+		c.reads.q[i] = unsnapRequest(rs)
 	}
-	c.writeQ = make([]*Request, len(st.WriteQ))
+	c.writes.q = make([]*Request, len(st.WriteQ))
 	for i, rs := range st.WriteQ {
-		c.writeQ[i] = unsnapRequest(rs)
+		c.writes.q[i] = unsnapRequest(rs)
 	}
+	c.reads.invalidateAll()
+	c.writes.invalidateAll()
+	c.outstandingGen++
 	c.inflight = make([]inflight, len(st.Inflight))
 	for i, fs := range st.Inflight {
 		c.inflight[i] = inflight{dataEnd: fs.DataEnd, req: unsnapRequest(fs.Req)}
@@ -139,10 +142,10 @@ func (c *Controller) Restore(st ControllerState) error {
 // Restore to relink demand-read completion hooks and scheduler-held
 // request references.
 func (c *Controller) ForEachRequest(fn func(r *Request)) {
-	for _, r := range c.readQ {
+	for _, r := range c.reads.q {
 		fn(r)
 	}
-	for _, r := range c.writeQ {
+	for _, r := range c.writes.q {
 		fn(r)
 	}
 	for _, f := range c.inflight {

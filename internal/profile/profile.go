@@ -62,6 +62,14 @@ type ControllerSource interface {
 	ResetPerThreadCounters()
 }
 
+// OutstandingVersioner is an optional ControllerSource extension:
+// OutstandingGeneration changes whenever the set ForEachOutstandingRead
+// visits may have changed. While no controller's generation moves, the
+// profiler reuses its last marking pass instead of walking the queues.
+type OutstandingVersioner interface {
+	OutstandingGeneration() uint64
+}
+
 // Profiler accumulates BLP samples and produces quantum summaries.
 type Profiler struct {
 	numThreads int
@@ -79,6 +87,13 @@ type Profiler struct {
 	// MLP sampling state: distinct outstanding pages per thread.
 	pages  [][]uint64 // per-thread scratch of page keys this sample
 	mlpSum []uint64
+
+	// versions[i] is ctrls[i]'s OutstandingVersioner (nil if it has none)
+	// and gens[i] the generation count and pages were marked at; marked
+	// says count and pages hold a pass still valid for those generations.
+	versions []OutstandingVersioner
+	gens     []uint64
+	marked   bool
 
 	// Last-seen core counters for delta computation.
 	lastRetired []uint64
@@ -110,6 +125,11 @@ func New(cores []CoreSource, ctrls []ControllerSource, numBanks int) *Profiler {
 		lastRetired: make([]uint64, n),
 		lastMisses:  make([]uint64, n),
 		scratch:     make([]ThreadSample, n),
+		versions:    make([]OutstandingVersioner, len(ctrls)),
+		gens:        make([]uint64, len(ctrls)),
+	}
+	for i, c := range ctrls {
+		p.versions[i], _ = c.(OutstandingVersioner)
 	}
 	p.visit = func(thread, bank int, pageKey uint64) {
 		if thread < 0 || thread >= p.numThreads || bank < 0 || bank >= p.numBanks {
@@ -135,9 +155,31 @@ func New(cores []CoreSource, ctrls []ControllerSource, numBanks int) *Profiler {
 	return p
 }
 
-// mark visits every outstanding read, stamping distinct (thread, bank) pairs
-// and collecting distinct pages per thread into the reused scratch.
+// outstandingChanged reports whether any controller's outstanding reads may
+// have changed since the last marking pass, recording the generations it
+// saw.
+func (p *Profiler) outstandingChanged() bool {
+	changed := !p.marked
+	for i, v := range p.versions {
+		if v == nil {
+			changed = true
+		} else if g := v.OutstandingGeneration(); g != p.gens[i] {
+			p.gens[i] = g
+			changed = true
+		}
+	}
+	return changed
+}
+
+// markOutstanding visits every outstanding read, stamping distinct (thread,
+// bank) pairs and collecting distinct pages per thread into the reused
+// scratch. It keeps the previous pass while no controller's outstanding
+// reads have changed.
 func (p *Profiler) markOutstanding() {
+	if !p.outstandingChanged() {
+		return
+	}
+	p.marked = true
 	p.version++
 	if p.version == 0 { // wrapped: invalidate stamps
 		for i := range p.mark {

@@ -20,7 +20,7 @@ func (p *Profiler) Snapshot() State {
 }
 
 // Restore installs a previously captured state and zeroes the intra-quantum
-// accumulators.
+// accumulators, dropping the cached marking pass with them.
 func (p *Profiler) Restore(st State) error {
 	if len(st.LastRetired) != p.numThreads || len(st.LastMisses) != p.numThreads {
 		return fmt.Errorf("profile: snapshot has %d threads, profiler has %d", len(st.LastRetired), p.numThreads)
@@ -31,6 +31,7 @@ func (p *Profiler) Restore(st State) error {
 		p.mark[i] = 0
 	}
 	p.version = 0
+	p.marked = false
 	for t := 0; t < p.numThreads; t++ {
 		p.count[t] = 0
 		p.blpSum[t] = 0

@@ -16,6 +16,8 @@ type ATLAS struct {
 	alpha    float64 // history decay weight
 	attained []float64
 	rank     []int
+	// epoch counts re-rankings (memctrl.PriorityEpocher).
+	epoch uint64
 }
 
 // NewATLAS builds an ATLAS scheduler for numThreads threads. alpha is the
@@ -61,7 +63,12 @@ func (a *ATLAS) UpdateQuantum(samples []profile.ThreadSample) {
 	for pos, tid := range order {
 		a.rank[tid] = len(order) - pos // least attained → largest rank
 	}
+	a.epoch++
 }
+
+// PriorityEpoch implements memctrl.PriorityEpocher: ranks change only in
+// UpdateQuantum and Restore.
+func (a *ATLAS) PriorityEpoch() uint64 { return a.epoch }
 
 // Rank returns a thread's current rank (larger = higher priority).
 func (a *ATLAS) Rank(thread int) int {

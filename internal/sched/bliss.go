@@ -20,6 +20,8 @@ type BLISS struct {
 	streak      int
 	blacklisted map[int]bool
 	lastClear   uint64
+	// epoch counts blacklist changes (memctrl.PriorityEpocher).
+	epoch uint64
 }
 
 // NewBLISS builds a BLISS scheduler. streakLimit is the consecutive-service
@@ -50,8 +52,9 @@ func (*BLISS) OnEnqueue(*memctrl.Request) {}
 func (b *BLISS) OnService(r *memctrl.Request) {
 	if r.Thread == b.lastThread {
 		b.streak++
-		if b.streak >= b.streakLimit {
+		if b.streak >= b.streakLimit && !b.blacklisted[r.Thread] {
 			b.blacklisted[r.Thread] = true
+			b.epoch++
 		}
 		return
 	}
@@ -63,6 +66,9 @@ func (b *BLISS) OnService(r *memctrl.Request) {
 func (b *BLISS) OnTick(now uint64) {
 	if now-b.lastClear >= b.clearEvery {
 		b.lastClear = now
+		if len(b.blacklisted) > 0 {
+			b.epoch++
+		}
 		for k := range b.blacklisted {
 			delete(b.blacklisted, k)
 		}
@@ -77,6 +83,10 @@ func (b *BLISS) OnTick(now uint64) {
 func (b *BLISS) NextTickEvent(uint64) uint64 {
 	return b.lastClear + b.clearEvery
 }
+
+// PriorityEpoch implements memctrl.PriorityEpocher: Less reads only the
+// blacklist, which changes on blacklisting, clearing and Restore.
+func (b *BLISS) PriorityEpoch() uint64 { return b.epoch }
 
 // Blacklisted reports whether a thread is currently blacklisted (for
 // tests).

@@ -15,6 +15,9 @@ type FRFCFSCap struct {
 	cap int
 	// streak counts consecutive row hits served per global bank key.
 	streak map[int]int
+	// epoch counts changes to which banks' hits keep their priority
+	// (memctrl.PriorityEpocher).
+	epoch uint64
 }
 
 // NewFRFCFSCap builds the capped scheduler (the literature uses caps of
@@ -39,12 +42,21 @@ func (*FRFCFSCap) OnEnqueue(*memctrl.Request) {}
 // OnService implements memctrl.QueueObserver: track the streak.
 func (c *FRFCFSCap) OnService(r *memctrl.Request) {
 	k := bankKey(r)
+	before := c.streak[k] < c.cap
 	if r.RowHit() {
 		c.streak[k]++
 	} else {
 		c.streak[k] = 0
 	}
+	if after := c.streak[k] < c.cap; after != before {
+		c.epoch++
+	}
 }
+
+// PriorityEpoch implements memctrl.PriorityEpocher: Less reads a bank's
+// streak only through "below the cap", which changes in OnService and
+// Restore.
+func (c *FRFCFSCap) PriorityEpoch() uint64 { return c.epoch }
 
 // OnTick implements memctrl.Scheduler.
 func (*FRFCFSCap) OnTick(uint64) {}

@@ -21,6 +21,8 @@ type PARBS struct {
 	outstanding map[*memctrl.Request]struct{}
 	// markedPerThread ranks threads inside the batch (fewer = earlier).
 	markedPerThread map[int]int
+	// epoch counts batch changes (memctrl.PriorityEpocher).
+	epoch uint64
 }
 
 // NewPARBS builds a PAR-BS scheduler with the given per-(thread,bank)
@@ -51,8 +53,13 @@ func (p *PARBS) OnService(r *memctrl.Request) {
 	if _, ok := p.marked[r]; ok {
 		delete(p.marked, r)
 		p.markedPerThread[r.Thread]--
+		p.epoch++
 	}
 }
+
+// PriorityEpoch implements memctrl.PriorityEpocher: the batch changes on
+// formation, when a marked request is served, and on Restore.
+func (p *PARBS) PriorityEpoch() uint64 { return p.epoch }
 
 // OnTick implements memctrl.Scheduler: reform the batch when it drained.
 func (p *PARBS) OnTick(uint64) {
@@ -75,6 +82,7 @@ func (p *PARBS) NextTickEvent(now uint64) uint64 {
 
 // formBatch marks the oldest cap requests of every (thread, bank) pair.
 func (p *PARBS) formBatch() {
+	p.epoch++
 	type key struct{ thread, bank int }
 	counts := make(map[key]int)
 	// Mark in age order so the oldest requests win the per-pair cap.

@@ -27,6 +27,9 @@ func (*FCFS) OnTick(uint64) {}
 // NextTickEvent implements memctrl.TickEventer: OnTick never mutates state.
 func (*FCFS) NextTickEvent(uint64) uint64 { return memctrl.NeverEvent }
 
+// PriorityEpoch implements memctrl.PriorityEpocher: FCFS has no state.
+func (*FCFS) PriorityEpoch() uint64 { return 0 }
+
 // FRFCFS serves row-buffer hits first, then oldest-first — the standard
 // throughput-oriented baseline the paper builds on.
 type FRFCFS struct{}
@@ -52,25 +55,47 @@ func (*FRFCFS) OnTick(uint64) {}
 // NextTickEvent implements memctrl.TickEventer: OnTick never mutates state.
 func (*FRFCFS) NextTickEvent(uint64) uint64 { return memctrl.NeverEvent }
 
+// PriorityEpoch implements memctrl.PriorityEpocher: FR-FCFS has no state.
+func (*FRFCFS) PriorityEpoch() uint64 { return 0 }
+
 // ThreadPriority wraps an inner scheduler with a coarse per-thread priority
 // level (higher level = served first). MCP's integrated scheme uses it to
 // boost very-low-intensity threads.
 type ThreadPriority struct {
 	inner  memctrl.Scheduler
 	levels []int
+	// epoch counts level changes; innerEpoch is the inner scheduler's
+	// epoch source (nil when it has none).
+	epoch      uint64
+	innerEpoch memctrl.PriorityEpocher
 }
 
 // NewThreadPriority wraps inner with per-thread levels; threads outside the
 // slice get level 0.
 func NewThreadPriority(inner memctrl.Scheduler, numThreads int) *ThreadPriority {
-	return &ThreadPriority{inner: inner, levels: make([]int, numThreads)}
+	t := &ThreadPriority{inner: inner, levels: make([]int, numThreads)}
+	t.innerEpoch, _ = inner.(memctrl.PriorityEpocher)
+	return t
 }
 
 // SetLevel assigns a thread's priority level.
 func (t *ThreadPriority) SetLevel(thread, level int) {
-	if thread >= 0 && thread < len(t.levels) {
+	if thread >= 0 && thread < len(t.levels) && t.levels[thread] != level {
 		t.levels[thread] = level
+		t.epoch++
 	}
+}
+
+// PriorityEpoch implements memctrl.PriorityEpocher, folding in the inner
+// scheduler's epoch: both only grow, so their sum changes whenever either
+// does. An inner scheduler without epochs may change its order at any
+// time, so every call then reports a fresh epoch.
+func (t *ThreadPriority) PriorityEpoch() uint64 {
+	if t.innerEpoch == nil {
+		t.epoch++
+		return t.epoch
+	}
+	return t.epoch + t.innerEpoch.PriorityEpoch()
 }
 
 // Name implements memctrl.Scheduler.

@@ -51,6 +51,7 @@ func (t *TCM) Restore(st TCMState) error {
 	t.bwBase = append(t.bwBase[:0], st.BWBase...)
 	t.shufflePos = st.ShufflePos
 	t.lastShuffle = st.LastShuffle
+	t.epoch++
 	return nil
 }
 
@@ -75,6 +76,7 @@ func (a *ATLAS) Restore(st ATLASState) error {
 	}
 	copy(a.attained, st.Attained)
 	copy(a.rank, st.Rank)
+	a.epoch++
 	return nil
 }
 
@@ -146,6 +148,7 @@ func (p *PARBS) Restore(st PARBSState, lookup func(ref RequestRef) *memctrl.Requ
 	for k, v := range st.MarkedPerThread {
 		p.markedPerThread[k] = v
 	}
+	p.epoch++
 	return nil
 }
 
@@ -177,6 +180,7 @@ func (b *BLISS) Restore(st BLISSState) error {
 		b.blacklisted[k] = v
 	}
 	b.lastClear = st.LastClear
+	b.epoch++
 	return nil
 }
 
@@ -196,6 +200,7 @@ func (c *FRFCFSCap) Restore(st FRFCFSCapState) error {
 	for k, v := range st.Streak {
 		c.streak[k] = v
 	}
+	c.epoch++
 	return nil
 }
 
@@ -216,5 +221,6 @@ func (t *ThreadPriority) Restore(st PriorityState) error {
 		return fmt.Errorf("sched: priority snapshot has %d threads, wrapper has %d", len(st.Levels), len(t.levels))
 	}
 	copy(t.levels, st.Levels)
+	t.epoch++
 	return nil
 }

@@ -79,6 +79,8 @@ type TCM struct {
 	bwBase      []int
 	shufflePos  int
 	lastShuffle uint64
+	// epoch counts rank changes (memctrl.PriorityEpocher).
+	epoch uint64
 }
 
 // NewTCM builds a TCM scheduler.
@@ -204,6 +206,7 @@ func (t *TCM) UpdateQuantum(samples []profile.ThreadSample) {
 // applyBWRanks assigns bandwidth-cluster ranks for the current shuffle
 // step.
 func (t *TCM) applyBWRanks() {
+	t.epoch++ // every caller changes ranks or cluster membership
 	k := len(t.bwBase)
 	if k == 0 {
 		return
@@ -244,6 +247,10 @@ func (t *TCM) OnTick(now uint64) {
 func (t *TCM) NextTickEvent(uint64) uint64 {
 	return t.lastShuffle + t.cfg.ShuffleInterval
 }
+
+// PriorityEpoch implements memctrl.PriorityEpocher: ranks and clusters
+// change only in applyBWRanks (shuffle and quantum) and Restore.
+func (t *TCM) PriorityEpoch() uint64 { return t.epoch }
 
 // Less implements memctrl.Scheduler. Priority: latency cluster strictly
 // first (ordered by its MPKI rank); within the bandwidth cluster row hits

@@ -39,7 +39,9 @@ func skipLedgerBytes(t *testing.T, cfg Config, mix workload.Mix, scheduler Sched
 
 // skipPolicyCases are the policy families whose scheduler/partitioner state
 // interacts with the clock (quantum timers, shuffle intervals), i.e. the
-// ones a wrong skip clamp would corrupt.
+// ones a wrong skip clamp would corrupt, plus every other scheduler: each
+// announces its own priority changes to the controller's cached per-bank
+// ranking, and a missed announcement shows up here as diverging bytes.
 var skipPolicyCases = []struct {
 	name      string
 	scheduler SchedulerKind
@@ -50,6 +52,11 @@ var skipPolicyCases = []struct {
 	{"MCP", SchedFRFCFS, PartMCP},
 	{"DBP", SchedFRFCFS, PartDBP},
 	{"DBP-TCM", SchedTCM, PartDBP},
+	{"FCFS", SchedFCFS, PartNone},
+	{"ATLAS", SchedATLAS, PartNone},
+	{"PARBS", SchedPARBS, PartNone},
+	{"BLISS", SchedBLISS, PartNone},
+	{"FRFCFS-cap", SchedFRFCFSCap, PartNone},
 }
 
 // TestSkipBitIdenticalLedgers is the tentpole guarantee of the cycle-skip

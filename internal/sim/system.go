@@ -107,6 +107,13 @@ type System struct {
 
 // NewSystem assembles a system running the given benchmarks (one per core).
 func NewSystem(cfg Config, benches []Bench) (*System, error) {
+	return newSystem(cfg, benches, nil)
+}
+
+// newSystem is NewSystem with an optional wrapper around the scheduler the
+// controllers consult; tests count scheduler work through it. The wrapper
+// must forward every optional memctrl interface the scheduler implements.
+func newSystem(cfg Config, benches []Bench, wrap func(memctrl.Scheduler) memctrl.Scheduler) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -183,6 +190,9 @@ func NewSystem(cfg Config, benches []Bench) (*System, error) {
 	if cfg.Partition == PartMCP {
 		s.prio = sched.NewThreadPriority(scheduler, cfg.Cores)
 		scheduler = s.prio
+	}
+	if wrap != nil {
+		scheduler = wrap(scheduler)
 	}
 
 	// Partition policy.
