@@ -43,7 +43,7 @@ test-short:
 # benchmarks (per-cycle and substrate costs; wall-clock benchtime), because
 # no single -benchtime suits both.
 BENCH_COUNT ?= 6
-BENCH_PR ?= 16
+BENCH_PR ?= 17
 BENCH_BASELINE ?= BENCH_$(BENCH_PR).json
 BENCH_MACRO = 'PolicyCycles|IdleHeavy'
 BENCH_MICRO = 'MeasureLoopSteadyState|DRAMCommandIssue|CacheAccess|TraceGeneration|AddressDecode'
@@ -69,7 +69,8 @@ bench-json:
 
 # Regression gate: rerun the perf-ledger set and compare against the
 # committed baseline. Time metrics tolerate 35% (override with
-# BENCH_MAX_SLOWER); allocs/op is strict — zero-alloc stays zero-alloc.
+# BENCH_MAX_SLOWER); allocs/op is strict — zero-alloc stays zero-alloc;
+# the deterministic coreticks/simcycle work count is near-exact (+0.5%).
 bench-gate:
 	$(BENCH_SET) | tee $(BENCH_LOG) | $(GO) run ./scripts/benchjson parse -o $(BENCH_HEAD)
 	$(GO) run ./scripts/benchjson compare $(BENCH_BASELINE) $(BENCH_HEAD)

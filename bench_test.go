@@ -263,7 +263,10 @@ func reportSimSpeed(b *testing.B, simCycles uint64) {
 }
 
 // benchPolicyCycles runs a fixed 4-core mix for a fixed instruction budget
-// under one policy, with system construction off the clock.
+// under one policy, with system construction off the clock. Besides speed
+// it reports coreticks/simcycle, the full core Ticks the kernel ran per
+// simulated cycle (at most one per core; clock jumps and sleeping cores'
+// stalled skips cover the rest): a deterministic work count.
 func benchPolicyCycles(b *testing.B, sched dbpsim.SchedulerKind, part dbpsim.PartitionKind) {
 	b.Helper()
 	b.ReportAllocs()
@@ -271,7 +274,7 @@ func benchPolicyCycles(b *testing.B, sched dbpsim.SchedulerKind, part dbpsim.Par
 	if !ok {
 		b.Fatal("unknown mix W4-M1")
 	}
-	var total uint64
+	var total, coreTicks uint64
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		cfg := dbpsim.DefaultConfig(4)
@@ -295,8 +298,12 @@ func benchPolicyCycles(b *testing.B, sched dbpsim.SchedulerKind, part dbpsim.Par
 			b.Fatal(err)
 		}
 		total += res.Cycles
+		coreTicks += uint64(cfg.Cores)*(res.Cycles-sys.SkippedCycles()) - sys.SleptCoreCycles()
 	}
 	reportSimSpeed(b, total)
+	if total > 0 {
+		b.ReportMetric(float64(coreTicks)/float64(total), "coreticks/simcycle")
+	}
 }
 
 func BenchmarkPolicyCycles_FRFCFS(b *testing.B) {

@@ -129,6 +129,10 @@ type Core struct {
 	haveItem bool
 	item     trace.Item
 	gapLeft  int
+	// translated says the current item has been through Translate, so its
+	// page is mapped and a retry's Translate is side-effect free. Derived
+	// state: not serialised; Restore clears it (one redundant Translate).
+	translated bool
 	// genCalls counts Next() calls on the trace generator, so a restored
 	// core can fast-forward a fresh, identically seeded generator to the
 	// same position (generator PRNG state is not serialisable).
@@ -234,7 +238,9 @@ func (c *Core) Tick() error {
 		if e.isLoad {
 			c.outstandingLoads--
 		}
-		c.head = (c.head + 1) % len(c.rob)
+		if c.head++; c.head == len(c.rob) {
+			c.head = 0
+		}
 		c.count--
 		c.stats.Retired++
 		retiredThisCycle++
@@ -253,6 +259,7 @@ func (c *Core) Tick() error {
 			c.genCalls++
 			c.gapLeft = c.item.Gap
 			c.haveItem = true
+			c.translated = false
 		}
 		if c.gapLeft > 0 {
 			c.insert(robEntry{done: true, readyAt: now + 1})
@@ -284,7 +291,9 @@ func (c *Core) insert(e robEntry) {
 		c.maxReadyAt = e.readyAt
 	}
 	c.rob[c.tail] = e
-	c.tail = (c.tail + 1) % len(c.rob)
+	if c.tail++; c.tail == len(c.rob) {
+		c.tail = 0
+	}
 	c.count++
 }
 
@@ -319,6 +328,7 @@ func (c *Core) issueMemAccess(now uint64) (ok bool, err error) {
 	if err != nil {
 		return false, fmt.Errorf("cpu: core %d translate %#x: %w", c.id, it.Addr, err)
 	}
+	c.translated = true
 	// A load miss needs an MSHR before we commit the cache state change.
 	// Peek: we can't know hit/miss without accessing, and the cache access
 	// mutates state, so gate conservatively on MSHR availability for loads.
@@ -432,7 +442,10 @@ func (c *Core) streaming() bool {
 // skippable only if the retire loop cannot retire (head not done or not
 // ready), there is no spilled traffic to retry, and the fill loop would
 // break before mutating anything (ROB full, serialised pointer chase, or
-// the side-effect-free MSHR gate in issueMemAccess).
+// the MSHR gate in issueMemAccess). The MSHR gate counts only once the
+// current item has been translated: before that, the next Tick would still
+// first-touch-allocate its page ahead of the gate, and allocation timing
+// must not move across a repartition or another core's allocation.
 func (c *Core) NextEvent() (event, retireRate uint64) {
 	if c.streaming() {
 		// Full-width compute until the current gap run can no longer feed a
@@ -449,7 +462,7 @@ func (c *Core) NextEvent() (event, retireRate uint64) {
 	fillBlocked := c.count == len(c.rob) ||
 		(c.haveItem && c.gapLeft == 0 &&
 			((c.item.Dependent && c.outstandingLoads > 0) ||
-				(!c.item.IsWrite && c.demandInFlight >= c.cfg.MSHRs)))
+				(c.translated && !c.item.IsWrite && c.demandInFlight >= c.cfg.MSHRs)))
 	if !fillBlocked {
 		return c.now, 0
 	}
@@ -457,6 +470,16 @@ func (c *Core) NextEvent() (event, retireRate uint64) {
 		return head.readyAt, 0 // fixed-latency load completes then
 	}
 	return NeverEvent, 0 // waiting on DRAM; the controller's events bound this
+}
+
+// PendingTranslate returns the virtual address a next Tick that retires
+// nothing would pass to Translate: ok when the trace cursor sits on a memory
+// access and nothing ahead of issueMemAccess in the fill loop (a full ROB,
+// spilled traffic, a serialised dependent load) stops it first.
+func (c *Core) PendingTranslate() (vaddr uint64, ok bool) {
+	ok = c.haveItem && c.gapLeft == 0 && c.count < len(c.rob) && len(c.pendingOps) == 0 &&
+		!(c.item.Dependent && c.outstandingLoads > 0)
+	return c.item.Addr, ok
 }
 
 // Skip advances the core by delta cycles in bulk: exactly what delta

@@ -330,3 +330,60 @@ func TestPrefetchConfigValidate(t *testing.T) {
 		t.Error("negative prefetch degree accepted")
 	}
 }
+
+// touchXlate is an identity translator that records every Translate call
+// and which pages it first-touched.
+type touchXlate struct {
+	calls  int
+	mapped map[uint64]bool
+}
+
+func (x *touchXlate) Translate(v uint64) (uint64, bool, error) {
+	x.calls++
+	page := v >> 12
+	fresh := !x.mapped[page]
+	x.mapped[page] = true
+	return v, fresh, nil
+}
+
+// TestNextEventCountsUntranslatedItemAsActive pins the NextEvent contract
+// at the MSHR gate: a core whose current load has not been translated yet is
+// not idle, because its next Tick first-touch-allocates the page before the
+// gate turns it away. Here a gap run ends exactly at the width boundary with
+// the only MSHR taken, so the fresh-page load reaches the gate untranslated.
+func TestNextEventCountsUntranslatedItemAsActive(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.MSHRs = 1
+	gen := trace.NewScripted([]trace.Item{
+		{Addr: 0x10000},          // load miss: takes the only MSHR
+		{Gap: 3, Addr: 0x900000}, // three gaps fill the width, then a fresh page
+	})
+	x := &touchXlate{mapped: map[uint64]bool{}}
+	m := &fakeMem{latency: 1 << 30} // never completes
+	c, err := New(0, cfg, gen, x, testHierarchy(t), m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.core = c
+	if err := c.Tick(); err != nil {
+		t.Fatal(err)
+	}
+	if x.calls != 1 {
+		t.Fatalf("first Tick translated %d items, want 1", x.calls)
+	}
+	e, _ := c.NextEvent()
+	if err := c.Tick(); err != nil {
+		t.Fatal(err)
+	}
+	if x.calls != 2 || !x.mapped[0x900000>>12] {
+		t.Fatalf("second Tick made %d Translate calls in total, want 2 (fresh page mapped: %v)", x.calls, x.mapped[0x900000>>12])
+	}
+	if e != 1 {
+		t.Fatalf("NextEvent before the first-touch Tick = %d, want 1 (active): skipping it would move the page allocation", e)
+	}
+	// Translated and turned away by the MSHR gate: now the core is idle
+	// until the miss completes, and further Ticks do not allocate.
+	if e, _ := c.NextEvent(); e != NeverEvent {
+		t.Fatalf("NextEvent after the gate = %d, want NeverEvent", e)
+	}
+}

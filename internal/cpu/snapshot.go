@@ -117,6 +117,7 @@ func (c *Core) Restore(st CoreState) error {
 	c.item.IsWrite = st.ItemIsWrite
 	c.item.Dependent = st.ItemDependent
 	c.gapLeft = st.GapLeft
+	c.translated = false
 	c.outstandingLoads = st.OutstandingLoads
 	c.demandInFlight = st.DemandInFlight
 	c.pendingOps = c.pendingOps[:0]

@@ -168,9 +168,9 @@ type Controller struct {
 	// every cycle); readEpoch is the epoch the read heads were ranked under.
 	epoch     PriorityEpocher
 	readEpoch uint64
-	// outstandingGen changes whenever the set of outstanding reads may have
-	// changed; see OutstandingGeneration.
-	outstandingGen uint64
+	// readObs, when set, is told about every read joining and leaving the
+	// outstanding set (see SetReadObserver).
+	readObs ReadObserver
 
 	// free is the request pool: pool-owned requests are recycled here after
 	// service so the steady-state enqueue path allocates nothing.
@@ -300,11 +300,24 @@ func (c *Controller) HasOutstandingReads() bool {
 	return len(c.reads.q) > 0 || len(c.inflight) > 0
 }
 
-// OutstandingGeneration returns a counter that changes whenever the set of
-// outstanding reads (what ForEachOutstandingRead visits) may have changed:
-// on read enqueue, read completion and Restore. While it holds, the
-// profiler reuses its last sampling pass. Unserialised scratch.
-func (c *Controller) OutstandingGeneration() uint64 { return c.outstandingGen }
+// ReadObserver follows the set of outstanding reads (what
+// ForEachOutstandingRead visits) incrementally: ReadArrived when Enqueue
+// accepts a read, ReadDeparted when its data transfer completes, with the
+// same (thread, globalBank, pageKey) the walk reports. Restore reports
+// nothing; an observer rebuilds from ForEachOutstandingRead after one.
+type ReadObserver interface {
+	ReadArrived(thread, globalBank int, pageKey uint64)
+	ReadDeparted(thread, globalBank int, pageKey uint64)
+}
+
+// SetReadObserver installs the outstanding-read observer (nil detaches).
+func (c *Controller) SetReadObserver(o ReadObserver) { c.readObs = o }
+
+// readKey is a read's (global bank, page) identity as ForEachOutstandingRead
+// and the read observer report it.
+func (c *Controller) readKey(r *Request) (globalBank int, pageKey uint64) {
+	return c.globalBank(r), r.Addr >> c.mapper.PageShift()
+}
 
 // SetRecorder attaches (or, with nil, detaches) the observability recorder.
 func (c *Controller) SetRecorder(r *obs.Recorder) { c.rec = r }
@@ -365,7 +378,10 @@ func (c *Controller) Enqueue(r *Request) bool {
 		c.writes.push(r)
 	} else {
 		c.reads.push(r)
-		c.outstandingGen++
+		if c.readObs != nil {
+			bank, page := c.readKey(r)
+			c.readObs.ReadArrived(r.Thread, bank, page)
+		}
 		if c.qobs != nil {
 			c.qobs.OnEnqueue(r)
 		}
@@ -381,13 +397,13 @@ func (c *Controller) Enqueue(r *Request) bool {
 // pages in flight measure the thread's *potential* bank-level parallelism,
 // independent of how many banks it currently owns).
 func (c *Controller) ForEachOutstandingRead(fn func(thread, globalBank int, pageKey uint64)) {
-	g := c.mapper.Geometry()
-	shift := c.mapper.PageShift()
 	for _, r := range c.reads.q {
-		fn(r.Thread, g.BankID(r.Loc.Channel, r.Loc.Rank, r.Loc.Bank), r.Addr>>shift)
+		bank, page := c.readKey(r)
+		fn(r.Thread, bank, page)
 	}
 	for _, f := range c.inflight {
-		fn(f.req.Thread, g.BankID(f.req.Loc.Channel, f.req.Loc.Rank, f.req.Loc.Bank), f.req.Addr>>shift)
+		bank, page := c.readKey(f.req)
+		fn(f.req.Thread, bank, page)
 	}
 }
 
@@ -473,7 +489,10 @@ func (c *Controller) completeTransfers() {
 			c.inflight[i] = c.inflight[last]
 			c.inflight[last] = inflight{} // drop the stale alias
 			c.inflight = c.inflight[:last]
-			c.outstandingGen++
+			if c.readObs != nil {
+				bank, page := c.readKey(r)
+				c.readObs.ReadDeparted(r.Thread, bank, page)
+			}
 			c.recycle(r)
 			continue
 		}
@@ -762,7 +781,9 @@ func (c *Controller) NextEvent() uint64 {
 	// can issue before its own earliest-issue time.
 	for _, q := range [2][]*Request{c.reads.q, c.writes.q} {
 		for _, r := range q {
-			if t := c.earliestIssue(r); t < wake {
+			if t := c.earliestIssue(r); t <= c.now {
+				return c.now // nothing later can undercut it
+			} else if t < wake {
 				wake = t
 			}
 		}

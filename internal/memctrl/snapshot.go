@@ -123,7 +123,6 @@ func (c *Controller) Restore(st ControllerState) error {
 	}
 	c.reads.invalidateAll()
 	c.writes.invalidateAll()
-	c.outstandingGen++
 	c.inflight = make([]inflight, len(st.Inflight))
 	for i, fs := range st.Inflight {
 		c.inflight[i] = inflight{dataEnd: fs.DataEnd, req: unsnapRequest(fs.Req)}

@@ -154,6 +154,12 @@ func (pt *PageTable) Translate(vaddr uint64) (paddr uint64, allocated bool, err 
 	return pfn<<pt.pageShift | offset, allocated, nil
 }
 
+// Mapped reports whether vaddr's page is mapped, without allocating it.
+func (pt *PageTable) Mapped(vaddr uint64) bool {
+	_, ok := pt.entries[vaddr>>pt.pageShift]
+	return ok
+}
+
 // NumPages returns the number of mapped pages.
 func (pt *PageTable) NumPages() int { return len(pt.entries) }
 

@@ -469,6 +469,7 @@ func (s *System) RestoreSnapshot(blob []byte) error {
 		copy(s.bestIPC, st.BestIPC)
 	}
 	s.migrationDrops = st.MigrationDrops
+	clear(s.coreWake)
 	s.invErr = nil
 	if st.InvariantErr != "" {
 		s.invErr = fmt.Errorf("%s", st.InvariantErr)

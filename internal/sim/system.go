@@ -72,6 +72,17 @@ type System struct {
 	// per-cycle ticking. Host-side observability only: never serialised and
 	// never part of any ledger (it differs between skip modes by design).
 	skippedCycles uint64
+	// coreWake[i] is the cycle core i next needs a Tick, recorded when a
+	// Tick retired nothing and NextEvent certified a stall (cpu.NeverEvent
+	// while it waits on DRAM; 0 when awake). While it is ahead of the
+	// clock, step advances the core with a stalled Skip(1) instead of Tick
+	// and trySkip reads it instead of calling NextEvent. A demand completion
+	// for the thread and RestoreSnapshot clear it. Derived, unserialised
+	// state; only used with skipping on.
+	coreWake []uint64
+	// sleptCoreCycles counts core-cycles advanced by Skip(1) while asleep.
+	// Diagnostic only, like skippedCycles.
+	sleptCoreCycles uint64
 
 	// aggregated profile between partition quanta
 	agg      []profile.ThreadSample
@@ -134,6 +145,7 @@ func newSystem(cfg Config, benches []Bench, wrap func(memctrl.Scheduler) memctrl
 		life:        make([]profile.ThreadSample, cfg.Cores),
 		lifeBLPWSum: make([]float64, cfg.Cores),
 		partScratch: make([]profile.ThreadSample, cfg.Cores),
+		coreWake:    make([]uint64, cfg.Cores),
 		skipping:    true,
 	}
 	s.alloc = paging.NewAllocator(s.mapper)
@@ -303,6 +315,9 @@ func newSystem(cfg Config, benches []Bench, wrap func(memctrl.Scheduler) memctrl
 		ctrlSrcs[i] = c
 	}
 	s.prof = profile.New(coreSrcs, ctrlSrcs, cfg.Geometry.NumColors())
+	for _, ctrl := range s.ctrls {
+		ctrl.SetReadObserver(s.prof)
+	}
 
 	if cfg.RecordLatencyHistograms {
 		s.latHist = make([]*stats.Histogram, cfg.Cores)
@@ -341,10 +356,11 @@ func (p *memoryPort) Submit(thread int, paddr uint64, isWrite, demand bool, tag 
 
 // demandDone is the controllers' flattened demand-completion path: it hands
 // a finished demand read back to the issuing core by tag (replacing the old
-// per-request OnComplete closures).
+// per-request OnComplete closures) and wakes the core.
 func (s *System) demandDone(thread int, tag uint64) {
 	if thread >= 0 && thread < len(s.cores) {
 		s.cores[thread].DemandDone(tag)
+		s.coreWake[thread] = 0
 	}
 }
 
@@ -386,11 +402,15 @@ func (s *System) DBP() *core.DBP { return s.dbp }
 // Cycle returns the current CPU cycle.
 func (s *System) Cycle() uint64 { return s.cycle }
 
-// SetCycleSkipping toggles event-driven cycle skipping (default on). Results
-// — ledgers, stats, checkpoints — are bit-identical either way; turning it
-// off only forces the run loop back to strict cycle-by-cycle ticking (useful
-// for debugging and for the bit-identity test suite itself).
-func (s *System) SetCycleSkipping(on bool) { s.skipping = on }
+// SetCycleSkipping toggles event-driven cycle skipping and per-core sleeping
+// (default on). Results — ledgers, stats, checkpoints — are bit-identical
+// either way; turning it off only forces the run loop back to strict
+// cycle-by-cycle ticking of every core (useful for debugging and for the
+// bit-identity test suite itself).
+func (s *System) SetCycleSkipping(on bool) {
+	s.skipping = on
+	clear(s.coreWake)
+}
 
 // CycleSkipping reports whether event-driven cycle skipping is enabled.
 func (s *System) CycleSkipping() bool { return s.skipping }
@@ -399,11 +419,30 @@ func (s *System) CycleSkipping() bool { return s.skipping }
 // so far (0 with skipping disabled). Diagnostic only; not simulated state.
 func (s *System) SkippedCycles() uint64 { return s.skippedCycles }
 
-// step advances the whole system by one CPU cycle.
+// SleptCoreCycles returns the core-cycles that per-core sleeping advanced
+// with a stalled Skip instead of a Tick (0 with skipping disabled).
+// Diagnostic only; not simulated state.
+func (s *System) SleptCoreCycles() uint64 { return s.sleptCoreCycles }
+
+// step advances the whole system by one CPU cycle. With skipping on, a
+// core whose recorded wake is still ahead is provably stalled this cycle,
+// so a Skip(1) stands in for its Tick; after a Tick that retired nothing,
+// the core's NextEvent, when in the future, becomes its wake.
 func (s *System) step() error {
-	for _, c := range s.cores {
+	for i, c := range s.cores {
+		if s.coreWake[i] > s.cycle { // only ever set with skipping on
+			c.Skip(1)
+			s.sleptCoreCycles++
+			continue
+		}
+		retired := c.Retired()
 		if err := c.Tick(); err != nil {
 			return err
+		}
+		if s.skipping && c.Retired() == retired {
+			if e, rate := c.NextEvent(); e > s.cycle+1 && rate == 0 {
+				s.coreWake[i] = e
+			}
 		}
 	}
 	if s.cycle%uint64(s.cfg.CPUClockRatio) == 0 {
@@ -473,7 +512,10 @@ func (s *System) trySkip(maxCycles uint64, retireTargets []uint64) (jumped bool,
 	}
 	wake := limit
 	for i, core := range s.cores {
-		e, rate := core.NextEvent()
+		e, rate := s.coreWake[i], uint64(0)
+		if e <= c {
+			e, rate = core.NextEvent()
+		}
 		if e <= c {
 			return false, nil
 		}
@@ -495,6 +537,9 @@ func (s *System) trySkip(maxCycles uint64, retireTargets []uint64) (jumped bool,
 		if e < wake {
 			wake = e
 		}
+	}
+	if wake <= c+1 {
+		return false, nil // the controllers can only bring the wake closer
 	}
 	ratio := uint64(s.cfg.CPUClockRatio)
 	memLimit := (limit + ratio - 1) / ratio

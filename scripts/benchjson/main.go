@@ -17,6 +17,9 @@
 //   - allocs/op is machine-independent and therefore strict: a zero-alloc
 //     baseline must stay at zero, and a nonzero baseline may grow at most
 //     5% plus an absolute slack of 8 allocations.
+//   - work counts (coreticks/simcycle: full core Ticks per simulated cycle)
+//     are deterministic, so they are near-exact: the head may exceed the
+//     baseline by at most 0.5%, which only absorbs the printed rounding.
 //   - time metrics (ns/op, ns/simcycle) are machine- and load-dependent, so
 //     the threshold is deliberately lenient: default 35% slower
 //     (-max-slower 0.35), overridable via the BENCH_MAX_SLOWER environment
@@ -32,6 +35,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strconv"
@@ -205,6 +209,9 @@ const (
 	defaultMaxSlower = 0.35
 	allocRelSlack    = 0.05
 	allocAbsSlack    = 8
+	workRelSlack     = 0.005
+	// workUnit is the deterministic work count gated near-exactly.
+	workUnit = "coreticks/simcycle"
 )
 
 func compareMain(args []string) {
@@ -224,16 +231,33 @@ func compareMain(args []string) {
 		fatal(err)
 	}
 
+	matched, failures := compareLedgers(base, head, *maxSlower, os.Stdout)
+	if matched == 0 {
+		fatal(fmt.Errorf("no benchmarks in common between %s and %s", fs.Arg(0), fs.Arg(1)))
+	}
+	if len(failures) > 0 {
+		fmt.Printf("\nbenchjson: %d regression(s) against %s:\n", len(failures), fs.Arg(0))
+		for _, f := range failures {
+			fmt.Println("  " + f)
+		}
+		os.Exit(1)
+	}
+	fmt.Printf("\nbenchjson: %d benchmarks within thresholds (time +%.0f%%, allocs +%.0f%%+%d; zero stays zero; work +%.1f%%)\n",
+		matched, 100**maxSlower, 100*allocRelSlack, allocAbsSlack, 100*workRelSlack)
+}
+
+// compareLedgers gates every benchmark present in both ledgers, printing one
+// line per checked metric to w, and returns how many benchmarks matched and
+// a description of each regression.
+func compareLedgers(base, head Ledger, maxSlower float64, w io.Writer) (matched int, failures []string) {
 	headBy := map[string]Benchmark{}
 	for _, b := range head.Benchmarks {
 		headBy[b.Name] = b
 	}
-	var failures []string
-	matched := 0
 	for _, bb := range base.Benchmarks {
 		hb, ok := headBy[bb.Name]
 		if !ok {
-			fmt.Printf("~ %-40s only in baseline (ignored)\n", bb.Name)
+			fmt.Fprintf(w, "~ %-40s only in baseline (ignored)\n", bb.Name)
 			continue
 		}
 		delete(headBy, bb.Name)
@@ -246,12 +270,12 @@ func compareMain(args []string) {
 			}
 			ratio := hv / bv
 			verdict := "ok"
-			if ratio > 1+*maxSlower {
+			if ratio > 1+maxSlower {
 				verdict = "REGRESSION"
 				failures = append(failures, fmt.Sprintf("%s %s: %.4g -> %.4g (%.0f%% slower, limit %.0f%%)",
-					bb.Name, unit, bv, hv, 100*(ratio-1), 100**maxSlower))
+					bb.Name, unit, bv, hv, 100*(ratio-1), 100*maxSlower))
 			}
-			fmt.Printf("%s %-40s %-12s %10.4g -> %10.4g  (%+.1f%%)\n",
+			fmt.Fprintf(w, "%s %-40s %-12s %10.4g -> %10.4g  (%+.1f%%)\n",
 				mark(verdict), bb.Name, unit, bv, hv, 100*(ratio-1))
 		}
 		if bv, ok := bb.Metrics["allocs/op"]; ok {
@@ -266,26 +290,28 @@ func compareMain(args []string) {
 					failures = append(failures, fmt.Sprintf("%s allocs/op: %.0f -> %.0f (limit %.0f)",
 						bb.Name, bv, hv, limit))
 				}
-				fmt.Printf("%s %-40s %-12s %10.0f -> %10.0f  (limit %.0f)\n",
+				fmt.Fprintf(w, "%s %-40s %-12s %10.0f -> %10.0f  (limit %.0f)\n",
 					mark(verdict), bb.Name, "allocs/op", bv, hv, limit)
+			}
+		}
+		if bv, ok := bb.Metrics[workUnit]; ok {
+			if hv, ok := hb.Metrics[workUnit]; ok {
+				limit := bv * (1 + workRelSlack)
+				verdict := "ok"
+				if hv > limit {
+					verdict = "REGRESSION"
+					failures = append(failures, fmt.Sprintf("%s %s: %.4g -> %.4g (limit %.4g)",
+						bb.Name, workUnit, bv, hv, limit))
+				}
+				fmt.Fprintf(w, "%s %-40s %-12s %10.4g -> %10.4g  (limit %.4g)\n",
+					mark(verdict), bb.Name, workUnit, bv, hv, limit)
 			}
 		}
 	}
 	for name := range headBy {
-		fmt.Printf("~ %-40s only in head (ignored)\n", name)
+		fmt.Fprintf(w, "~ %-40s only in head (ignored)\n", name)
 	}
-	if matched == 0 {
-		fatal(fmt.Errorf("no benchmarks in common between %s and %s", fs.Arg(0), fs.Arg(1)))
-	}
-	if len(failures) > 0 {
-		fmt.Printf("\nbenchjson: %d regression(s) against %s:\n", len(failures), fs.Arg(0))
-		for _, f := range failures {
-			fmt.Println("  " + f)
-		}
-		os.Exit(1)
-	}
-	fmt.Printf("\nbenchjson: %d benchmarks within thresholds (time +%.0f%%, allocs +%.0f%%+%d; zero stays zero)\n",
-		matched, 100**maxSlower, 100*allocRelSlack, allocAbsSlack)
+	return matched, failures
 }
 
 func mark(verdict string) string {

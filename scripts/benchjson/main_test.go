@@ -2,6 +2,7 @@ package main
 
 import (
 	"bufio"
+	"io"
 	"strings"
 	"testing"
 )
@@ -79,5 +80,40 @@ func TestMedian(t *testing.T) {
 	}
 	if got := median([]float64{4, 1, 3, 2}); got != 2.5 {
 		t.Fatalf("even median = %g", got)
+	}
+}
+
+func TestCompareGatesWorkCounts(t *testing.T) {
+	ledger := func(ticks float64) Ledger {
+		return Ledger{Schema: schemaID, Benchmarks: []Benchmark{{
+			Name:    "PolicyCycles_DBP",
+			Samples: 3,
+			Metrics: map[string]float64{"ns/op": 1e8, "allocs/op": 400, "coreticks/simcycle": ticks},
+		}}}
+	}
+	base := ledger(1.902)
+	for _, tc := range []struct {
+		ticks float64
+		fail  bool
+	}{
+		{1.902, false}, // unchanged
+		{1.905, false}, // printed rounding
+		{0.950, false}, // less work is never a regression
+		{1.930, true},  // +1.5%: a real change in kernel work
+		{3.800, true},
+	} {
+		matched, failures := compareLedgers(base, ledger(tc.ticks), defaultMaxSlower, io.Discard)
+		if matched != 1 {
+			t.Fatalf("matched %d benchmarks, want 1", matched)
+		}
+		if got := len(failures) > 0; got != tc.fail {
+			t.Errorf("coreticks/simcycle 1.902 -> %g: failed=%v (%v), want %v", tc.ticks, got, failures, tc.fail)
+		}
+	}
+	// A baseline recorded before the unit existed does not gate it.
+	old := ledger(0)
+	delete(old.Benchmarks[0].Metrics, "coreticks/simcycle")
+	if _, failures := compareLedgers(old, ledger(3.8), defaultMaxSlower, io.Discard); len(failures) != 0 {
+		t.Errorf("unit missing from the baseline still gated: %v", failures)
 	}
 }
