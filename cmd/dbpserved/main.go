@@ -234,7 +234,6 @@ func run(args []string) error {
 			Advertise:         adv,
 			Coordinator:       *joinURL,
 			HeartbeatInterval: *heartbeat,
-			MaxInstructions:   *maxInstr,
 			Chaos:             injector,
 			Logger:            log,
 		})

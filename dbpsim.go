@@ -153,8 +153,8 @@ type (
 	Coordinator = fleet.Coordinator
 	// CoordinatorOptions configures a Coordinator.
 	CoordinatorOptions = fleet.CoordinatorOptions
-	// FleetWorker wraps a Server with the fleet surface: owner-forwarding,
-	// the peer baseline endpoint, and checkpoint staging.
+	// FleetWorker wraps a Server with the fleet surface: owner-forwarding
+	// and checkpoint staging.
 	FleetWorker = fleet.Worker
 	// FleetWorkerOptions configures a FleetWorker.
 	FleetWorkerOptions = fleet.WorkerOptions

@@ -44,8 +44,6 @@ const (
 	// connection, not an HTTP status). Each takes either N (drop every Nth
 	// request) or a duration (delay every request, context-aware).
 
-	// PeerProbe faults a worker's alone-baseline probes to its peers.
-	PeerProbe Point = "peer-probe"
 	// Forward faults a worker's owner-forwarded run dispatch.
 	Forward Point = "forward"
 	// Heartbeat faults a worker's join/heartbeat POSTs to the coordinator.
@@ -65,7 +63,7 @@ const (
 // networkPoints are the points the Transport wrapper consults; they accept
 // both drop-every-N and delay-duration values in Parse.
 var networkPoints = map[Point]bool{
-	PeerProbe: true, Forward: true, Heartbeat: true, Mirror: true, SweepStream: true,
+	Forward: true, Heartbeat: true, Mirror: true, SweepStream: true,
 }
 
 // Error is the error an injected fault surfaces as. Callers distinguish
@@ -106,7 +104,7 @@ type Injector struct {
 
 // Parse builds an injector from a comma-separated spec. Each element is
 // point=value: "delay" takes a duration; the fleet network points
-// (peer-probe, forward, heartbeat, mirror, sweep-stream) take either N ≥ 1
+// (forward, heartbeat, mirror, sweep-stream) take either N ≥ 1
 // (drop every Nth request) or a duration (delay every request);
 // "partition" takes a host substring (drop every request to a matching
 // peer); every other point takes N ≥ 1 meaning "fire on every Nth visit"

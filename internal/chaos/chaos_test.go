@@ -22,6 +22,7 @@ func TestParseRejects(t *testing.T) {
 		"panic=0",
 		"panic=x",
 		"warp-core=1",
+		"peer-probe=1",
 		"panic=1,panic=2",
 	}
 	for _, spec := range bad {
@@ -122,11 +123,11 @@ func TestNilInjectorIsOff(t *testing.T) {
 }
 
 func TestParseNetworkPoints(t *testing.T) {
-	inj, err := Parse("heartbeat=3,mirror=250ms,partition=127.0.0.1:9000,peer-probe=1")
+	inj, err := Parse("heartbeat=3,mirror=250ms,partition=127.0.0.1:9000,forward=1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := inj.String(); got != "heartbeat=3,mirror=250ms,partition=127.0.0.1:9000,peer-probe=1" {
+	if got := inj.String(); got != "forward=1,heartbeat=3,mirror=250ms,partition=127.0.0.1:9000" {
 		t.Errorf("String = %q", got)
 	}
 	if !inj.Partitioned("127.0.0.1:9000") || inj.Partitioned("127.0.0.1:9001") {
@@ -182,12 +183,12 @@ func TestTransportPartitionByPeer(t *testing.T) {
 		t.Fatal(err)
 	}
 	var calls int
-	rt := Transport(inj, PeerProbe, okRT(&calls))
-	blocked, _ := http.NewRequest(http.MethodGet, "http://127.0.0.1:9000/v1/baselines", nil)
+	rt := Transport(inj, Forward, okRT(&calls))
+	blocked, _ := http.NewRequest(http.MethodPost, "http://127.0.0.1:9000/v1/runs", nil)
 	if _, err := rt.RoundTrip(blocked); !IsInjected(err) {
 		t.Errorf("partitioned host answered: %v", err)
 	}
-	open, _ := http.NewRequest(http.MethodGet, "http://127.0.0.1:9001/v1/baselines", nil)
+	open, _ := http.NewRequest(http.MethodPost, "http://127.0.0.1:9001/v1/runs", nil)
 	if _, err := rt.RoundTrip(open); err != nil {
 		t.Errorf("unpartitioned host dropped: %v", err)
 	}

@@ -167,7 +167,9 @@ func scrapeCounter(t *testing.T, baseURL, name string) float64 {
 // ledger hash, re-running the sweep is all cache hits with zero new
 // simulations, and a direct hit on a non-owner worker is forwarded to the
 // key's owner — one forward per non-owner, no duplicate simulation, and no
-// peer result-cache endpoint left to probe.
+// peer result-cache or baseline endpoint left to probe. The two cells share
+// one experiment key, and each worker measures its own alone baselines, so
+// both ledgers must also match a standalone server byte for byte.
 func TestFleetSweepSingleflightAndOwnerForwarding(t *testing.T) {
 	_, coordHS := startCoordinator(t)
 	workers := []*testWorker{
@@ -244,20 +246,23 @@ func TestFleetSweepSingleflightAndOwnerForwarding(t *testing.T) {
 	if got := fleetSum("dbpfleet_forwards_total") - fwdBase; got != float64(len(workers)-1) {
 		t.Fatalf("direct posts forwarded %g times fleet-wide, want one per non-owner (%d)", got, len(workers)-1)
 	}
-	// The peer result-cache probe endpoint is gone: the owner's cache is
-	// reached only through forwarding.
-	key, _, apiErr := serve.ResolveRequest([]byte(cellBody), 0)
+	// The peer result-cache and baseline probe endpoints are gone: the
+	// owner's cache is reached only through forwarding, and every worker
+	// measures its own alone baselines.
+	key, expKey, apiErr := serve.ResolveRequest([]byte(cellBody), 0)
 	if apiErr != nil {
 		t.Fatal(apiErr.Message)
 	}
 	for _, tw := range workers {
-		resp, err := http.Get(tw.hs.URL + "/v1/cache?key=" + url.QueryEscape(key))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusNotFound {
-			t.Fatalf("GET /v1/cache on %s answered %d, want 404", tw.id, resp.StatusCode)
+		for _, path := range []string{"/v1/cache?key=" + url.QueryEscape(key), "/v1/baselines?key=" + url.QueryEscape(expKey)} {
+			resp, err := http.Get(tw.hs.URL + path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusNotFound {
+				t.Fatalf("GET %s on %s answered %d, want 404", path, tw.id, resp.StatusCode)
+			}
 		}
 	}
 	for i := 1; i < len(ledgers); i++ {
@@ -265,6 +270,51 @@ func TestFleetSweepSingleflightAndOwnerForwarding(t *testing.T) {
 			t.Fatalf("worker %s served different ledger bytes than %s", workers[i].id, workers[0].id)
 		}
 	}
+
+	// Byte-identity: a standalone server running the same cell bodies must
+	// serve the exact ledgers the sweep hashed.
+	var bodies []string
+	for _, res := range lines.results {
+		bodies = append(bodies, fmt.Sprintf(`{"mix": %q, "scheduler": %q, "partition": %q, "warmup": 1000, "measure": 5000}`,
+			res.Mix, res.Scheduler, res.Partition))
+	}
+	for i, refData := range standaloneLedgers(t, bodies...) {
+		res := lines.results[i]
+		if got := fmt.Sprintf("%x", sha256.Sum256(refData)); got != res.LedgerSHA256 {
+			t.Fatalf("cell %s/%s: fleet ledger sha256=%s, standalone sha256=%s", res.Mix, res.Partition, res.LedgerSHA256, got)
+		}
+	}
+}
+
+// standaloneLedgers runs each body on a fresh single-node server, the
+// reference every fleet-served ledger must match byte for byte.
+func standaloneLedgers(t *testing.T, bodies ...string) [][]byte {
+	t.Helper()
+	ref, err := serve.New(serve.Options{Workers: 2, Logger: quietLogger()})
+	if err != nil {
+		t.Fatalf("reference server: %v", err)
+	}
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+		defer cancel()
+		_ = ref.Close(ctx)
+	}()
+	refHS := httptest.NewServer(ref)
+	defer refHS.Close()
+	var out [][]byte
+	for _, body := range bodies {
+		resp, err := http.Post(refHS.URL+"/v1/runs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("reference run: %v", err)
+		}
+		data, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("reference run answered %d: %s", resp.StatusCode, data)
+		}
+		out = append(out, data)
+	}
+	return out
 }
 
 // TestFleetMigration kills a worker mid-run and verifies the coordinator
@@ -358,26 +408,7 @@ func TestFleetMigration(t *testing.T) {
 
 	// Byte-identity: an untouched single-node server must produce the exact
 	// same ledger for the same request.
-	ref, err := serve.New(serve.Options{Workers: 2, Logger: quietLogger()})
-	if err != nil {
-		t.Fatalf("reference server: %v", err)
-	}
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-		defer cancel()
-		_ = ref.Close(ctx)
-	}()
-	refHS := httptest.NewServer(ref)
-	defer refHS.Close()
-	resp, err := http.Post(refHS.URL+"/v1/runs", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatalf("reference run: %v", err)
-	}
-	refData, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("reference run answered %d: %s", resp.StatusCode, refData)
-	}
+	refData := standaloneLedgers(t, body)[0]
 	if !bytes.Equal(refData, reply.data) {
 		t.Fatalf("migrated ledger differs from single-node reference:\nfleet  sha256=%x\nsingle sha256=%x",
 			sha256.Sum256(reply.data), sha256.Sum256(refData))

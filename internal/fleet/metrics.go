@@ -80,7 +80,6 @@ func (m *coordMetrics) write(w io.Writer) {
 type workerMetrics struct {
 	forwards      atomic.Int64 // runs delegated to their ring owner
 	forwardErrors atomic.Int64 // delegation attempts that failed (ran locally instead)
-	baselineHits  atomic.Int64 // alone-run baseline maps imported from peers
 	ckptsSeeded   atomic.Int64 // migration blobs staged over PUT /v1/checkpoints
 
 	heartbeatFailures atomic.Int64 // join/heartbeat POSTs that failed
@@ -91,7 +90,6 @@ func (m *workerMetrics) write(w io.Writer) {
 	counter := promtext.WriteCounter
 	counter(w, "dbpfleet_forwards_total", "Runs delegated to their ring owner for fleet-wide singleflight.", float64(m.forwards.Load()))
 	counter(w, "dbpfleet_forward_errors_total", "Owner delegations that failed; the run executed locally instead.", float64(m.forwardErrors.Load()))
-	counter(w, "dbpfleet_baseline_imports_total", "Alone-run baseline maps imported from peers.", float64(m.baselineHits.Load()))
 	counter(w, "dbpfleet_checkpoints_seeded_total", "Migration checkpoint blobs staged by the coordinator on this worker.", float64(m.ckptsSeeded.Load()))
 	counter(w, "dbpfleet_heartbeat_failures_total", "Coordinator join/heartbeat attempts that failed.", float64(m.heartbeatFailures.Load()))
 	promtext.WriteGauge(w, "dbpfleet_degraded", "1 while this worker is serving standalone because the coordinator is unreachable, else 0.", float64(m.degraded.Load()))

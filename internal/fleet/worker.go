@@ -31,20 +31,17 @@ type WorkerOptions struct {
 	// HeartbeatInterval is how often the worker re-joins (default 2s). Keep
 	// it a few multiples under the coordinator's HeartbeatTimeout.
 	HeartbeatInterval time.Duration
-	// MaxInstructions mirrors the wrapped server's per-run cap, so forwarded
-	// keys resolve identically (0 = uncapped).
-	MaxInstructions uint64
 	// HeartbeatFailureThreshold is K, the consecutive heartbeat failures
 	// after which the worker enters degraded mode: it keeps serving
-	// POST /v1/runs standalone, skips owner-forwarding and baseline probes,
-	// skips checkpoint mirrors, and rejoins with capped jittered
-	// exponential backoff (default 3).
+	// POST /v1/runs standalone, skips owner-forwarding and checkpoint
+	// mirrors, and rejoins with capped jittered exponential backoff
+	// (default 3).
 	HeartbeatFailureThreshold int
 	// RejoinBackoffMax caps the degraded-mode rejoin backoff (default 30s).
 	RejoinBackoffMax time.Duration
 	// Chaos injects network faults (nil = off) on the worker's fleet-facing
-	// HTTP clients: "peer-probe" (baseline probes), "forward", "heartbeat",
-	// "mirror", and the cross-cutting "partition".
+	// HTTP clients: "forward", "heartbeat", "mirror", and the cross-cutting
+	// "partition".
 	Chaos *chaos.Injector
 	// Logger receives structured logs (default slog.Default()).
 	Logger *slog.Logger
@@ -67,11 +64,10 @@ func (o WorkerOptions) withDefaults() WorkerOptions {
 }
 
 // Worker is the fleet wrapper around a single-node serve.Server: it adds
-// the peer endpoints (baselines, checkpoint staging), keeps a ring snapshot
-// current via join heartbeats, and implements serve.PeerConsult —
-// forwarding non-owned runs to their ring owner, whose cache and
-// singleflight make the fleet pay once per unique run, and importing
-// peers' alone-run baselines.
+// the checkpoint staging endpoint, keeps a ring snapshot current via join
+// heartbeats, and implements serve.PeerConsult — forwarding non-owned runs
+// to their ring owner, whose cache and singleflight make the fleet pay once
+// per unique run. Each worker measures its own alone-run baselines.
 //
 // Wire-up is two-phase because the worker and server reference each other:
 // build the Worker first, pass its Consult/OnCheckpoint into serve.Options,
@@ -85,7 +81,6 @@ type Worker struct {
 	// injection can partition exactly one kind of traffic. Without an
 	// injector they all share http.DefaultTransport.
 	hbClient     *http.Client // join/heartbeat POSTs to the coordinator
-	probeClient  *http.Client // peer baseline probes
 	mirrorClient *http.Client // checkpoint mirror POSTs
 	fwdTransport http.RoundTripper
 
@@ -96,16 +91,10 @@ type Worker struct {
 	ring    *Ring
 	members map[string]WorkerInfo // id → info, from the latest join response
 
-	// noFwd counts in-flight forwarded requests per run key: a run that
-	// arrived with X-Fleet-Forwarded must execute here even if a stale ring
-	// snapshot says someone else owns it, or two workers with crossed rings
-	// would bounce a run forever.
-	noFwd map[string]int
-
 	// degraded marks the coordinator unreachable (K consecutive heartbeat
 	// failures, or an unreachable coordinator at startup): the worker serves
-	// standalone — no peer probes, no owner-forwarding, no checkpoint
-	// mirrors — until it rejoins.
+	// standalone — no owner-forwarding, no checkpoint mirrors — until it
+	// rejoins.
 	degraded atomic.Bool
 
 	stopOnce sync.Once
@@ -126,12 +115,10 @@ func NewWorker(opt WorkerOptions) (*Worker, error) {
 		log:          opt.Logger,
 		met:          &workerMetrics{},
 		hbClient:     &http.Client{Timeout: 30 * time.Second, Transport: chaos.Transport(opt.Chaos, chaos.Heartbeat, nil)},
-		probeClient:  &http.Client{Timeout: 30 * time.Second, Transport: chaos.Transport(opt.Chaos, chaos.PeerProbe, nil)},
 		mirrorClient: &http.Client{Timeout: 30 * time.Second, Transport: chaos.Transport(opt.Chaos, chaos.Mirror, nil)},
 		fwdTransport: chaos.Transport(opt.Chaos, chaos.Forward, nil),
 		ring:         NewRing(),
 		members:      make(map[string]WorkerInfo),
-		noFwd:        make(map[string]int),
 		stop:         make(chan struct{}),
 		done:         make(chan struct{}),
 	}
@@ -184,9 +171,8 @@ func (w *Worker) postMirror(runKey string, blob []byte, cycle uint64) error {
 func (w *Worker) Attach(srv *serve.Server) {
 	w.srv = srv
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /v1/baselines", w.handleBaselines)
 	mux.HandleFunc("PUT /v1/checkpoints/{hash}", w.handleSeedCheckpoint)
-	mux.Handle("/", http.HandlerFunc(w.handleServer))
+	mux.Handle("/", srv)
 	w.mux = mux
 }
 
@@ -194,50 +180,6 @@ func (w *Worker) Attach(srv *serve.Server) {
 // wrapped server.
 func (w *Worker) ServeHTTP(rw http.ResponseWriter, r *http.Request) {
 	w.mux.ServeHTTP(rw, r)
-}
-
-// handleServer passes a request through to the wrapped server, first
-// latching forwarded runs into the noFwd table so the Consult path will not
-// forward them onward.
-func (w *Worker) handleServer(rw http.ResponseWriter, r *http.Request) {
-	if r.Method == http.MethodPost && r.URL.Path == "/v1/runs" && r.Header.Get("X-Fleet-Forwarded") != "" {
-		body, err := io.ReadAll(io.LimitReader(r.Body, serve.MaxBodyBytes+1))
-		if err != nil {
-			writeAPIError(rw, http.StatusBadRequest, &serve.APIError{Code: serve.CodeBadRequest, Message: fmt.Sprintf("read body: %v", err)})
-			return
-		}
-		r.Body = io.NopCloser(bytes.NewReader(body))
-		if key, _, apiErr := serve.ResolveRequest(body, w.opt.MaxInstructions); apiErr == nil {
-			w.mu.Lock()
-			w.noFwd[key]++
-			w.mu.Unlock()
-			defer func() {
-				w.mu.Lock()
-				if w.noFwd[key]--; w.noFwd[key] <= 0 {
-					delete(w.noFwd, key)
-				}
-				w.mu.Unlock()
-			}()
-		}
-	}
-	w.srv.ServeHTTP(rw, r)
-}
-
-// --- peer endpoints ------------------------------------------------------
-
-// handleBaselines answers a peer's alone-baseline probe with the experiment
-// key's measured map (possibly empty).
-func (w *Worker) handleBaselines(rw http.ResponseWriter, r *http.Request) {
-	key := r.URL.Query().Get("key")
-	if key == "" {
-		writeAPIError(rw, http.StatusBadRequest, &serve.APIError{Code: serve.CodeBadRequest, Message: "baseline probe needs key="})
-		return
-	}
-	bl := w.srv.Baselines(key)
-	if bl == nil {
-		bl = map[string]float64{}
-	}
-	writeJSON(rw, http.StatusOK, bl)
 }
 
 // handleSeedCheckpoint stages a migration blob: PUT /v1/checkpoints/{hash},
@@ -268,11 +210,11 @@ func (w *Worker) Consult() serve.PeerConsult { return (*workerConsult)(w) }
 type workerConsult Worker
 
 // Lookup runs on the executing worker goroutine after the local cache
-// missed. If this worker does not own the key and the run was not
-// forwarded here, it delegates the whole run to its ring owner: the owner's
-// cache answers a hit, and its singleflight makes N identical requests
-// cluster-wide cost one simulation. Otherwise the local simulation
-// proceeds.
+// missed, for runs that were not forwarded here (serve latches those and
+// never consults). If this worker does not own the key, it delegates the
+// whole run to its ring owner: the owner's cache answers a hit, and its
+// singleflight makes N identical requests cluster-wide cost one
+// simulation. Otherwise the local simulation proceeds.
 func (wc *workerConsult) Lookup(ctx context.Context, runKey string, body []byte) ([]byte, bool) {
 	w := (*Worker)(wc)
 	if w.degraded.Load() {
@@ -281,69 +223,19 @@ func (wc *workerConsult) Lookup(ctx context.Context, runKey string, body []byte)
 		// standalone and let the rejoin path restore fleet behavior.
 		return nil, false
 	}
-	if w.ownedOrForwarded(runKey) {
+	if w.owned(runKey) {
 		return nil, false
 	}
 	return w.forwardToOwner(ctx, runKey, body)
 }
 
-// Baselines merges every live peer's alone-baseline map for an experiment
-// key.
-func (wc *workerConsult) Baselines(ctx context.Context, expKey string) map[string]float64 {
-	w := (*Worker)(wc)
-	if w.degraded.Load() {
-		return nil
-	}
-	merged := make(map[string]float64)
-	for _, p := range w.livePeers() {
-		u := fmt.Sprintf("%s/v1/baselines?key=%s", p.Addr, url.QueryEscape(expKey))
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
-		if err != nil {
-			continue
-		}
-		resp, err := w.probeClient.Do(req)
-		if err != nil {
-			continue
-		}
-		var bl map[string]float64
-		err = json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&bl)
-		resp.Body.Close()
-		if err != nil {
-			continue
-		}
-		for k, v := range bl {
-			if _, ok := merged[k]; !ok {
-				merged[k] = v
-			}
-		}
-	}
-	if len(merged) > 0 {
-		w.met.baselineHits.Add(1)
-	}
-	return merged
-}
-
-// livePeers snapshots the live members other than this worker.
-func (w *Worker) livePeers() []WorkerInfo {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	var peers []WorkerInfo
-	for id, info := range w.members {
-		if id != w.opt.ID && info.Up {
-			peers = append(peers, info)
-		}
-	}
-	return peers
-}
-
-// ownedOrForwarded reports whether a run must execute here: this worker
-// owns the key (or knows no owner), or the run arrived via owner
-// delegation.
-func (w *Worker) ownedOrForwarded(key string) bool {
+// owned reports whether a run must execute here: this worker owns the key
+// (or knows no owner).
+func (w *Worker) owned(key string) bool {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	owner := w.ring.Owner(key)
-	return owner == "" || owner == w.opt.ID || w.noFwd[key] > 0
+	return owner == "" || owner == w.opt.ID
 }
 
 // forwardToOwner delegates a run to its ring owner and returns the ledger
@@ -433,8 +325,8 @@ func (w *Worker) startLoop() {
 	go w.heartbeatLoop()
 }
 
-// enterDegraded flips the worker to standalone serving: peer probes,
-// owner-forwarding and checkpoint mirrors stop. Idempotent.
+// enterDegraded flips the worker to standalone serving: owner-forwarding
+// and checkpoint mirrors stop. Idempotent.
 func (w *Worker) enterDegraded() {
 	if w.degraded.CompareAndSwap(false, true) {
 		w.met.degraded.Store(1)

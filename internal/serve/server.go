@@ -52,6 +52,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"dbpsim/internal/chaos"
@@ -96,9 +97,9 @@ type Options struct {
 	// an explicit opt-in flag.
 	Chaos *chaos.Injector
 	// Peers, when non-nil, is consulted on the worker goroutine before a
-	// job simulates: a fleet worker uses it to pull the result from (or
-	// delegate execution to) the rest of the cluster, and to import
-	// alone-run baselines a peer has already measured. See internal/fleet.
+	// job simulates: a fleet worker uses it to delegate execution to the
+	// run key's ring owner. Jobs a fleet hop submitted (X-Fleet-Forwarded)
+	// are never consulted. See internal/fleet.
 	Peers PeerConsult
 	// OnCheckpoint, when non-nil, observes every checkpoint blob a running
 	// job emits (after local persistence, when a journal is configured).
@@ -135,10 +136,12 @@ const (
 	ledgerTool = "dbpserved"
 )
 
-// PeerConsult lets a server participate in a fleet: both methods run on the
+// PeerConsult lets a server participate in a fleet. Lookup runs on the
 // worker goroutine after the local cache missed and before the simulation
 // starts, so implementations may do network I/O (bounded by ctx, which
-// carries the run's execution cap).
+// carries the run's execution cap). It is skipped for a job that a
+// forwarded request submitted or joined: that run executes here, whatever
+// the consult's ring snapshot says, so crossed snapshots cannot bounce it.
 type PeerConsult interface {
 	// Lookup may answer the run without simulating locally: it returns the
 	// canonical ledger bytes for the run key — the result of delegating
@@ -146,11 +149,6 @@ type PeerConsult interface {
 	// in-flight run, or simulates — and true, or (nil, false) to let the
 	// local simulation proceed.
 	Lookup(ctx context.Context, runKey string, body []byte) ([]byte, bool)
-	// Baselines returns alone-run IPC baselines peers have measured for an
-	// experiment key (may be empty). Hits are imported into the local
-	// baseline cache so a migrated or re-placed run does not re-measure
-	// what the fleet already knows.
-	Baselines(ctx context.Context, expKey string) map[string]float64
 }
 
 func (o Options) withDefaults() Options {
@@ -207,6 +205,10 @@ type job struct {
 	// or the job ends. Written and read only on the job's
 	// worker goroutine.
 	lastCkpt string
+
+	// forwarded latches once a request carrying X-Fleet-Forwarded submits
+	// or joins the job: execute then skips the Peers consult.
+	forwarded atomic.Bool
 
 	// peerServed marks a job answered by the fleet (owner delegation)
 	// rather than a local simulation; it keeps
@@ -604,6 +606,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	j, coalesced := s.inflight[rr.key]
 	if coalesced {
 		s.met.coalesced.Add(1)
+		if forwarded {
+			j.forwarded.Store(true)
+		}
 		s.registerInterestLocked(j, async)
 		s.mu.Unlock()
 		w.Header().Set("X-Cache", "coalesced")
@@ -652,6 +657,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			est:        est,
 			admitted:   now,
 		}
+		j.forwarded.Store(forwarded)
 		// A migrated run resumes from a blob the fleet layer staged moments
 		// ago (PUT /v1/checkpoints/{hash} → SeedCheckpoint). An unknown hash
 		// degrades to a clean cycle-0 run — correct, just slower — and is
@@ -894,23 +900,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 // --- fleet surface -------------------------------------------------------
 //
-// These exported methods are the worker half of the fleet protocol
-// (internal/fleet wraps a Server and serves them over HTTP): peers read
-// each other's alone-run baselines, and the coordinator stages checkpoint
-// blobs here right before dispatching a migrated run.
-
-// Baselines exports the alone-run IPC baselines measured so far for an
-// experiment key (nil when the experiment is unknown here). The map is a
-// copy; mutating it is safe.
-func (s *Server) Baselines(expKey string) map[string]float64 {
-	s.mu.Lock()
-	e := s.exps[expKey]
-	s.mu.Unlock()
-	if e == nil {
-		return nil
-	}
-	return e.ExportBaselines()
-}
+// This exported method is the worker half of the fleet protocol
+// (internal/fleet wraps a Server and serves it over HTTP): the coordinator
+// stages checkpoint blobs here right before dispatching a migrated run.
 
 // SeedCheckpoint stages a checkpoint blob for a migrated run about to be
 // submitted with X-Resume-Checkpoint: hash. The blob must hash to its
@@ -1110,23 +1102,17 @@ func (s *Server) finishJob(j *job, data []byte, apiErr *APIError, dur time.Durat
 func (s *Server) execute(ctx context.Context, j *job) ([]byte, error) {
 	rr := j.run
 	exp := s.experiment(rr)
-	// Fleet consult, worker-goroutine side: a peer may already hold this
-	// exact result (or be the key's owner and run it for us) — the
-	// fleet-wide singleflight invariant. Failing that, import any alone-run
-	// baselines the cluster has measured so a migrated run does not redo
-	// them. Both are best-effort: network trouble just means we simulate.
-	if s.opt.Peers != nil {
+	// Fleet consult, worker-goroutine side: the key's owner may already hold
+	// this exact result (or run it for us) — the fleet-wide singleflight
+	// invariant. Best-effort: network trouble just means we simulate. A
+	// forwarded job already reached the node that must run it.
+	if s.opt.Peers != nil && !j.forwarded.Load() {
 		// Stamp the run's tenancy so an owner delegation (forwardToOwner)
 		// asserts the original tenant on the next hop instead of defaulting.
 		ctx := WithForwardedTenancy(ctx, ForwardedTenancy{Tenant: j.tenantName, Lane: j.lane})
 		if data, ok := s.opt.Peers.Lookup(ctx, j.key, j.body); ok {
 			j.peerServed = true
 			return data, nil
-		}
-		if exp.BaselineCount() == 0 {
-			if bl := s.opt.Peers.Baselines(ctx, rr.expKey); len(bl) > 0 {
-				exp.ImportBaselines(bl)
-			}
 		}
 	}
 	recOpts := obs.Options{

@@ -482,3 +482,158 @@ func TestDrain(t *testing.T) {
 		t.Error("cached response missing X-Cache header")
 	}
 }
+
+// recordingConsult is a PeerConsult that records every run key it is asked
+// about and never answers, so each consulted run simulates locally.
+type recordingConsult struct {
+	mu   sync.Mutex
+	keys []string
+}
+
+func (c *recordingConsult) Lookup(_ context.Context, runKey string, _ []byte) ([]byte, bool) {
+	c.mu.Lock()
+	c.keys = append(c.keys, runKey)
+	c.mu.Unlock()
+	return nil, false
+}
+
+// consulted counts the Lookup calls for the run key of body.
+func (c *recordingConsult) consulted(t *testing.T, body string) int {
+	t.Helper()
+	key, _, apiErr := ResolveRequest([]byte(body), 0)
+	if apiErr != nil {
+		t.Fatal(apiErr.Message)
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n := 0
+	for _, k := range c.keys {
+		if k == key {
+			n++
+		}
+	}
+	return n
+}
+
+// postForwarded submits a run the way a fleet hop does.
+func postForwarded(t *testing.T, fullURL, body string) (*http.Response, []byte) {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodPost, fullURL, strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set("X-Fleet-Forwarded", "w-peer")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp, data
+}
+
+// acceptedID reads the job id off an async 202 document.
+func acceptedID(t *testing.T, data []byte) string {
+	t.Helper()
+	var acc struct {
+		ID string `json:"id"`
+	}
+	if err := json.Unmarshal(data, &acc); err != nil || acc.ID == "" {
+		t.Fatalf("accepted doc %s: %v", data, err)
+	}
+	return acc.ID
+}
+
+// TestForwardedRunsSkipPeerConsult pins the forwarded-run latch: a job that
+// an X-Fleet-Forwarded request submitted, or joined while it was queued,
+// executes here without consulting Peers. Without the latch two fleet
+// workers whose ring snapshots disagree could forward one run back and
+// forth.
+func TestForwardedRunsSkipPeerConsult(t *testing.T) {
+	t.Run("submitted", func(t *testing.T) {
+		peers := &recordingConsult{}
+		_, ts := newTestServer(t, Options{Workers: 1, Peers: peers})
+		resp, data := postForwarded(t, ts.URL+"/v1/runs", seededBody(1))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("forwarded run status %d: %s", resp.StatusCode, data)
+		}
+		if n := peers.consulted(t, seededBody(1)); n != 0 {
+			t.Errorf("forwarded run consulted peers %d times, want 0", n)
+		}
+		// Control: a direct request for another key does consult.
+		if resp, data := postRun(t, ts.URL, seededBody(2)); resp.StatusCode != http.StatusOK {
+			t.Fatalf("direct run status %d: %s", resp.StatusCode, data)
+		}
+		if n := peers.consulted(t, seededBody(2)); n != 1 {
+			t.Errorf("direct run consulted peers %d times, want 1", n)
+		}
+		if got := scrapeMetrics(t, ts.URL)["dbpserved_runs_executed_total"]; got != 2 {
+			t.Errorf("runs_executed_total = %v, want 2", got)
+		}
+	})
+
+	t.Run("coalesced", func(t *testing.T) {
+		peers := &recordingConsult{}
+		s, ts := newTestServer(t, Options{Workers: 1, QueueDepth: 4, Peers: peers})
+		release := make(chan struct{})
+		var releaseOnce sync.Once
+		t.Cleanup(func() { releaseOnce.Do(func() { close(release) }) })
+		var calls sync.Once
+		s.testHookBeforeRun = func() { calls.Do(func() { <-release }) }
+
+		// Job 1 holds the only worker slot; job 2 waits in the queue.
+		resp, data := postAsync(t, ts.URL, seededBody(1))
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("job 1 status %d: %s", resp.StatusCode, data)
+		}
+		id1 := acceptedID(t, data)
+		deadline := time.Now().Add(10 * time.Second)
+		for {
+			if _, status := pollStatus(t, ts.URL, id1); status == "running" {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatal("job 1 never reached the worker")
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+		resp, data = postAsync(t, ts.URL, seededBody(2))
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("job 2 status %d: %s", resp.StatusCode, data)
+		}
+		id2 := acceptedID(t, data)
+
+		// A forwarded request for job 2's key joins the queued job.
+		resp, data = postForwarded(t, ts.URL+"/v1/runs?async=1", seededBody(2))
+		if resp.StatusCode != http.StatusAccepted || resp.Header.Get("X-Cache") != "coalesced" {
+			t.Fatalf("forwarded join: status %d, X-Cache %q: %s", resp.StatusCode, resp.Header.Get("X-Cache"), data)
+		}
+
+		releaseOnce.Do(func() { close(release) })
+		for _, id := range []string{id1, id2} {
+			for {
+				code, status := pollStatus(t, ts.URL, id)
+				if code == http.StatusOK {
+					break
+				}
+				if status != "queued" && status != "running" {
+					t.Fatalf("job %s ended %q (status %d)", id, status, code)
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("job %s never finished", id)
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+		}
+		if n := peers.consulted(t, seededBody(1)); n != 1 {
+			t.Errorf("direct job 1 consulted peers %d times, want 1", n)
+		}
+		if n := peers.consulted(t, seededBody(2)); n != 0 {
+			t.Errorf("job 2, joined by a forwarded request, consulted peers %d times, want 0", n)
+		}
+	})
+}

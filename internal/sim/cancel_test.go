@@ -107,7 +107,7 @@ func TestRunMixCheckpointedContextCanceled(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Errorf("canceled mix run returned %v", err)
 	}
-	if n := exp.BaselineCount(); n != 0 {
+	if n := len(exp.ExportBaselines()); n != 0 {
 		t.Errorf("canceled run cached %d baselines", n)
 	}
 }

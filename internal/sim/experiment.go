@@ -138,9 +138,7 @@ func (e *Experiment) newSystem(cfg Config, benches []Bench, rt *scenario.Runtime
 
 // ExportBaselines snapshots the alone-run IPC cache: key → IPC, where keys
 // are the internal "<bench>/<seed>" and "scn:<hash>/<thread>" forms. The
-// returned map is a copy. It exists for the fleet layer: workers exchange
-// baselines so a migrated or re-placed run never re-measures what a peer
-// already knows.
+// returned map is a copy.
 func (e *Experiment) ExportBaselines() map[string]float64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -149,27 +147,6 @@ func (e *Experiment) ExportBaselines() map[string]float64 {
 		out[k] = v
 	}
 	return out
-}
-
-// ImportBaselines merges peer-measured alone-run IPCs into the cache.
-// Entries already measured locally win — both sides are deterministic, so
-// they agree anyway, but local-wins keeps imports idempotent.
-func (e *Experiment) ImportBaselines(baselines map[string]float64) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for k, v := range baselines {
-		if _, ok := e.aloneIPC[k]; !ok {
-			e.aloneIPC[k] = v
-		}
-	}
-}
-
-// BaselineCount reports how many alone-run baselines the cache holds — a
-// cheap "is this experiment cold?" probe for the fleet consult path.
-func (e *Experiment) BaselineCount() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return len(e.aloneIPC)
 }
 
 // MixRun is the outcome of one policy on one mix (or, for scenario runs,

@@ -5,15 +5,17 @@
 //     scenarios/*.json files must be mentioned (as `key`) in
 //     docs/SCENARIOS.md, so a new scenario field cannot land without docs.
 //   - Service surface: every dbpserved command-line flag (parsed out of
-//     cmd/dbpserved/main.go) and every metric name literal in
+//     cmd/dbpserved/main.go), every metric name literal, and every
+//     "METHOD /path" route registered through HandleFunc/Handle in
 //     internal/serve + internal/fleet + internal/tenant (test files
 //     excluded) must appear somewhere in docs/SERVICE.md, docs/FLEET.md,
-//     or README.md, so a new flag or metric cannot land undocumented.
-//     In reverse, every dbpserved_*/dbpfleet_* name those docs mention
-//     (histogram _bucket/_sum/_count suffixes stripped) must be such a
-//     literal, and every backticked `-name` they mention must be a flag
-//     declared in some cmd/*/main.go, so deleting a metric or a flag
-//     cannot leave stale docs behind.
+//     or README.md, so a new flag, metric or route cannot land
+//     undocumented. In reverse, every dbpserved_*/dbpfleet_* name those
+//     docs mention (histogram _bucket/_sum/_count suffixes stripped) must
+//     be such a literal, every backticked `-name` they mention must be a
+//     flag declared in some cmd/*/main.go, and every backticked
+//     `METHOD /v1/...` (query string stripped) must be such a route, so
+//     deleting a metric, flag or route cannot leave stale docs behind.
 //   - Tenant config schema: every JSON object key used by the committed
 //     examples/tenants.json must be mentioned (as `key`) in
 //     docs/SERVICE.md, so a new tenant-file field cannot land without
@@ -116,19 +118,15 @@ var (
 	docFlagRe    = regexp.MustCompile("`-([a-z][a-z0-9-]*)[` ]")
 	metricNameRe = regexp.MustCompile(`"(dbp(?:served|fleet)_[a-z_]+)"`)
 	docMetricRe  = regexp.MustCompile(`dbp(?:served|fleet)_[a-z][a-z_]*`)
+	routeRe      = regexp.MustCompile(`\.Handle(?:Func)?\("([A-Z]+ /[^"]*)"`)
+	docRouteRe   = regexp.MustCompile("`([A-Z]+ /v1/[^`?]*)(?:\\?[^`]*)?`")
 )
 
 func checkServiceSurface() error {
-	var docs strings.Builder
-	for _, f := range serviceDocs {
-		data, err := os.ReadFile(f)
-		if err != nil {
-			return err
-		}
-		docs.Write(data)
-		docs.WriteByte('\n')
+	text, err := readServiceDocs()
+	if err != nil {
+		return err
 	}
-	text := docs.String()
 	where := strings.Join(serviceDocs, " / ")
 
 	src, err := os.ReadFile(daemonMain)
@@ -149,7 +147,7 @@ func checkServiceSurface() error {
 		}
 	}
 
-	metrics := map[string]bool{}
+	metrics, routes := map[string]bool{}, map[string]bool{}
 	for _, dir := range []string{"internal/serve", "internal/fleet", "internal/tenant"} {
 		files, err := filepath.Glob(filepath.Join(dir, "*.go"))
 		if err != nil {
@@ -166,14 +164,22 @@ func checkServiceSurface() error {
 			for _, m := range metricNameRe.FindAllStringSubmatch(string(data), -1) {
 				metrics[m[1]] = true
 			}
+			for _, m := range routeRe.FindAllStringSubmatch(string(data), -1) {
+				routes[m[1]] = true
+			}
 		}
 	}
-	if len(metrics) == 0 {
-		return fmt.Errorf("no metric name literals found under internal/serve + internal/fleet (pattern drift?)")
+	if len(metrics) == 0 || len(routes) == 0 {
+		return fmt.Errorf("no metric name literals or routes found under internal/serve + internal/fleet (pattern drift?)")
 	}
 	for name := range metrics {
 		if !strings.Contains(text, name) {
 			missing = append(missing, "metric "+name)
+		}
+	}
+	for route := range routes {
+		if !strings.Contains(text, route) {
+			missing = append(missing, "route "+route)
 		}
 	}
 	var stale []string
@@ -205,28 +211,50 @@ func checkServiceSurface() error {
 			stale = append(stale, name)
 		}
 	}
+	for _, m := range docRouteRe.FindAllStringSubmatch(text, -1) {
+		if !routes[m[1]] && !contains(stale, m[1]) {
+			stale = append(stale, m[1])
+		}
+	}
 
 	if len(missing) > 0 {
 		sort.Strings(missing)
 		for _, m := range missing {
 			fmt.Fprintf(os.Stderr, "doccheck: %s is not documented in %s\n", m, where)
 		}
-		return fmt.Errorf("%d service flag(s)/metric(s) missing from %s", len(missing), where)
+		return fmt.Errorf("%d service flag(s)/metric(s)/route(s) missing from %s", len(missing), where)
 	}
 	if len(stale) > 0 {
 		sort.Strings(stale)
 		for _, m := range stale {
-			if strings.HasPrefix(m, "-") {
+			switch {
+			case strings.HasPrefix(m, "-"):
 				fmt.Fprintf(os.Stderr, "doccheck: %s mentions flag %s, which no cmd/*/main.go declares\n", where, m)
-			} else {
+			case strings.Contains(m, " /"):
+				fmt.Fprintf(os.Stderr, "doccheck: %s mentions route %s, which no internal/serve + internal/fleet mux registers\n", where, m)
+			default:
 				fmt.Fprintf(os.Stderr, "doccheck: %s mentions metric %s, which no longer exists under internal/serve + internal/fleet + internal/tenant\n", where, m)
 			}
 		}
-		return fmt.Errorf("%d documented metric(s)/flag(s) not in the code", len(stale))
+		return fmt.Errorf("%d documented metric(s)/flag(s)/route(s) not in the code", len(stale))
 	}
-	fmt.Printf("doccheck: ok (%d flags, %d metrics, all documented in %s)\n",
-		len(flags), len(metrics), where)
+	fmt.Printf("doccheck: ok (%d flags, %d metrics, %d routes, all documented in %s)\n",
+		len(flags), len(metrics), len(routes), where)
 	return nil
+}
+
+// readServiceDocs concatenates the service docs.
+func readServiceDocs() (string, error) {
+	var docs strings.Builder
+	for _, f := range serviceDocs {
+		data, err := os.ReadFile(f)
+		if err != nil {
+			return "", err
+		}
+		docs.Write(data)
+		docs.WriteByte('\n')
+	}
+	return docs.String(), nil
 }
 
 // checkTenantConfig keeps the tenants-file docs honest: every key the
@@ -283,16 +311,10 @@ func checkChaosPoints() error {
 	if len(points) == 0 {
 		return fmt.Errorf("no chaos Point declarations found in %s (pattern drift?)", src)
 	}
-	var docs strings.Builder
-	for _, f := range serviceDocs {
-		d, err := os.ReadFile(f)
-		if err != nil {
-			return err
-		}
-		docs.Write(d)
-		docs.WriteByte('\n')
+	text, err := readServiceDocs()
+	if err != nil {
+		return err
 	}
-	text := docs.String()
 	where := strings.Join(serviceDocs, " / ")
 	var missing []string
 	for name := range points {
