@@ -7,8 +7,11 @@ GO ?= go
 build:
 	$(GO) build ./...
 
+# perfbench/ is a separate module that builds on the internal packages;
+# vetting it keeps API changes from breaking the benchmark unnoticed.
 vet:
 	$(GO) vet ./...
+	$(GO) -C perfbench vet ./...
 
 fmt:
 	gofmt -l -w .
@@ -144,8 +147,8 @@ fleet-chaos-smoke:
 	$(GO) run ./scripts/fleetsmoke -chaos /tmp/dbpserved-fleet-chaos
 	rm -f /tmp/dbpserved-fleet-chaos
 
-# The gate CI runs: lint, build, the full test suite, the suite again under
-# the race detector with -short (the paper-shape regressions run several
+# The gate CI runs: lint, build, a vet of the perfbench module, the full
+# test suite, the suite again under the race detector with -short (the paper-shape regressions run several
 # full-length simulations; under the detector's ~15x slowdown they would
 # blow the test timeout without adding race coverage), the dbpserved
 # smoke + chaos + fleet + fleet-resilience drills against the real binary, and the benchmark
@@ -153,6 +156,7 @@ fleet-chaos-smoke:
 ci:
 	$(MAKE) lint
 	$(GO) build ./...
+	$(GO) -C perfbench vet ./...
 	$(GO) test ./...
 	$(GO) test -race -short ./...
 	$(MAKE) smoke

@@ -81,9 +81,6 @@ func (g Geometry) NumColors() int {
 	return g.Channels * g.RanksPerChannel * g.BanksPerRank
 }
 
-// TotalBanks is a synonym for NumColors (every color is one physical bank).
-func (g Geometry) TotalBanks() int { return g.NumColors() }
-
 // RowBytes returns the size of one row (and, by construction, one page).
 func (g Geometry) RowBytes() int { return g.ColumnsPerRow * g.LineBytes }
 

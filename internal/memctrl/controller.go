@@ -160,13 +160,8 @@ type Controller struct {
 	// command, for the row-timeout policy.
 	lastColCmd []uint64
 
-	// qobs and tickEv cache the scheduler's optional-interface checks so the
-	// hot path is a nil branch instead of a per-event type assertion.
-	qobs   QueueObserver
-	tickEv TickEventer
-	// epoch is the scheduler's PriorityEpocher (nil: re-rank the read queue
-	// every cycle); readEpoch is the epoch the read heads were ranked under.
-	epoch     PriorityEpocher
+	// readEpoch is the scheduler's PriorityEpoch the read heads were ranked
+	// under.
 	readEpoch uint64
 	// readObs, when set, is told about every read joining and leaving the
 	// outstanding set (see SetReadObserver).
@@ -219,12 +214,7 @@ func NewController(channelID int, ch *dram.Channel, m *addr.Mapper, sched Schedu
 	// per cycle would allocate on the hot path.
 	c.reads = newBankQueue(cfg.ReadQueueCap, ranks, banks, func(a, b *Request) bool { return c.sched.Less(c, a, b) })
 	c.writes = newBankQueue(cfg.WriteQueueCap, ranks, banks, c.writeLess)
-	c.qobs, _ = sched.(QueueObserver)
-	c.tickEv, _ = sched.(TickEventer)
-	c.epoch, _ = sched.(PriorityEpocher)
-	if c.epoch != nil {
-		c.readEpoch = c.epoch.PriorityEpoch()
-	}
+	c.readEpoch = sched.PriorityEpoch()
 	return c, nil
 }
 
@@ -382,9 +372,7 @@ func (c *Controller) Enqueue(r *Request) bool {
 			bank, page := c.readKey(r)
 			c.readObs.ReadArrived(r.Thread, bank, page)
 		}
-		if c.qobs != nil {
-			c.qobs.OnEnqueue(r)
-		}
+		c.sched.OnEnqueue(r)
 	}
 	if c.rec != nil {
 		c.rec.OnEnqueue(r.Thread, r.IsWrite)
@@ -641,9 +629,7 @@ func (c *Controller) issueBestRead() bool {
 	if len(c.reads.q) == 0 {
 		return false
 	}
-	if c.epoch == nil {
-		c.reads.invalidateAll()
-	} else if e := c.epoch.PriorityEpoch(); e != c.readEpoch {
+	if e := c.sched.PriorityEpoch(); e != c.readEpoch {
 		c.readEpoch = e
 		c.reads.invalidateAll()
 	}
@@ -711,22 +697,13 @@ func (c *Controller) issueFrom(bq *bankQueue, r *Request) bool {
 	issued, served := c.issueFor(r)
 	if served {
 		bq.remove(r)
-		c.notifyServed(r)
 		if r.IsWrite {
 			c.recycle(r) // writes complete on issue
+		} else {
+			c.sched.OnService(r)
 		}
 	}
 	return issued
-}
-
-// notifyServed reports a served read to an observing scheduler.
-func (c *Controller) notifyServed(r *Request) {
-	if r.IsWrite {
-		return
-	}
-	if c.qobs != nil {
-		c.qobs.OnService(r)
-	}
 }
 
 // earliestIssue lower-bounds the memory cycle at which r's next DRAM command
@@ -742,11 +719,7 @@ func (c *Controller) earliestIssue(r *Request) uint64 {
 // The bound only has to be a lower bound: waking early lands on ordinary
 // no-op ticks, so early wake-ups cost time but never correctness.
 func (c *Controller) NextEvent() uint64 {
-	if c.tickEv == nil {
-		// Unknown scheduler with a potentially stateful OnTick: never skip.
-		return c.now
-	}
-	wake := c.tickEv.NextTickEvent(c.now)
+	wake := c.sched.NextTickEvent(c.now)
 	if wake <= c.now {
 		return c.now
 	}

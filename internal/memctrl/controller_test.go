@@ -19,7 +19,11 @@ func (frfcfs) Less(ctx SchedContext, a, b *Request) bool {
 	}
 	return a.ID < b.ID
 }
-func (frfcfs) OnTick(uint64) {}
+func (frfcfs) OnTick(uint64)               {}
+func (frfcfs) NextTickEvent(uint64) uint64 { return NeverEvent }
+func (frfcfs) PriorityEpoch() uint64       { return 0 }
+func (frfcfs) OnEnqueue(*Request)          {}
+func (frfcfs) OnService(*Request)          {}
 
 func testSetup(t *testing.T, refresh bool) (*Controller, *addr.Mapper) {
 	t.Helper()

@@ -30,10 +30,6 @@ type oracleStack struct {
 	parts []memctrl.Scheduler
 }
 
-// noEpoch hides every optional interface of the scheduler it wraps, so the
-// controller must re-rank it every cycle.
-type noEpoch struct{ memctrl.Scheduler }
-
 // staleTCM announces no rank change ever: the oracle must catch it.
 type staleTCM struct{ *sched.TCM }
 
@@ -83,10 +79,15 @@ var oracleCases = []struct {
 		p := sched.NewThreadPriority(t, oracleThreads)
 		return oracleStack{p, []memctrl.Scheduler{p, t}}
 	}},
-	{"no-epoch-tcm", func() oracleStack { t := mustTCM(false); return oracleStack{noEpoch{t}, []memctrl.Scheduler{t}} }},
-	{"prio+no-epoch-frfcfs", func() oracleStack {
-		p := sched.NewThreadPriority(noEpoch{sched.NewFRFCFS()}, oracleThreads)
-		return oracleStack{p, []memctrl.Scheduler{p}}
+	{"prio+parbs", func() oracleStack {
+		s := must(sched.NewPARBS(2))
+		p := sched.NewThreadPriority(s, oracleThreads)
+		return oracleStack{p, []memctrl.Scheduler{p, s}}
+	}},
+	{"prio+bliss", func() oracleStack {
+		s := must(sched.NewBLISS(3, 211))
+		p := sched.NewThreadPriority(s, oracleThreads)
+		return oracleStack{p, []memctrl.Scheduler{p, s}}
 	}},
 }
 
@@ -242,10 +243,10 @@ func runOracle(t *testing.T, build func() oracleStack, cfg memctrl.Config, refre
 }
 
 // TestSelectionMatchesFullScan is the differential oracle: for every
-// in-tree scheduler (and the priority wrapper over FR-FCFS and TCM, and
-// schedulers without epochs), every controller configuration, and streams
-// with and without mid-stream Snapshot/Restore, the cached per-bank heads
-// issue exactly the command sequence a full re-ranking issues.
+// in-tree scheduler (and the priority wrapper over FR-FCFS, TCM, PAR-BS and
+// BLISS), every controller configuration, and streams with and without
+// mid-stream Snapshot/Restore, the cached per-bank heads issue exactly the
+// command sequence a full re-ranking issues.
 func TestSelectionMatchesFullScan(t *testing.T) {
 	cycles := 6000
 	if testing.Short() {

@@ -66,8 +66,9 @@ type SchedContext interface {
 	Now() uint64
 }
 
-// Scheduler orders the read queue. The controller serves the most-preferred
-// request whose next DRAM command is legal this cycle.
+// Scheduler orders the read queue and is the controller's whole contract
+// with it: the controller calls every method below directly, so a wrapper
+// (such as a priority layer) must forward all of them.
 //
 // The controller caches each bank's most-preferred request across cycles
 // and re-ranks a bank only when something Less may read has changed. Less
@@ -75,8 +76,7 @@ type SchedContext interface {
 // tiebreak (so no two queued requests compare equal), and it may depend
 // only on the requests themselves, on ctx.RowHit (the open row of the
 // request's own bank), and on scheduler state whose every change bumps
-// PriorityEpoch. A scheduler that does not implement PriorityEpocher is
-// re-ranked every cycle.
+// PriorityEpoch.
 type Scheduler interface {
 	// Name identifies the scheduler in reports.
 	Name() string
@@ -85,43 +85,28 @@ type Scheduler interface {
 	Less(ctx SchedContext, a, b *Request) bool
 	// OnTick is called once per memory cycle before scheduling.
 	OnTick(now uint64)
-}
-
-// NeverEvent marks "no self-scheduled future event": a component returning
-// it changes state only in reaction to others.
-const NeverEvent = ^uint64(0)
-
-// TickEventer is an optional Scheduler extension enabling event-driven cycle
-// skipping. NextTickEvent returns the earliest memory cycle >= now at which
-// the scheduler's OnTick would mutate its state, assuming the queue contents
-// do not change in between; NeverEvent means "no such cycle". Returning now
-// (or less) marks the scheduler active this cycle and suppresses skipping.
-// A scheduler that does not implement TickEventer is never skipped over —
-// the conservative default for third-party schedulers with stateful OnTick.
-type TickEventer interface {
+	// NextTickEvent returns the earliest memory cycle >= now at which
+	// OnTick would mutate state, assuming the queue contents do not change
+	// in between; NeverEvent means "no such cycle". Returning now (or
+	// less) marks the scheduler active this cycle and suppresses cycle
+	// skipping.
 	NextTickEvent(now uint64) uint64
-}
-
-// PriorityEpocher is an optional Scheduler extension that lets the
-// controller keep its per-bank ranking across cycles. PriorityEpoch must
-// return a different value after any change to scheduler state that Less
-// reads (ranks, batches, blacklists, streaks, restored snapshots); between
-// changes it returns the same value. The epoch is unserialised scratch: it
-// need not survive a snapshot, only change across Restore.
-type PriorityEpocher interface {
+	// PriorityEpoch must return a different value after any change to
+	// state that Less reads (ranks, batches, blacklists, streaks, restored
+	// snapshots); between changes it returns the same value. The epoch is
+	// unserialised scratch: it need not survive a snapshot, only change
+	// across Restore.
 	PriorityEpoch() uint64
-}
-
-// QueueObserver is an optional Scheduler extension: schedulers that need to
-// track queue contents (batch formation in PAR-BS) implement it, and the
-// controller reports read-request lifecycle events.
-type QueueObserver interface {
 	// OnEnqueue fires when a read request enters the queue.
 	OnEnqueue(r *Request)
 	// OnService fires when a read request's data command has issued (it
 	// leaves the queue).
 	OnService(r *Request)
 }
+
+// NeverEvent marks "no self-scheduled future event": a component returning
+// it changes state only in reaction to others.
+const NeverEvent = ^uint64(0)
 
 // ThreadStats accumulates per-thread service counters inside one controller.
 type ThreadStats struct {

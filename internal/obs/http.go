@@ -10,18 +10,6 @@ import "net/http"
 // LedgerContentType is the media type served for run-ledger bodies.
 const LedgerContentType = "application/json; charset=utf-8"
 
-// WriteLedgerResponse encodes the ledger canonically (MarshalLedger) and
-// writes it as an HTTP response. Encoding errors are reported before any
-// body byte is written, so the caller can still emit an error status.
-func WriteLedgerResponse(w http.ResponseWriter, status int, l Ledger) error {
-	data, err := MarshalLedger(l)
-	if err != nil {
-		return err
-	}
-	WriteLedgerBytes(w, status, data)
-	return nil
-}
-
 // WriteLedgerBytes writes an already-encoded ledger document (for
 // content-addressed caches that store the canonical bytes: serving the
 // cached encoding keeps responses bit-identical across hits).

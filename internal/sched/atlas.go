@@ -13,10 +13,12 @@ import (
 // attained the least long-term memory service are ranked highest, with an
 // exponentially decayed service history across quanta.
 type ATLAS struct {
+	noQueueEvents // service history arrives via UpdateQuantum
+
 	alpha    float64 // history decay weight
 	attained []float64
 	rank     []int
-	// epoch counts re-rankings (memctrl.PriorityEpocher).
+	// epoch counts re-rankings (PriorityEpoch).
 	epoch uint64
 }
 
@@ -66,7 +68,7 @@ func (a *ATLAS) UpdateQuantum(samples []profile.ThreadSample) {
 	a.epoch++
 }
 
-// PriorityEpoch implements memctrl.PriorityEpocher: ranks change only in
+// PriorityEpoch implements memctrl.Scheduler: ranks change only in
 // UpdateQuantum and Restore.
 func (a *ATLAS) PriorityEpoch() uint64 { return a.epoch }
 
@@ -89,7 +91,7 @@ func (a *ATLAS) Attained(thread int) float64 {
 // OnTick implements memctrl.Scheduler.
 func (*ATLAS) OnTick(uint64) {}
 
-// NextTickEvent implements memctrl.TickEventer: OnTick never mutates state
+// NextTickEvent implements memctrl.Scheduler: OnTick never mutates state
 // (rank updates arrive via UpdateQuantum at quantum boundaries).
 func (*ATLAS) NextTickEvent(uint64) uint64 { return memctrl.NeverEvent }
 

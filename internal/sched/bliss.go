@@ -20,7 +20,7 @@ type BLISS struct {
 	streak      int
 	blacklisted map[int]bool
 	lastClear   uint64
-	// epoch counts blacklist changes (memctrl.PriorityEpocher).
+	// epoch counts blacklist changes (PriorityEpoch).
 	epoch uint64
 }
 
@@ -45,10 +45,10 @@ func NewBLISS(streakLimit int, clearEvery uint64) (*BLISS, error) {
 // Name implements memctrl.Scheduler.
 func (*BLISS) Name() string { return "bliss" }
 
-// OnEnqueue implements memctrl.QueueObserver (no-op).
+// OnEnqueue implements memctrl.Scheduler (no-op).
 func (*BLISS) OnEnqueue(*memctrl.Request) {}
 
-// OnService implements memctrl.QueueObserver: track consecutive service.
+// OnService implements memctrl.Scheduler: track consecutive service.
 func (b *BLISS) OnService(r *memctrl.Request) {
 	if r.Thread == b.lastThread {
 		b.streak++
@@ -77,14 +77,14 @@ func (b *BLISS) OnTick(now uint64) {
 	}
 }
 
-// NextTickEvent implements memctrl.TickEventer: the next blacklist clear.
+// NextTickEvent implements memctrl.Scheduler: the next blacklist clear.
 // lastClear is serialised state, so skipping must deliver the clearing
 // OnTick at exactly this cycle.
 func (b *BLISS) NextTickEvent(uint64) uint64 {
 	return b.lastClear + b.clearEvery
 }
 
-// PriorityEpoch implements memctrl.PriorityEpocher: Less reads only the
+// PriorityEpoch implements memctrl.Scheduler: Less reads only the
 // blacklist, which changes on blacklisting, clearing and Restore.
 func (b *BLISS) PriorityEpoch() uint64 { return b.epoch }
 

@@ -16,7 +16,7 @@ type FRFCFSCap struct {
 	// streak counts consecutive row hits served per global bank key.
 	streak map[int]int
 	// epoch counts changes to which banks' hits keep their priority
-	// (memctrl.PriorityEpocher).
+	// (PriorityEpoch).
 	epoch uint64
 }
 
@@ -36,10 +36,10 @@ func bankKey(r *memctrl.Request) int {
 	return r.Loc.Channel<<16 | r.Loc.Rank<<8 | r.Loc.Bank
 }
 
-// OnEnqueue implements memctrl.QueueObserver (no-op).
+// OnEnqueue implements memctrl.Scheduler (no-op).
 func (*FRFCFSCap) OnEnqueue(*memctrl.Request) {}
 
-// OnService implements memctrl.QueueObserver: track the streak.
+// OnService implements memctrl.Scheduler: track the streak.
 func (c *FRFCFSCap) OnService(r *memctrl.Request) {
 	k := bankKey(r)
 	before := c.streak[k] < c.cap
@@ -53,7 +53,7 @@ func (c *FRFCFSCap) OnService(r *memctrl.Request) {
 	}
 }
 
-// PriorityEpoch implements memctrl.PriorityEpocher: Less reads a bank's
+// PriorityEpoch implements memctrl.Scheduler: Less reads a bank's
 // streak only through "below the cap", which changes in OnService and
 // Restore.
 func (c *FRFCFSCap) PriorityEpoch() uint64 { return c.epoch }
@@ -61,7 +61,7 @@ func (c *FRFCFSCap) PriorityEpoch() uint64 { return c.epoch }
 // OnTick implements memctrl.Scheduler.
 func (*FRFCFSCap) OnTick(uint64) {}
 
-// NextTickEvent implements memctrl.TickEventer: OnTick never mutates state
+// NextTickEvent implements memctrl.Scheduler: OnTick never mutates state
 // (streaks advance on service events, not ticks).
 func (*FRFCFSCap) NextTickEvent(uint64) uint64 { return memctrl.NeverEvent }
 

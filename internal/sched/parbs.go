@@ -21,7 +21,7 @@ type PARBS struct {
 	outstanding map[*memctrl.Request]struct{}
 	// markedPerThread ranks threads inside the batch (fewer = earlier).
 	markedPerThread map[int]int
-	// epoch counts batch changes (memctrl.PriorityEpocher).
+	// epoch counts batch changes (PriorityEpoch).
 	epoch uint64
 }
 
@@ -42,12 +42,12 @@ func NewPARBS(markingCap int) (*PARBS, error) {
 // Name implements memctrl.Scheduler.
 func (*PARBS) Name() string { return "parbs" }
 
-// OnEnqueue implements memctrl.QueueObserver.
+// OnEnqueue implements memctrl.Scheduler.
 func (p *PARBS) OnEnqueue(r *memctrl.Request) {
 	p.outstanding[r] = struct{}{}
 }
 
-// OnService implements memctrl.QueueObserver.
+// OnService implements memctrl.Scheduler.
 func (p *PARBS) OnService(r *memctrl.Request) {
 	delete(p.outstanding, r)
 	if _, ok := p.marked[r]; ok {
@@ -57,7 +57,7 @@ func (p *PARBS) OnService(r *memctrl.Request) {
 	}
 }
 
-// PriorityEpoch implements memctrl.PriorityEpocher: the batch changes on
+// PriorityEpoch implements memctrl.Scheduler: the batch changes on
 // formation, when a marked request is served, and on Restore.
 func (p *PARBS) PriorityEpoch() uint64 { return p.epoch }
 
@@ -69,7 +69,7 @@ func (p *PARBS) OnTick(uint64) {
 	p.formBatch()
 }
 
-// NextTickEvent implements memctrl.TickEventer. With a batch reform pending
+// NextTickEvent implements memctrl.Scheduler. With a batch reform pending
 // the very next OnTick mutates state, so the scheduler is active now; in
 // every other state OnTick stays a no-op until the queue contents change
 // (which wakes the controller anyway).

@@ -7,8 +7,15 @@ package sched
 
 import "dbpsim/internal/memctrl"
 
+// noQueueEvents gives a scheduler that ignores queue contents no-op
+// memctrl.Scheduler OnEnqueue and OnService methods.
+type noQueueEvents struct{}
+
+func (noQueueEvents) OnEnqueue(*memctrl.Request) {}
+func (noQueueEvents) OnService(*memctrl.Request) {}
+
 // FCFS serves requests strictly oldest-first.
-type FCFS struct{}
+type FCFS struct{ noQueueEvents }
 
 // NewFCFS returns the first-come-first-served scheduler.
 func NewFCFS() *FCFS { return &FCFS{} }
@@ -24,15 +31,15 @@ func (*FCFS) Less(_ memctrl.SchedContext, a, b *memctrl.Request) bool {
 // OnTick implements memctrl.Scheduler.
 func (*FCFS) OnTick(uint64) {}
 
-// NextTickEvent implements memctrl.TickEventer: OnTick never mutates state.
+// NextTickEvent implements memctrl.Scheduler: OnTick never mutates state.
 func (*FCFS) NextTickEvent(uint64) uint64 { return memctrl.NeverEvent }
 
-// PriorityEpoch implements memctrl.PriorityEpocher: FCFS has no state.
+// PriorityEpoch implements memctrl.Scheduler: FCFS has no state.
 func (*FCFS) PriorityEpoch() uint64 { return 0 }
 
 // FRFCFS serves row-buffer hits first, then oldest-first — the standard
 // throughput-oriented baseline the paper builds on.
-type FRFCFS struct{}
+type FRFCFS struct{ noQueueEvents }
 
 // NewFRFCFS returns the first-ready FCFS scheduler.
 func NewFRFCFS() *FRFCFS { return &FRFCFS{} }
@@ -52,10 +59,10 @@ func (*FRFCFS) Less(ctx memctrl.SchedContext, a, b *memctrl.Request) bool {
 // OnTick implements memctrl.Scheduler.
 func (*FRFCFS) OnTick(uint64) {}
 
-// NextTickEvent implements memctrl.TickEventer: OnTick never mutates state.
+// NextTickEvent implements memctrl.Scheduler: OnTick never mutates state.
 func (*FRFCFS) NextTickEvent(uint64) uint64 { return memctrl.NeverEvent }
 
-// PriorityEpoch implements memctrl.PriorityEpocher: FR-FCFS has no state.
+// PriorityEpoch implements memctrl.Scheduler: FR-FCFS has no state.
 func (*FRFCFS) PriorityEpoch() uint64 { return 0 }
 
 // ThreadPriority wraps an inner scheduler with a coarse per-thread priority
@@ -64,18 +71,14 @@ func (*FRFCFS) PriorityEpoch() uint64 { return 0 }
 type ThreadPriority struct {
 	inner  memctrl.Scheduler
 	levels []int
-	// epoch counts level changes; innerEpoch is the inner scheduler's
-	// epoch source (nil when it has none).
-	epoch      uint64
-	innerEpoch memctrl.PriorityEpocher
+	// epoch counts level changes.
+	epoch uint64
 }
 
 // NewThreadPriority wraps inner with per-thread levels; threads outside the
 // slice get level 0.
 func NewThreadPriority(inner memctrl.Scheduler, numThreads int) *ThreadPriority {
-	t := &ThreadPriority{inner: inner, levels: make([]int, numThreads)}
-	t.innerEpoch, _ = inner.(memctrl.PriorityEpocher)
-	return t
+	return &ThreadPriority{inner: inner, levels: make([]int, numThreads)}
 }
 
 // SetLevel assigns a thread's priority level.
@@ -86,16 +89,11 @@ func (t *ThreadPriority) SetLevel(thread, level int) {
 	}
 }
 
-// PriorityEpoch implements memctrl.PriorityEpocher, folding in the inner
+// PriorityEpoch implements memctrl.Scheduler, folding in the inner
 // scheduler's epoch: both only grow, so their sum changes whenever either
-// does. An inner scheduler without epochs may change its order at any
-// time, so every call then reports a fresh epoch.
+// does.
 func (t *ThreadPriority) PriorityEpoch() uint64 {
-	if t.innerEpoch == nil {
-		t.epoch++
-		return t.epoch
-	}
-	return t.epoch + t.innerEpoch.PriorityEpoch()
+	return t.epoch + t.inner.PriorityEpoch()
 }
 
 // Name implements memctrl.Scheduler.
@@ -120,12 +118,14 @@ func (t *ThreadPriority) Less(ctx memctrl.SchedContext, a, b *memctrl.Request) b
 // OnTick implements memctrl.Scheduler.
 func (t *ThreadPriority) OnTick(now uint64) { t.inner.OnTick(now) }
 
-// NextTickEvent implements memctrl.TickEventer by delegating to the inner
-// scheduler; a wrapped scheduler without event support pins the controller
-// to cycle-by-cycle ticking (returning now marks it permanently active).
-func (t *ThreadPriority) NextTickEvent(now uint64) uint64 {
-	if te, ok := t.inner.(memctrl.TickEventer); ok {
-		return te.NextTickEvent(now)
-	}
-	return now
-}
+// NextTickEvent implements memctrl.Scheduler by delegating to the inner
+// scheduler.
+func (t *ThreadPriority) NextTickEvent(now uint64) uint64 { return t.inner.NextTickEvent(now) }
+
+// OnEnqueue implements memctrl.Scheduler by delegating to the inner
+// scheduler.
+func (t *ThreadPriority) OnEnqueue(r *memctrl.Request) { t.inner.OnEnqueue(r) }
+
+// OnService implements memctrl.Scheduler by delegating to the inner
+// scheduler.
+func (t *ThreadPriority) OnService(r *memctrl.Request) { t.inner.OnService(r) }

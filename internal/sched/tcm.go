@@ -70,6 +70,8 @@ func (c TCMConfig) Validate() error {
 // DESIGN.md: the bandwidth cluster keeps its niceness order, and at each
 // shuffle boundary a rotating victim is moved to the bottom.
 type TCM struct {
+	noQueueEvents // profiles arrive via UpdateQuantum
+
 	cfg TCMConfig
 	// rank[tid]: larger = served first.
 	rank []int
@@ -79,7 +81,7 @@ type TCM struct {
 	bwBase      []int
 	shufflePos  int
 	lastShuffle uint64
-	// epoch counts rank changes (memctrl.PriorityEpocher).
+	// epoch counts rank changes (PriorityEpoch).
 	epoch uint64
 }
 
@@ -241,14 +243,14 @@ func (t *TCM) OnTick(now uint64) {
 	}
 }
 
-// NextTickEvent implements memctrl.TickEventer: the next shuffle boundary.
+// NextTickEvent implements memctrl.Scheduler: the next shuffle boundary.
 // lastShuffle is serialised state, so skipping must deliver the OnTick that
 // advances it at exactly this cycle.
 func (t *TCM) NextTickEvent(uint64) uint64 {
 	return t.lastShuffle + t.cfg.ShuffleInterval
 }
 
-// PriorityEpoch implements memctrl.PriorityEpocher: ranks and clusters
+// PriorityEpoch implements memctrl.Scheduler: ranks and clusters
 // change only in applyBWRanks (shuffle and quantum) and Restore.
 func (t *TCM) PriorityEpoch() uint64 { return t.epoch }
 

@@ -633,7 +633,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		now := time.Now()
 		charged := !forwarded
 		if charged {
-			if retryAfter, qerr := s.admitQuota(ten, est, now); qerr != nil {
+			if retryAfter, qerr := AdmitQuota(ten, est, now); qerr != nil {
 				s.mu.Unlock()
 				s.met.observeQuotaRejection(ten.Name())
 				w.Header().Set("Retry-After", retryAfter)

@@ -50,18 +50,12 @@ func (s *Server) authenticate(r *http.Request) (*tenant.Tenant, *APIError) {
 	return ten, nil
 }
 
-// admitQuota charges est against the tenant's buckets, or builds the
-// structured quota_exceeded refusal. Callers may hold s.mu (buckets have
-// their own locks).
-func (s *Server) admitQuota(ten *tenant.Tenant, est tenant.Estimate, now time.Time) (retryAfter string, apiErr *APIError) {
-	return AdmitQuota(ten, est, now)
-}
-
 // AdmitQuota charges est against the tenant's buckets, or builds the
 // structured quota_exceeded refusal: 429, a refill-based Retry-After
 // (never a bare 429 — the client always learns when the charge would fit),
 // and the cost estimate so the caller sees what it was being billed for.
 // Exported so the fleet coordinator enforces the same entry-node admission.
+// Buckets have their own locks, so callers may hold Server.mu.
 func AdmitQuota(ten *tenant.Tenant, est tenant.Estimate, now time.Time) (retryAfter string, apiErr *APIError) {
 	ok, wait, limit := ten.Admit(now, float64(est.SimCycles))
 	if ok {

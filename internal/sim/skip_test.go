@@ -57,6 +57,8 @@ var skipPolicyCases = []struct {
 	{"PARBS", SchedPARBS, PartNone},
 	{"BLISS", SchedBLISS, PartNone},
 	{"FRFCFS-cap", SchedFRFCFSCap, PartNone},
+	{"PARBS-MCP", SchedPARBS, PartMCP},
+	{"BLISS-MCP", SchedBLISS, PartMCP},
 }
 
 // TestSkipBitIdenticalLedgers is the tentpole guarantee of the cycle-skip

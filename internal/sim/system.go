@@ -122,8 +122,7 @@ func NewSystem(cfg Config, benches []Bench) (*System, error) {
 }
 
 // newSystem is NewSystem with an optional wrapper around the scheduler the
-// controllers consult; tests count scheduler work through it. The wrapper
-// must forward every optional memctrl interface the scheduler implements.
+// controllers consult; tests count scheduler work through it.
 func newSystem(cfg Config, benches []Bench, wrap func(memctrl.Scheduler) memctrl.Scheduler) (*System, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -411,9 +410,6 @@ func (s *System) SetCycleSkipping(on bool) {
 	s.skipping = on
 	clear(s.coreWake)
 }
-
-// CycleSkipping reports whether event-driven cycle skipping is enabled.
-func (s *System) CycleSkipping() bool { return s.skipping }
 
 // SkippedCycles returns the CPU cycles covered by event-driven clock jumps
 // so far (0 with skipping disabled). Diagnostic only; not simulated state.

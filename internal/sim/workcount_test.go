@@ -13,9 +13,8 @@ import (
 // and controller ticks (each Tick calls OnTick exactly once).
 type schedWork struct{ less, ticks uint64 }
 
-// The counting wrappers embed the concrete scheduler, so every optional
-// memctrl interface it implements (TickEventer, PriorityEpocher, ...)
-// still reaches the controller unchanged.
+// The counting wrappers embed the concrete scheduler, so every
+// memctrl.Scheduler method they do not count reaches it unchanged.
 type countingFRFCFS struct {
 	*sched.FRFCFS
 	w *schedWork

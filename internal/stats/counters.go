@@ -1,4 +1,4 @@
-// Package stats provides counters, metric computation and report formatting
+// Package stats provides histograms, metric computation and report formatting
 // for the DBP simulator.
 //
 // The package is deliberately free of simulator dependencies: it consumes
@@ -12,137 +12,6 @@ import (
 	"math"
 	"sort"
 )
-
-// Counter is a monotonically increasing event counter with a name.
-type Counter struct {
-	Name  string
-	Value uint64
-}
-
-// Add increments the counter by n.
-func (c *Counter) Add(n uint64) { c.Value += n }
-
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.Value++ }
-
-// Set is a named collection of counters, created on first use.
-type Set struct {
-	counters map[string]*Counter
-	order    []string
-}
-
-// NewSet returns an empty counter set.
-func NewSet() *Set {
-	return &Set{counters: make(map[string]*Counter)}
-}
-
-// Get returns the counter with the given name, creating it if needed.
-func (s *Set) Get(name string) *Counter {
-	if c, ok := s.counters[name]; ok {
-		return c
-	}
-	c := &Counter{Name: name}
-	s.counters[name] = c
-	s.order = append(s.order, name)
-	return c
-}
-
-// Value returns the current value of the named counter (0 if absent).
-func (s *Set) Value(name string) uint64 {
-	if c, ok := s.counters[name]; ok {
-		return c.Value
-	}
-	return 0
-}
-
-// Names returns counter names in creation order.
-func (s *Set) Names() []string {
-	out := make([]string, len(s.order))
-	copy(out, s.order)
-	return out
-}
-
-// Reset zeroes every counter but keeps the set's structure.
-func (s *Set) Reset() {
-	for _, c := range s.counters {
-		c.Value = 0
-	}
-}
-
-// Ratio returns a/b as float64, or 0 when b is zero.
-func Ratio(a, b uint64) float64 {
-	if b == 0 {
-		return 0
-	}
-	return float64(a) / float64(b)
-}
-
-// PerKilo returns events per 1000 units, e.g. misses per kilo-instruction.
-func PerKilo(events, units uint64) float64 {
-	if units == 0 {
-		return 0
-	}
-	return 1000 * float64(events) / float64(units)
-}
-
-// Mean returns the arithmetic mean of xs (0 for empty input).
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, x := range xs {
-		sum += x
-	}
-	return sum / float64(len(xs))
-}
-
-// GeoMean returns the geometric mean of xs (0 for empty input or any
-// non-positive element).
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var logSum float64
-	for _, x := range xs {
-		if x <= 0 {
-			return 0
-		}
-		logSum += math.Log(x)
-	}
-	return math.Exp(logSum / float64(len(xs)))
-}
-
-// HarmonicMean returns the harmonic mean of xs (0 for empty input or any
-// non-positive element).
-func HarmonicMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var invSum float64
-	for _, x := range xs {
-		if x <= 0 {
-			return 0
-		}
-		invSum += 1 / x
-	}
-	return float64(len(xs)) / invSum
-}
-
-// Median returns the median of xs (0 for empty input).
-func Median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	cp := make([]float64, len(xs))
-	copy(cp, xs)
-	sort.Float64s(cp)
-	n := len(cp)
-	if n%2 == 1 {
-		return cp[n/2]
-	}
-	return (cp[n/2-1] + cp[n/2]) / 2
-}
 
 // Histogram is a fixed-bucket histogram over float64 samples.
 type Histogram struct {

@@ -2,7 +2,6 @@ package stats
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -143,12 +142,4 @@ func (m SystemMetrics) JainIndex() float64 {
 		return 0
 	}
 	return sum * sum / (float64(len(m.Threads)) * sq)
-}
-
-// SortThreadsBySlowdown orders the per-thread detail worst-first, for
-// reporting which thread bounds the system's unfairness.
-func (m *SystemMetrics) SortThreadsBySlowdown() {
-	sort.Slice(m.Threads, func(i, j int) bool {
-		return m.Threads[i].Slowdown() > m.Threads[j].Slowdown()
-	})
 }

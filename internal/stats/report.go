@@ -28,16 +28,6 @@ func (t *TableWriter) AddRow(cells ...string) {
 	t.rows = append(t.rows, cells)
 }
 
-// AddFloats appends a row with a string label followed by formatted floats.
-func (t *TableWriter) AddFloats(label string, format string, vals ...float64) {
-	cells := make([]string, 0, len(vals)+1)
-	cells = append(cells, label)
-	for _, v := range vals {
-		cells = append(cells, fmt.Sprintf(format, v))
-	}
-	t.rows = append(t.rows, cells)
-}
-
 // NumRows reports how many data rows the table holds.
 func (t *TableWriter) NumRows() int { return len(t.rows) }
 
@@ -169,11 +159,4 @@ func (t *TableWriter) WriteMarkdown(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// Markdown returns the markdown rendering as a string.
-func (t *TableWriter) Markdown() string {
-	var b strings.Builder
-	_ = t.WriteMarkdown(&b)
-	return b.String()
 }

@@ -9,106 +9,6 @@ import (
 
 func almostEqual(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
-func TestCounterSet(t *testing.T) {
-	s := NewSet()
-	s.Get("reads").Add(3)
-	s.Get("reads").Inc()
-	s.Get("writes").Inc()
-	if got := s.Value("reads"); got != 4 {
-		t.Errorf("reads = %d, want 4", got)
-	}
-	if got := s.Value("writes"); got != 1 {
-		t.Errorf("writes = %d, want 1", got)
-	}
-	if got := s.Value("absent"); got != 0 {
-		t.Errorf("absent = %d, want 0", got)
-	}
-	names := s.Names()
-	if len(names) != 2 || names[0] != "reads" || names[1] != "writes" {
-		t.Errorf("Names() = %v, want [reads writes]", names)
-	}
-	s.Reset()
-	if got := s.Value("reads"); got != 0 {
-		t.Errorf("after Reset reads = %d, want 0", got)
-	}
-}
-
-func TestRatioAndPerKilo(t *testing.T) {
-	if got := Ratio(3, 4); !almostEqual(got, 0.75, 1e-12) {
-		t.Errorf("Ratio(3,4) = %g", got)
-	}
-	if got := Ratio(3, 0); got != 0 {
-		t.Errorf("Ratio(3,0) = %g, want 0", got)
-	}
-	if got := PerKilo(5, 1000); !almostEqual(got, 5, 1e-12) {
-		t.Errorf("PerKilo(5,1000) = %g, want 5", got)
-	}
-	if got := PerKilo(5, 0); got != 0 {
-		t.Errorf("PerKilo(5,0) = %g, want 0", got)
-	}
-}
-
-func TestMeans(t *testing.T) {
-	xs := []float64{1, 2, 4}
-	if got := Mean(xs); !almostEqual(got, 7.0/3, 1e-12) {
-		t.Errorf("Mean = %g", got)
-	}
-	if got := GeoMean(xs); !almostEqual(got, 2, 1e-12) {
-		t.Errorf("GeoMean = %g, want 2", got)
-	}
-	if got := HarmonicMean(xs); !almostEqual(got, 3/(1+0.5+0.25), 1e-12) {
-		t.Errorf("HarmonicMean = %g", got)
-	}
-	if got := GeoMean([]float64{1, 0, 2}); got != 0 {
-		t.Errorf("GeoMean with zero = %g, want 0", got)
-	}
-	if got := HarmonicMean(nil); got != 0 {
-		t.Errorf("HarmonicMean(nil) = %g, want 0", got)
-	}
-	if got := Mean(nil); got != 0 {
-		t.Errorf("Mean(nil) = %g, want 0", got)
-	}
-}
-
-func TestMeanOrderingProperty(t *testing.T) {
-	// For positive inputs: harmonic mean ≤ geometric mean ≤ arithmetic mean.
-	f := func(raw []float64) bool {
-		xs := make([]float64, 0, len(raw))
-		for _, x := range raw {
-			v := math.Abs(x)
-			if v > 1e-6 && v < 1e6 && !math.IsNaN(v) && !math.IsInf(v, 0) {
-				xs = append(xs, v)
-			}
-		}
-		if len(xs) == 0 {
-			return true
-		}
-		h, g, a := HarmonicMean(xs), GeoMean(xs), Mean(xs)
-		return h <= g*(1+1e-9) && g <= a*(1+1e-9)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestMedian(t *testing.T) {
-	if got := Median([]float64{3, 1, 2}); got != 2 {
-		t.Errorf("Median odd = %g, want 2", got)
-	}
-	if got := Median([]float64{4, 1, 2, 3}); got != 2.5 {
-		t.Errorf("Median even = %g, want 2.5", got)
-	}
-	if got := Median(nil); got != 0 {
-		t.Errorf("Median(nil) = %g, want 0", got)
-	}
-	// Median must not mutate its input.
-	in := []float64{3, 1, 2}
-	Median(in)
-	if in[0] != 3 || in[1] != 1 || in[2] != 2 {
-		t.Errorf("Median mutated input: %v", in)
-	}
-}
-
 func TestHistogram(t *testing.T) {
 	h := NewHistogram([]float64{1, 2})
 	for _, x := range []float64{0.5, 1.5, 3, 10} {
@@ -225,17 +125,6 @@ func TestMeanAcross(t *testing.T) {
 	}
 }
 
-func TestSortThreadsBySlowdown(t *testing.T) {
-	m := SystemMetrics{Threads: []ThreadPerf{
-		{Name: "mild", IPCShared: 0.9, IPCAlone: 1},
-		{Name: "bad", IPCShared: 0.2, IPCAlone: 1},
-	}}
-	m.SortThreadsBySlowdown()
-	if m.Threads[0].Name != "bad" {
-		t.Errorf("worst-first sort failed: %v", m.Threads)
-	}
-}
-
 func TestMetricsStrings(t *testing.T) {
 	threads := []ThreadPerf{{Name: "a", IPCShared: 0.5, IPCAlone: 1.0}}
 	m, err := ComputeMetrics(threads)
@@ -254,7 +143,7 @@ func TestMetricsStrings(t *testing.T) {
 func TestTableWriter(t *testing.T) {
 	tw := NewTable("workload", "frfcfs", "dbp")
 	tw.AddRow("W8-1", "3.1", "3.3")
-	tw.AddFloats("W8-2", "%.2f", 2.5, 2.75)
+	tw.AddRow("W8-2", "2.50", "2.75")
 	if tw.NumRows() != 2 {
 		t.Fatalf("NumRows = %d", tw.NumRows())
 	}
