@@ -127,7 +127,7 @@ func (e *QuotaError) Error() string {
 }
 func (e *QuotaError) Unwrap() error { return e.APIError }
 
-// Estimate is the server's predicted cost for the refused run (never nil;
+// Estimate is the server's simcycle price for the refused run (never nil;
 // zero-valued if the server omitted it).
 func (e *QuotaError) Estimate() CostEstimate {
 	if e.APIError.Estimate == nil {

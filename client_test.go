@@ -179,7 +179,7 @@ func TestClientQuotaExceededPastDeadline(t *testing.T) {
 		w.Header().Set("Retry-After", "3600")
 		w.WriteHeader(http.StatusTooManyRequests)
 		fmt.Fprint(w, `{"error": {"code": "quota_exceeded", "message": "tenant over budget", "retryable": true,
-			"estimate": {"simcycles": 12000, "seconds": 0.0084, "basis": "default"}}}`)
+			"estimate": {"simcycles": 12000}}}`)
 	}))
 	defer ts.Close()
 
@@ -200,7 +200,7 @@ func TestClientQuotaExceededPastDeadline(t *testing.T) {
 	if qerr.RetryAfter != time.Hour {
 		t.Errorf("RetryAfter = %s, want 1h", qerr.RetryAfter)
 	}
-	if est := qerr.Estimate(); est.SimCycles != 12000 || est.Basis != "default" {
+	if est := qerr.Estimate(); est.SimCycles != 12000 {
 		t.Errorf("estimate = %+v", est)
 	}
 	var apiErr *APIError

@@ -87,7 +87,6 @@ func run(args []string) error {
 		chaosAllow = fs.Bool("chaos-allow", false, "explicitly permit -chaos (refused otherwise)")
 
 		tenantsFile = fs.String("tenants", "", "tenant config file (API keys, weights, lanes, quotas); reloaded when it changes on disk")
-		benchLedger = fs.String("bench-ledger", "", "bench ledger (dbpsim-bench/v1 JSON) calibrating the admission cost model; default built-in constants")
 
 		coordinator = fs.Bool("coordinator", false, "run as a fleet coordinator: owns placement and the sweep API, runs no simulations itself")
 		joinURL     = fs.String("join", "", "run as a fleet worker: register with (and heartbeat to) this coordinator base URL")
@@ -109,14 +108,6 @@ func run(args []string) error {
 			return err
 		}
 		reg = r
-	}
-	var costModel *tenant.CostModel
-	if *benchLedger != "" {
-		m, err := tenant.LoadCostModel(*benchLedger)
-		if err != nil {
-			return err
-		}
-		costModel = m
 	}
 
 	var injector *chaos.Injector
@@ -152,7 +143,6 @@ func run(args []string) error {
 			MaxInstructions: *maxInstr,
 			CellTimeout:     *runTimeout * 3,
 			Tenants:         reg,
-			CostModel:       costModel,
 			JournalDir:      *journalDir,
 			Chaos:           injector,
 			Logger:          log,
@@ -207,7 +197,6 @@ func run(args []string) error {
 		CheckpointInterval: *ckptEvery,
 		Chaos:              injector,
 		Tenants:            reg,
-		CostModel:          costModel,
 	}
 
 	// Worker mode: bind the listener first (the advertise default needs the

@@ -119,9 +119,8 @@ type (
 )
 
 // Tenancy types (see internal/tenant): the multi-tenant layer behind
-// dbpserved's -tenants and -bench-ledger flags — per-tenant API keys,
-// token-bucket quotas, priority lanes, and the cost model admission
-// control charges against.
+// dbpserved's -tenants flag — per-tenant API keys, token-bucket quotas,
+// priority lanes, and the simcycle price admission control charges.
 type (
 	// TenantRegistry authenticates API keys against a reloadable tenant
 	// config file and hands out per-tenant quota state.
@@ -129,20 +128,15 @@ type (
 	// TenantSpec is one tenant's configuration record (key, weight, lane,
 	// quotas).
 	TenantSpec = tenant.Spec
-	// CostModel predicts a run's cost before it executes, optionally
-	// calibrated from a bench ledger.
-	CostModel = tenant.CostModel
-	// CostEstimate is a predicted run cost: simcycles (the quota unit),
-	// wall seconds (the queue-scheduling unit), and the calibration basis.
+	// CostEstimate is a run's admission cost in simcycles, (warmup +
+	// measure) × 2: what quota buckets are charged and the weighted-fair
+	// queue schedules by.
 	CostEstimate = tenant.Estimate
 )
 
 // NewTenantRegistry loads a tenant config file and watches it for changes
 // (reloads are lazy, throttled, and keep the last good config on error).
 func NewTenantRegistry(path string) (*TenantRegistry, error) { return tenant.NewRegistry(path) }
-
-// LoadCostModel calibrates a CostModel from a dbpsim-bench/v1 ledger.
-func LoadCostModel(path string) (*CostModel, error) { return tenant.LoadCostModel(path) }
 
 // Fleet types (see internal/fleet): the sharded-cluster layer behind
 // dbpserved's -coordinator and -join modes.

@@ -143,7 +143,7 @@ func TestAppendFiresChaosFault(t *testing.T) {
 }
 
 func TestStorePutGetVerifies(t *testing.T) {
-	s, err := NewStore(filepath.Join(t.TempDir(), "blobs"))
+	s, err := NewStore(filepath.Join(t.TempDir(), "blobs"), nil, "", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,8 +174,33 @@ func TestStorePutGetVerifies(t *testing.T) {
 	}
 }
 
+func TestStoreFiresChaosFaults(t *testing.T) {
+	inj, err := chaos.Parse("result-write=2,result-read=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewStore(t.TempDir(), inj, chaos.ResultWrite, chaos.ResultRead)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := s.Put([]byte("first"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Put([]byte("second")); !chaos.IsInjected(err) {
+		t.Fatalf("second Put under result-write=2: %v, want an injected fault", err)
+	}
+	if _, err := s.Get(h); !chaos.IsInjected(err) {
+		t.Fatalf("Get under result-read=1: %v, want an injected fault", err)
+	}
+	entries, _ := os.ReadDir(s.dir)
+	if len(entries) != 1 || entries[0].Name() != h {
+		t.Fatalf("store holds %v, want only the unfaulted blob %s", entries, h)
+	}
+}
+
 func TestStoreSweep(t *testing.T) {
-	s, err := NewStore(t.TempDir())
+	s, err := NewStore(t.TempDir(), nil, "", "")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,8 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+
+	"dbpsim/internal/chaos"
 )
 
 // Hash is the content address of a blob: its sha256, hex-encoded.
@@ -18,15 +20,19 @@ func Hash(data []byte) string {
 
 // Store is a directory of blobs, each named by its Hash.
 type Store struct {
-	dir string
+	dir         string
+	inj         *chaos.Injector
+	write, read chaos.Point
 }
 
 // NewStore opens the blob store in dir, creating the directory if needed.
-func NewStore(dir string) (*Store, error) {
+// Put fires inj's fault at write and Get its fault at read, before touching
+// the disk.
+func NewStore(dir string, inj *chaos.Injector, write, read chaos.Point) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("durable: blob store: %w", err)
 	}
-	return &Store{dir: dir}, nil
+	return &Store{dir: dir, inj: inj, write: write, read: read}, nil
 }
 
 // Put stores data under its hash and returns the hash. Storing bytes that
@@ -36,6 +42,9 @@ func NewStore(dir string) (*Store, error) {
 func (s *Store) Put(data []byte) (string, error) {
 	if s == nil {
 		return "", nil
+	}
+	if err := s.inj.Err(s.write); err != nil {
+		return "", err
 	}
 	hash := Hash(data)
 	path := filepath.Join(s.dir, hash)
@@ -54,6 +63,9 @@ func (s *Store) Put(data []byte) (string, error) {
 func (s *Store) Get(hash string) ([]byte, error) {
 	if s == nil {
 		return nil, errors.New("durable: no blob store configured")
+	}
+	if err := s.inj.Err(s.read); err != nil {
+		return nil, err
 	}
 	data, err := os.ReadFile(filepath.Join(s.dir, hash))
 	if err != nil {

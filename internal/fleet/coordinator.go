@@ -56,10 +56,6 @@ type CoordinatorOptions struct {
 	// skip their own debit. Nil preserves the pre-tenancy behavior: every
 	// request is the default tenant, nothing is charged.
 	Tenants *tenant.Registry
-	// CostModel calibrates entry-node admission estimates (nil = the
-	// built-in cost constants). Point it at the same bench ledger as the
-	// workers so a run costs the same wherever it enters the fleet.
-	CostModel *tenant.CostModel
 	// JournalDir, when set, makes the coordinator crash-survivable: an
 	// fsynced append-only journal under this directory records membership,
 	// sweep submissions, per-cell completions, and the mirrored-checkpoint
@@ -185,7 +181,7 @@ func (c *Coordinator) restore(r *coordReplay) {
 		c.met.setWorker(id, false)
 	}
 	for key, m := range r.mirrors {
-		blob, err := c.jr.readMirrorBlob(m.hash)
+		blob, err := c.jr.blobs.Get(m.hash)
 		if err != nil {
 			c.log.Warn("mirrored checkpoint lost across restart; its run resumes from cycle 0",
 				"key", key, "hash", m.hash, "err", err)
@@ -306,7 +302,7 @@ func (c *Coordinator) resumeSweep(ctx context.Context, sw *replayedSweep) {
 		c.log.Warn("journaled sweep body no longer decodes; cannot resume", "sweep", sw.id, "err", err)
 		return
 	}
-	cells, apiErr := expandSweep(req, c.opt.MaxInstructions, c.opt.CostModel)
+	cells, apiErr := expandSweep(req, c.opt.MaxInstructions)
 	if apiErr != nil {
 		c.log.Warn("journaled sweep no longer expands; cannot resume", "sweep", sw.id, "err", apiErr.Message)
 		return
@@ -341,8 +337,10 @@ func (c *Coordinator) resumeSweep(ctx context.Context, sw *replayedSweep) {
 // finished before this call; the returned tallies include them.
 func (c *Coordinator) runSweep(ctx context.Context, id string, cells []sweepCell, ten *tenant.Tenant, done, failed int, onLine func(SweepResult)) (int, int) {
 	// The tenant's window is its weight-proportional share of the
-	// cluster-wide window, so a heavy batch sweep cannot monopolize worker
-	// slots an interactive tenant's concurrent sweep is entitled to.
+	// cluster-wide window, sized once, here. It throttles only a sweep that
+	// starts while another tenant is sweeping: a batch sweep that started
+	// alone keeps its whole window, and an interactive sweep arriving later
+	// overtakes it only through the workers' weighted-fair queues.
 	c.sweepEnter(ten.Name())
 	defer c.sweepExit(ten.Name())
 	sem := make(chan struct{}, c.sweepWindow(ten, dispatchPerWorker*c.liveWorkers()))
@@ -535,9 +533,12 @@ func (c *Coordinator) owner(key string) (WorkerInfo, bool) {
 func (c *Coordinator) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	key, hash := q.Get("key"), q.Get("hash")
-	cycle, _ := strconv.ParseUint(q.Get("cycle"), 10, 64)
-	if key == "" || hash == "" {
-		writeAPIError(w, http.StatusBadRequest, &serve.APIError{Code: serve.CodeBadRequest, Message: "checkpoint mirror needs key= and hash="})
+	// A cycle that does not parse is refused, not read as 0: replay keeps
+	// the highest-cycle mirror per key and would rank this newest blob
+	// below an older capture.
+	cycle, cycleErr := strconv.ParseUint(q.Get("cycle"), 10, 64)
+	if key == "" || hash == "" || cycleErr != nil {
+		writeAPIError(w, http.StatusBadRequest, &serve.APIError{Code: serve.CodeBadRequest, Message: "checkpoint mirror needs key=, hash= and a decimal cycle="})
 		return
 	}
 	blob, err := io.ReadAll(io.LimitReader(r.Body, coordMaxBodyBytes+1))
@@ -553,7 +554,7 @@ func (c *Coordinator) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	// journal line (the orphaned blob is swept at the next startup), never
 	// an index entry pointing at a blob that was never written.
 	if c.jr != nil {
-		if _, err := c.jr.writeMirrorBlob(blob); err != nil {
+		if _, err := c.jr.blobs.Put(blob); err != nil {
 			c.log.Warn("mirror blob persist failed; checkpoint survives in memory only", "key", key, "err", err)
 		} else if err := c.jr.appendMirror(key, hash, cycle); err != nil {
 			c.log.Warn("journal append failed", "op", "mirror", "key", key, "err", err)
@@ -793,7 +794,7 @@ func (c *Coordinator) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeAPIError(w, http.StatusBadRequest, &serve.APIError{Code: serve.CodeBadRequest, Message: laneErr.Error()})
 		return
 	}
-	key, _, est, apiErr := serve.ResolveCost(body, c.opt.MaxInstructions, c.opt.CostModel)
+	key, _, est, apiErr := serve.ResolveCost(body, c.opt.MaxInstructions)
 	if apiErr != nil {
 		writeAPIError(w, http.StatusBadRequest, apiErr)
 		return
@@ -847,7 +848,7 @@ func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
 		writeAPIError(w, http.StatusBadRequest, &serve.APIError{Code: serve.CodeBadRequest, Message: fmt.Sprintf("decode sweep: %v", err)})
 		return
 	}
-	cells, apiErr := expandSweep(req, c.opt.MaxInstructions, c.opt.CostModel)
+	cells, apiErr := expandSweep(req, c.opt.MaxInstructions)
 	if apiErr != nil {
 		writeAPIError(w, http.StatusBadRequest, apiErr)
 		return

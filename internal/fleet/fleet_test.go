@@ -180,7 +180,7 @@ func TestFleetSweepSingleflightAndOwnerForwarding(t *testing.T) {
 	waitForConvergence(t, workers)
 
 	sweepBody := `{"mixes": ["W4-M1"], "partitions": ["none", "equal"], "warmup": 1000, "measure": 5000}`
-	lines := postSweep(t, coordHS.URL, sweepBody)
+	lines := postSweep(t, coordHS.URL, "", sweepBody)
 	if len(lines.results) != 2 {
 		t.Fatalf("want 2 cells, got %d", len(lines.results))
 	}
@@ -213,7 +213,7 @@ func TestFleetSweepSingleflightAndOwnerForwarding(t *testing.T) {
 	}
 
 	// Identical sweep again: all hits, no new simulations anywhere.
-	lines = postSweep(t, coordHS.URL, sweepBody)
+	lines = postSweep(t, coordHS.URL, "", sweepBody)
 	for _, res := range lines.results {
 		if res.Cache != "hit" {
 			t.Fatalf("re-swept cell not a cache hit: %+v", res)
@@ -449,7 +449,7 @@ func TestSweepNoWorkers(t *testing.T) {
 	})
 	hs := httptest.NewServer(coord)
 	defer hs.Close()
-	lines := postSweep(t, hs.URL, `{"mixes": ["W4-M1"], "warmup": 1000, "measure": 5000}`)
+	lines := postSweep(t, hs.URL, "", `{"mixes": ["W4-M1"], "warmup": 1000, "measure": 5000}`)
 	if len(lines.results) != 1 || lines.results[0].Status != "failed" {
 		t.Fatalf("results = %+v", lines.results)
 	}
@@ -467,9 +467,17 @@ type sweepStream struct {
 	summary SweepSummary
 }
 
-func postSweep(t *testing.T, baseURL, body string) sweepStream {
+func postSweep(t *testing.T, baseURL, apiKey, body string) sweepStream {
 	t.Helper()
-	resp, err := http.Post(baseURL+"/v1/sweeps", "application/x-ndjson", strings.NewReader(body))
+	req, err := http.NewRequest(http.MethodPost, baseURL+"/v1/sweeps", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", "application/x-ndjson")
+	if apiKey != "" {
+		req.Header.Set("X-API-Key", apiKey)
+	}
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatalf("post sweep: %v", err)
 	}

@@ -29,11 +29,11 @@ import (
 //
 // A nil *coordJournal is a valid, always-off journal (the coordinator runs
 // without -journal-dir); every method no-ops on a nil receiver, mirroring
-// the serve journal and chaos.Injector.
+// the serve journal and chaos.Injector. The blob store carries its own
+// chaos fault point and is reached through a non-nil journal only.
 type coordJournal struct {
-	inj   *chaos.Injector
 	log   *durable.Log[coordRecord]
-	blobs *durable.Store
+	blobs *durable.Store // faults at chaos.Checkpoint
 }
 
 // coordRecord is one line of the coordinator's journal.jsonl.
@@ -176,7 +176,7 @@ func newCoordReplay() *coordReplay {
 // sweep is where the space comes back. It is best-effort: a blob it fails
 // to remove stays unreferenced and is retried at the next startup.
 func openCoordJournal(dir string, inj *chaos.Injector) (*coordJournal, *coordReplay, error) {
-	blobs, err := durable.NewStore(filepath.Join(dir, "checkpoints"))
+	blobs, err := durable.NewStore(filepath.Join(dir, "checkpoints"), inj, chaos.Checkpoint, chaos.Checkpoint)
 	if err != nil {
 		return nil, nil, fmt.Errorf("fleet: journal dir: %w", err)
 	}
@@ -190,7 +190,7 @@ func openCoordJournal(dir string, inj *chaos.Injector) (*coordJournal, *coordRep
 		keep[m.hash] = true
 	}
 	_, _ = blobs.Sweep(func(h string) bool { return keep[h] })
-	return &coordJournal{inj: inj, log: log, blobs: blobs}, r, nil
+	return &coordJournal{log: log, blobs: blobs}, r, nil
 }
 
 // fold applies one record to the replayed coordinator state. Tolerances,
@@ -342,31 +342,6 @@ func (j *coordJournal) append(rec coordRecord) error {
 		return nil
 	}
 	return j.log.Append(rec)
-}
-
-// --- mirrored blob store --------------------------------------------------
-
-// writeMirrorBlob persists a mirrored checkpoint blob content-addressed
-// and returns its address (the same sha256 the worker announced).
-func (j *coordJournal) writeMirrorBlob(data []byte) (string, error) {
-	if j == nil {
-		return "", nil
-	}
-	if err := j.inj.Err(chaos.Checkpoint); err != nil {
-		return "", err
-	}
-	return j.blobs.Put(data)
-}
-
-// readMirrorBlob loads a mirrored blob back by content address.
-func (j *coordJournal) readMirrorBlob(hash string) ([]byte, error) {
-	if j == nil {
-		return nil, fmt.Errorf("fleet: no journal configured")
-	}
-	if err := j.inj.Err(chaos.Checkpoint); err != nil {
-		return nil, err
-	}
-	return j.blobs.Get(hash)
 }
 
 // Close releases the journal file. Safe on nil.

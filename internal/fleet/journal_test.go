@@ -173,7 +173,7 @@ func TestCoordJournalAppendReplayRoundTrip(t *testing.T) {
 	if err := j.appendCell("s1", sweepCell{key: "cell-a"}, SweepResult{Status: "done", LedgerSHA256: "aa", Worker: "w1"}); err != nil {
 		t.Fatal(err)
 	}
-	blobHashStr, err := j.writeMirrorBlob([]byte("blobby"))
+	blobHashStr, err := j.blobs.Put([]byte("blobby"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestCoordJournalAppendReplayRoundTrip(t *testing.T) {
 	if m := replay.mirrors["cell-b"]; m.hash != blobHashStr || m.cycle != 42 {
 		t.Errorf("mirror = %+v", m)
 	}
-	blob, err := j2.readMirrorBlob(blobHashStr)
+	blob, err := j2.blobs.Get(blobHashStr)
 	if err != nil || string(blob) != "blobby" {
 		t.Errorf("mirror blob = %q, %v", blob, err)
 	}
@@ -216,11 +216,11 @@ func TestCoordJournalMirrorGC(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	keep, err := j.writeMirrorBlob([]byte("keep me"))
+	keep, err := j.blobs.Put([]byte("keep me"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	drop, err := j.writeMirrorBlob([]byte("drop me"))
+	drop, err := j.blobs.Put([]byte("drop me"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,9 +268,6 @@ func TestNilCoordJournal(t *testing.T) {
 		t.Error(err)
 	}
 	if err := j.appendMirrorDrop("k"); err != nil {
-		t.Error(err)
-	}
-	if _, err := j.writeMirrorBlob([]byte("x")); err != nil {
 		t.Error(err)
 	}
 	if err := j.Close(); err != nil {

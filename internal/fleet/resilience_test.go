@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"io"
@@ -12,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"dbpsim/internal/durable"
 	"dbpsim/internal/serve"
 )
 
@@ -42,7 +44,7 @@ func TestCoordinatorRestartResumesSweep(t *testing.T) {
 	if err := json.Unmarshal(sweepBody, &req); err != nil {
 		t.Fatal(err)
 	}
-	cells, apiErr := expandSweep(req, 0, nil)
+	cells, apiErr := expandSweep(req, 0)
 	if apiErr != nil {
 		t.Fatalf("expand: %+v", apiErr)
 	}
@@ -112,6 +114,26 @@ func TestCoordinatorRestartResumesSweep(t *testing.T) {
 	}
 	if got := scrapeCounter(t, coordHS.URL, "dbpfleet_sweep_cells_done_total"); got != 2 {
 		t.Fatalf("cells-done after resume = %g, want 2 (1 restored + 1 resumed)", got)
+	}
+
+	// A mirror whose cycle does not parse is refused, never journaled: read
+	// as cycle 0, it would rank below any earlier capture of its key.
+	blob := []byte("mirror-blob")
+	resp, err := http.Post(coordHS.URL+"/v1/fleet/checkpoint?key=bad-cycle&cycle=abc&hash="+durable.Hash(blob),
+		"application/octet-stream", bytes.NewReader(blob))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), serve.CodeBadRequest) {
+		t.Fatalf("mirror with cycle=abc answered %d %s, want 400 bad_request", resp.StatusCode, body)
+	}
+	if r, err = replayCoordJournal(journalPath); err != nil {
+		t.Fatal(err)
+	}
+	if m, ok := r.mirrors["bad-cycle"]; ok {
+		t.Fatalf("malformed mirror reached the journal: %+v", m)
 	}
 
 	// Restart once more: the now-ended sweep must restore its journaled

@@ -65,7 +65,7 @@ type SweepSummary struct {
 }
 
 // sweepCell is one expanded grid point: its labels, its single-run body,
-// the placement key the body resolves to, and its predicted admission cost
+// the placement key the body resolves to, and its admission cost
 // (charged per cell at dispatch time, so a long sweep spends quota as it
 // progresses rather than all up front).
 type sweepCell struct {
@@ -81,8 +81,7 @@ type sweepCell struct {
 // expandSweep validates a sweep and expands the grid. Every cell is
 // resolved up front — the placement key doubles as validation, so a sweep
 // with any invalid cell is rejected whole before anything dispatches.
-// model calibrates each cell's cost estimate (nil = built-in constants).
-func expandSweep(req SweepRequest, maxInstructions uint64, model *tenant.CostModel) ([]sweepCell, *serve.APIError) {
+func expandSweep(req SweepRequest, maxInstructions uint64) ([]sweepCell, *serve.APIError) {
 	if len(req.Mixes) == 0 && len(req.Scenarios) == 0 {
 		return nil, &serve.APIError{Code: serve.CodeBadRequest, Message: "sweep needs mixes and/or scenarios"}
 	}
@@ -135,7 +134,7 @@ func expandSweep(req SweepRequest, maxInstructions uint64, model *tenant.CostMod
 				if err != nil {
 					return nil, &serve.APIError{Code: serve.CodeBadRequest, Message: err.Error()}
 				}
-				key, _, est, apiErr := serve.ResolveCost(body, maxInstructions, model)
+				key, _, est, apiErr := serve.ResolveCost(body, maxInstructions)
 				if apiErr != nil {
 					apiErr.Message = fmt.Sprintf("cell %s/%s/%s: %s",
 						cellLabel(wl.mix, wl.scenName), sched, part, apiErr.Message)

@@ -50,8 +50,8 @@ func (c *Coordinator) sweepExit(tenantName string) {
 // global window split proportionally to tenant weight across the tenants
 // with a sweep in flight, floored at one cell. A lone tenant gets the whole
 // window (work conservation); equal weights split it evenly; a weight-8
-// interactive tenant sweeping next to a weight-1 batch tenant gets 8/9 of
-// the cluster. The split is computed at sweep start — a sweep admitted
+// interactive sweep starting next to a weight-1 batch sweep gets 8/9 of
+// the window. The split is computed at sweep start — a sweep admitted
 // later shrinks nobody's in-flight window, it just takes its own share.
 func (c *Coordinator) sweepWindow(ten *tenant.Tenant, global int) int {
 	if global < 1 {

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"dbpsim/internal/serve"
 	"dbpsim/internal/tenant"
 )
 
@@ -22,8 +23,13 @@ const testTenantsDoc = `{
 
 func testRegistry(t *testing.T) *tenant.Registry {
 	t.Helper()
+	return registryFrom(t, testTenantsDoc)
+}
+
+func registryFrom(t *testing.T, doc string) *tenant.Registry {
+	t.Helper()
 	path := filepath.Join(t.TempDir(), "tenants.json")
-	if err := os.WriteFile(path, []byte(testTenantsDoc), 0o644); err != nil {
+	if err := os.WriteFile(path, []byte(doc), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	reg, err := tenant.NewRegistry(path)
@@ -101,5 +107,66 @@ func TestCoordinatorAuth(t *testing.T) {
 	}
 	if n := scrapeCounter(t, hs.URL, "dbpfleet_unauthorized_total"); n != 2 {
 		t.Errorf("dbpfleet_unauthorized_total = %v, want 2", n)
+	}
+}
+
+// TestFleetTenancyChargesOnceAcrossHop sends an authenticated tenant
+// through the coordinator to the workers. The coordinator's vip budget
+// covers exactly three cells; each worker's covers less than one, so any
+// worker-side debit would refuse a cell. The bucket never refills, so
+// nothing here depends on timing.
+func TestFleetTenancyChargesOnceAcrossHop(t *testing.T) {
+	const cellSimcycles = (1000 + 5000) * 2
+	coord := mustCoordinator(t, CoordinatorOptions{
+		Tenants: registryFrom(t, `{"schema_version": 1, "tenants": [
+			{"name": "vip", "key": "k-vip", "weight": 8, "simcycles_burst": 36000}]}`),
+		HeartbeatTimeout: 2 * time.Second,
+		CellTimeout:      2 * time.Minute,
+		Logger:           quietLogger(),
+	})
+	coordHS := httptest.NewServer(coord)
+	t.Cleanup(coordHS.Close)
+	workerTenants := func(o *serve.Options) {
+		o.Tenants = registryFrom(t, `{"schema_version": 1, "tenants": [
+			{"name": "vip", "key": "k-vip", "weight": 8, "simcycles_burst": 1000}]}`)
+	}
+	workers := []*testWorker{
+		startWorker(t, coordHS.URL, "t1", workerTenants),
+		startWorker(t, coordHS.URL, "t2", workerTenants),
+	}
+	waitForConvergence(t, workers)
+
+	lines := postSweep(t, coordHS.URL, "k-vip",
+		`{"mixes": ["W4-M1"], "partitions": ["none", "equal", "dbp"], "warmup": 1000, "measure": 5000}`)
+	ran := map[string]bool{}
+	for _, res := range lines.results {
+		if res.Status != "done" {
+			t.Fatalf("cell %s/%s failed: %+v (a worker charged the hop?)", res.Mix, res.Partition, res.Error)
+		}
+		ran[res.Worker] = true
+	}
+	if len(lines.results) != 3 || lines.summary.Done != 3 {
+		t.Fatalf("sweep = %d results, summary %+v; want 3 done", len(lines.results), lines.summary)
+	}
+
+	// The coordinator's budget is spent: one more cell is refused there.
+	lines = postSweep(t, coordHS.URL, "k-vip",
+		`{"mixes": ["W4-M1"], "schedulers": ["tcm"], "warmup": 1000, "measure": 5000}`)
+	if len(lines.results) != 1 {
+		t.Fatalf("want 1 cell, got %d", len(lines.results))
+	}
+	e := lines.results[0].Error
+	if e == nil || e.Code != serve.CodeQuotaExceeded || e.Estimate == nil || e.Estimate.SimCycles != cellSimcycles {
+		t.Fatalf("fourth cell error = %+v, want quota_exceeded estimating %d simcycles", e, cellSimcycles)
+	}
+
+	// Every worker that ran a cell attributes it to vip.
+	for _, tw := range workers {
+		if !ran[tw.id] {
+			continue
+		}
+		if got := scrapeCounter(t, tw.hs.URL, `dbpserved_tenant_slowdown{tenant="vip"}`); got < 1 {
+			t.Errorf("worker %s: dbpserved_tenant_slowdown{tenant=\"vip\"} = %g, want a series >= 1", tw.id, got)
+		}
 	}
 }

@@ -16,19 +16,14 @@ import (
 // Retryable tells clients whether resubmitting the identical request can
 // succeed (queue pressure, timeouts, interrupted restarts) or is pointless
 // (validation errors, deterministic panics). Estimate is attached to
-// quota_exceeded errors only: the admission controller's predicted cost of
-// the refused run (additive schema change; absent elsewhere).
+// quota_exceeded errors only: the refused run's admission cost in
+// simcycles (additive schema change; absent elsewhere).
 type APIError struct {
 	Code      string           `json:"code"`
 	Message   string           `json:"message"`
 	Retryable bool             `json:"retryable"`
 	Estimate  *tenant.Estimate `json:"estimate,omitempty"`
 }
-
-// CostEstimate is the predicted-cost document carried by quota_exceeded
-// errors: simcycles (what quota buckets are charged), predicted wall
-// seconds, and the bench-ledger entry the prediction came from.
-type CostEstimate = tenant.Estimate
 
 func (e *APIError) Error() string {
 	return fmt.Sprintf("%s: %s", e.Code, e.Message)

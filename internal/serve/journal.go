@@ -35,18 +35,18 @@ import (
 //
 // Garbage collection happens at startup (the record stream is compacted to
 // one generation of state, gcBlobs sweeps both content stores down to what
-// replay still references) and incrementally at runtime (removeCheckpoint
-// prunes a job's superseded blob as soon as a newer one is journaled, and
-// its final blob when the job ends).
+// replay still references) and incrementally at runtime (the server prunes
+// a job's superseded blob as soon as a newer one is journaled, and its
+// final blob when the job ends).
 //
 // A nil *journal is a valid, always-off journal (the server runs without
 // -journal-dir); every method no-ops on a nil receiver, mirroring
-// chaos.Injector.
+// chaos.Injector. The blob stores carry their own chaos fault points and
+// are reached through a non-nil journal only.
 type journal struct {
-	inj     *chaos.Injector
 	log     *durable.Log[journalRecord]
-	results *durable.Store
-	ckpts   *durable.Store
+	results *durable.Store // faults at chaos.ResultWrite / chaos.ResultRead
+	ckpts   *durable.Store // faults at chaos.Checkpoint
 }
 
 // journalRecord is one line of journal.jsonl. Op "submit" declares a job
@@ -122,11 +122,11 @@ type restoredJob struct {
 // the request body, otherwise reported failed with code "interrupted" and
 // retryable=true as the client's cue to resubmit.
 func openJournal(dir string, inj *chaos.Injector) (*journal, map[string]*restoredJob, uint64, error) {
-	results, err := durable.NewStore(filepath.Join(dir, "results"))
+	results, err := durable.NewStore(filepath.Join(dir, "results"), inj, chaos.ResultWrite, chaos.ResultRead)
 	if err != nil {
 		return nil, nil, 0, fmt.Errorf("serve: journal dir: %w", err)
 	}
-	ckpts, err := durable.NewStore(filepath.Join(dir, "checkpoints"))
+	ckpts, err := durable.NewStore(filepath.Join(dir, "checkpoints"), inj, chaos.Checkpoint, chaos.Checkpoint)
 	if err != nil {
 		return nil, nil, 0, fmt.Errorf("serve: journal dir: %w", err)
 	}
@@ -140,7 +140,7 @@ func openJournal(dir string, inj *chaos.Injector) (*journal, map[string]*restore
 	if err != nil {
 		return nil, nil, 0, fmt.Errorf("serve: %w", err)
 	}
-	return &journal{inj: inj, log: log, results: results, ckpts: ckpts}, rp.restored, rp.maxSeq, nil
+	return &journal{log: log, results: results, ckpts: ckpts}, rp.restored, rp.maxSeq, nil
 }
 
 // journalReplay folds the record stream into terminal job state. Records
@@ -276,7 +276,7 @@ func (j *journal) appendCheckpoint(id, key, hash string, cycle uint64) error {
 
 // appendEnd journals a job's terminal state. apiErr is nil for done jobs;
 // resultHash is the content address appendEnd's caller got from
-// writeResult (empty when there is no ledger to keep).
+// the result store (empty when there is no ledger to keep).
 func (j *journal) appendEnd(id, key, state string, apiErr *APIError, resultHash string, st tenancyStamp) error {
 	return j.append(st.apply(journalRecord{Op: "end", ID: id, Key: key, State: state, Error: apiErr, Result: resultHash}))
 }
@@ -286,52 +286,6 @@ func (j *journal) append(rec journalRecord) error {
 		return nil
 	}
 	return j.log.Append(rec)
-}
-
-// writeResult persists canonical ledger bytes to the content-addressed
-// result store and returns their address.
-func (j *journal) writeResult(data []byte) (string, error) {
-	if j == nil {
-		return "", nil
-	}
-	if err := j.inj.Err(chaos.ResultWrite); err != nil {
-		return "", err
-	}
-	return j.results.Put(data)
-}
-
-// readResult loads ledger bytes back by content address.
-func (j *journal) readResult(hash string) ([]byte, error) {
-	if j == nil {
-		return nil, fmt.Errorf("serve: no journal configured")
-	}
-	if err := j.inj.Err(chaos.ResultRead); err != nil {
-		return nil, err
-	}
-	return j.results.Get(hash)
-}
-
-// writeCheckpoint persists a snapshot blob to the content-addressed
-// checkpoint store and returns its address.
-func (j *journal) writeCheckpoint(data []byte) (string, error) {
-	if j == nil {
-		return "", nil
-	}
-	if err := j.inj.Err(chaos.Checkpoint); err != nil {
-		return "", err
-	}
-	return j.ckpts.Put(data)
-}
-
-// readCheckpoint loads a snapshot blob back by content address.
-func (j *journal) readCheckpoint(hash string) ([]byte, error) {
-	if j == nil {
-		return nil, fmt.Errorf("serve: no journal configured")
-	}
-	if err := j.inj.Err(chaos.Checkpoint); err != nil {
-		return nil, err
-	}
-	return j.ckpts.Get(hash)
 }
 
 // compactRecords is the compacted record stream for the replayed state: one
@@ -385,17 +339,6 @@ func (j *journal) gcBlobs(restored map[string]*restoredJob) (int, int, error) {
 		return ckpts, results, ckptErr
 	}
 	return ckpts, results, resErr
-}
-
-// removeCheckpoint deletes one checkpoint blob by content address — the
-// runtime prune. A blob already gone (deduped address shared
-// with another job's live checkpoint and pruned there first, or swept at
-// startup) is not an error.
-func (j *journal) removeCheckpoint(hash string) error {
-	if j == nil {
-		return nil
-	}
-	return j.ckpts.Remove(hash)
 }
 
 // Close releases the journal file. Safe on nil.

@@ -191,11 +191,10 @@ func ResolveRequest(body []byte, maxInstructions uint64) (runKey, expKey string,
 	return rr.key, rr.expKey, nil
 }
 
-// ResolveCost is ResolveRequest plus the run's predicted admission cost
-// under model m (nil m = the built-in cost constants). The fleet
-// coordinator charges entry-node quotas with this, using the same model a
-// worker would, so a run costs the same wherever it enters the fleet.
-func ResolveCost(body []byte, maxInstructions uint64, m *tenant.CostModel) (runKey, expKey string, est tenant.Estimate, apiErr *APIError) {
+// ResolveCost is ResolveRequest plus the run's admission cost. The fleet
+// coordinator charges entry-node quotas with this, so a run costs the same
+// wherever it enters the fleet.
+func ResolveCost(body []byte, maxInstructions uint64) (runKey, expKey string, est tenant.Estimate, apiErr *APIError) {
 	req, derr := decodeRunRequest(body)
 	if derr != nil {
 		return "", "", tenant.Estimate{}, derr
@@ -204,7 +203,7 @@ func ResolveCost(body []byte, maxInstructions uint64, m *tenant.CostModel) (runK
 	if err != nil {
 		return "", "", tenant.Estimate{}, &APIError{Code: CodeBadRequest, Message: err.Error()}
 	}
-	return rr.key, rr.expKey, m.Estimate(string(rr.sched), string(rr.part), rr.warmup+rr.measure), nil
+	return rr.key, rr.expKey, tenant.EstimateRun(rr.warmup + rr.measure), nil
 }
 
 // runKey is the content address of one run: the ledger's config sha256

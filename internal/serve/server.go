@@ -119,11 +119,6 @@ type Options struct {
 	// still the weighted-fair implementation, which degrades to exact FIFO
 	// for a single flow).
 	Tenants *tenant.Registry
-	// CostModel predicts a run's simcycle cost for quota debits, queue
-	// scheduling, and the estimate attached to quota_exceeded errors. Nil
-	// uses built-in constants; load a committed bench ledger (BENCH_6.json)
-	// for calibrated predictions.
-	CostModel *tenant.CostModel
 }
 
 const (
@@ -217,7 +212,7 @@ type job struct {
 	peerServed bool
 
 	// Tenancy: the admitting tenant and priority lane (immutable after
-	// admission), the predicted cost the admission controller debited, and
+	// admission), the simcycle cost the admission controller debited, and
 	// when. queueWait is stamped by the worker at dequeue and read by
 	// finishJob on the same goroutine.
 	tenantName string
@@ -251,9 +246,8 @@ type Server struct {
 	met     *metrics
 	mux     *http.ServeMux
 	chaos   *chaos.Injector
-	journal *journal          // nil without JournalDir
-	reg     *tenant.Registry  // nil without Options.Tenants (all methods nil-safe)
-	cost    *tenant.CostModel // nil uses built-in constants
+	journal *journal         // nil without JournalDir
+	reg     *tenant.Registry // nil without Options.Tenants (all methods nil-safe)
 	slow    *slowdownTracker
 
 	queue *tenant.FairQueue[*job]
@@ -300,7 +294,6 @@ func New(opt Options) (*Server, error) {
 		mux:       http.NewServeMux(),
 		chaos:     opt.Chaos,
 		reg:       opt.Tenants,
-		cost:      opt.CostModel,
 		slow:      newSlowdownTracker(),
 		queue:     tenant.NewFairQueue[*job](opt.QueueDepth),
 		cache:     make(map[string][]byte),
@@ -444,11 +437,11 @@ func (s *Server) requeueInterrupted(resume []*restoredJob) {
 			body:       append([]byte(nil), r.request...),
 			tenantName: ten.Name(),
 			lane:       lane,
-			est:        s.estimateCost(rr),
+			est:        tenant.EstimateRun(rr.warmup + rr.measure),
 			admitted:   time.Now(),
 		}
 		if r.checkpoint != "" {
-			blob, err := s.journal.readCheckpoint(r.checkpoint)
+			blob, err := s.journal.ckpts.Get(r.checkpoint)
 			if err != nil {
 				s.checkpointTrouble("checkpoint unreadable; rerunning from cycle 0", r.id, err)
 			} else {
@@ -456,7 +449,7 @@ func (s *Server) requeueInterrupted(resume []*restoredJob) {
 				j.lastCkpt = r.checkpoint
 			}
 		}
-		if err := s.queue.Push(j, j.tenantName, j.lane, ten.Weight(), j.est.Seconds); err != nil {
+		if err := s.queue.Push(j, j.tenantName, j.lane, ten.Weight(), float64(j.est.SimCycles)); err != nil {
 			cancel(nil)
 			s.mu.Unlock()
 			s.log.Warn("queue full; interrupted job not requeued", "id", r.id)
@@ -623,13 +616,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 				&APIError{Code: CodeDraining, Message: "server is draining", Retryable: true})
 			return
 		}
-		// Admission control: charge the predicted cost against the tenant's
+		// Admission control: charge the run's simcycles against the tenant's
 		// buckets before a queue slot is taken. Cache hits and coalesced
 		// requests above are free — they consume no simulation capacity.
 		// Fleet-forwarded requests were already charged at the entry node
 		// (the coordinator stamps X-Fleet-Forwarded), so the worker skips the
 		// debit rather than double-charging one run.
-		est := s.estimateCost(rr)
+		est := tenant.EstimateRun(rr.warmup + rr.measure)
 		now := time.Now()
 		charged := !forwarded
 		if charged {
@@ -669,7 +662,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 				s.checkpointTrouble("resume checkpoint not staged; running from cycle 0", hash, errUnstagedCheckpoint)
 			}
 		}
-		if err := s.queue.Push(j, j.tenantName, j.lane, ten.Weight(), est.Seconds); err != nil {
+		if err := s.queue.Push(j, j.tenantName, j.lane, ten.Weight(), float64(est.SimCycles)); err != nil {
 			s.mu.Unlock()
 			cancel(nil)
 			if charged {
@@ -761,7 +754,7 @@ func (s *Server) cacheLookupLocked(key string) ([]byte, bool) {
 	if !ok {
 		return nil, false
 	}
-	data, err := s.journal.readResult(hash)
+	data, err := s.journal.results.Get(hash)
 	if err != nil {
 		// A lost result is a cache miss, not an outage: drop the entry and
 		// let the simulation rerun.
@@ -855,7 +848,7 @@ func (s *Server) respondJob(w http.ResponseWriter, j *job) {
 // replay their terminal document.
 func (s *Server) respondRestored(w http.ResponseWriter, r *restoredJob) {
 	if r.state == stateDone {
-		data, err := s.journal.readResult(r.result)
+		data, err := s.journal.results.Get(r.result)
 		if err != nil {
 			s.journalTrouble("restored result unreadable", r.id, err)
 			writeJobError(w, r.id, stateFailed, &APIError{
@@ -1001,8 +994,8 @@ func (s *Server) runJob(j *job) (data []byte, err error) {
 func (s *Server) finishJob(j *job, data []byte, apiErr *APIError, dur time.Duration) {
 	state := terminalState(apiErr)
 	var resultHash string
-	if apiErr == nil {
-		h, err := s.journal.writeResult(data)
+	if apiErr == nil && s.journal != nil {
+		h, err := s.journal.results.Put(data)
 		if err != nil {
 			s.journalTrouble("result store write failed", j.id, err)
 		} else {
@@ -1061,7 +1054,7 @@ func (s *Server) finishJob(j *job, data []byte, apiErr *APIError, dur time.Durat
 		// garbage the moment the end record lands. A drain-checkpointed job
 		// keeps its blob — that IS the resume point.
 		if j.lastCkpt != "" {
-			if err := s.journal.removeCheckpoint(j.lastCkpt); err != nil {
+			if err := s.journal.ckpts.Remove(j.lastCkpt); err != nil {
 				s.journalTrouble("final checkpoint prune failed", j.id, err)
 			} else {
 				s.met.checkpointsPruned.Add(1)
@@ -1172,7 +1165,7 @@ func (s *Server) checkpointer(j *job) *sim.Checkpointer {
 		Sink: func(blob []byte, cycle uint64) {
 			start := time.Now()
 			if s.journal != nil {
-				hash, err := s.journal.writeCheckpoint(blob)
+				hash, err := s.journal.ckpts.Put(blob)
 				if err != nil {
 					s.checkpointTrouble("checkpoint write failed", j.id, err)
 					return
@@ -1185,7 +1178,7 @@ func (s *Server) checkpointer(j *job) *sim.Checkpointer {
 				// point; the one it supersedes is dead weight and goes
 				// immediately.
 				if j.lastCkpt != "" && j.lastCkpt != hash {
-					if err := s.journal.removeCheckpoint(j.lastCkpt); err != nil {
+					if err := s.journal.ckpts.Remove(j.lastCkpt); err != nil {
 						s.journalTrouble("superseded checkpoint prune failed", j.id, err)
 					} else {
 						s.met.checkpointsPruned.Add(1)

@@ -70,15 +70,9 @@ func AdmitQuota(ten *tenant.Tenant, est tenant.Estimate, now time.Time) (retryAf
 		Code:      CodeQuotaExceeded,
 		Retryable: true,
 		Estimate:  &e,
-		Message: fmt.Sprintf("tenant %q over its %s quota: this run is estimated at %d simcycles (%s); retry in %ds",
-			ten.Name(), limit, est.SimCycles, est.Basis, secs),
+		Message: fmt.Sprintf("tenant %q over its %s quota: this run is estimated at %d simcycles; retry in %ds",
+			ten.Name(), limit, est.SimCycles, secs),
 	}
-}
-
-// estimateCost predicts a resolved run's cost for admission and queue
-// scheduling.
-func (s *Server) estimateCost(rr resolvedRun) tenant.Estimate {
-	return s.cost.Estimate(string(rr.sched), string(rr.part), rr.warmup+rr.measure)
 }
 
 // --- fleet-internal tenancy forwarding -------------------------------------

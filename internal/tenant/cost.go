@@ -1,113 +1,26 @@
 package tenant
 
-import (
-	"encoding/json"
-	"fmt"
-	"os"
-	"strings"
-	"time"
-)
+import "math"
 
-// CostModel predicts what a run will cost before it executes, from the
-// committed perf ledger (scripts/benchjson, schema dbpsim-bench/v1): the
-// PolicyCycles_* macro benchmarks record ns/simcycle per scheduling policy,
-// and instruction budgets convert to simcycles with a fixed CPI. The
-// admission controller debits the simcycle estimate from the tenant's
-// bucket and attaches the whole estimate to quota_exceeded errors so
-// clients see what they were charged for.
-//
-// A nil *CostModel estimates with built-in constants (defaultNSPerSimcycle,
-// measured on the PR-6 baseline hardware), so the service never needs a
-// ledger file to run.
-type CostModel struct {
-	nsPerSimcycle map[string]float64 // upper-cased policy name → ns/simcycle
-	source        string             // ledger path, for Estimate.Basis
-}
-
-// Estimate is a predicted run cost. SimCycles is what quota buckets are
-// debited; Seconds is the predicted wall time at the ledger's per-policy
-// throughput; Basis names the prediction source ("ledger:<name>" when a
-// bench entry matched, "default" otherwise).
+// Estimate is a run's admission cost, known before it executes. SimCycles
+// is what quota buckets are debited and what the weighted-fair queue
+// charges the run's flow.
 type Estimate struct {
-	SimCycles uint64  `json:"simcycles"`
-	Seconds   float64 `json:"seconds"`
-	Basis     string  `json:"basis"`
+	SimCycles uint64 `json:"simcycles"`
 }
 
-const (
-	// cyclesPerInstruction converts instruction budgets to simulated CPU
-	// cycles. Measured budgets on the committed mixes retire in 1.5–2.5
-	// cycles per instruction under contention; 2 is the round middle.
-	cyclesPerInstruction = 2.0
-	// defaultNSPerSimcycle is the PR-6 baseline's mid-range PolicyCycles
-	// throughput, used when no ledger entry matches.
-	defaultNSPerSimcycle = 700.0
-)
+// cyclesPerInstruction converts instruction budgets to simulated CPU
+// cycles. Measured budgets on the committed mixes retire in 1.5–2.5 cycles
+// per instruction under contention; 2 is the round middle.
+const cyclesPerInstruction = 2
 
-// benchFile mirrors just enough of the dbpsim-bench/v1 schema.
-type benchFile struct {
-	Schema     string `json:"schema"`
-	Benchmarks []struct {
-		Name    string             `json:"name"`
-		Metrics map[string]float64 `json:"metrics"`
-	} `json:"benchmarks"`
-}
-
-// LoadCostModel parses a dbpsim-bench/v1 ledger (e.g. the committed
-// BENCH_6.json) into a cost model keyed by the PolicyCycles_* entries.
-func LoadCostModel(path string) (*CostModel, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("tenant: cost ledger: %w", err)
+// EstimateRun prices a run by its total instruction budget (warmup +
+// measure, per core) alone: the request fixes the cost, so a run is priced
+// the same on every node and under every policy. A budget whose price
+// would overflow saturates, so no request wraps around to a cheap one.
+func EstimateRun(instructions uint64) Estimate {
+	if instructions > math.MaxUint64/cyclesPerInstruction {
+		return Estimate{SimCycles: math.MaxUint64}
 	}
-	var f benchFile
-	if err := json.Unmarshal(data, &f); err != nil {
-		return nil, fmt.Errorf("tenant: cost ledger %s: %w", path, err)
-	}
-	if f.Schema != "dbpsim-bench/v1" {
-		return nil, fmt.Errorf("tenant: cost ledger %s: schema %q (want dbpsim-bench/v1)", path, f.Schema)
-	}
-	m := &CostModel{nsPerSimcycle: map[string]float64{}, source: path}
-	for _, b := range f.Benchmarks {
-		name, ok := strings.CutPrefix(b.Name, "PolicyCycles_")
-		if !ok {
-			continue
-		}
-		if ns := b.Metrics["ns/simcycle"]; ns > 0 {
-			m.nsPerSimcycle[strings.ToUpper(name)] = ns
-		}
-	}
-	if len(m.nsPerSimcycle) == 0 {
-		return nil, fmt.Errorf("tenant: cost ledger %s: no PolicyCycles_* entries with ns/simcycle", path)
-	}
-	return m, nil
-}
-
-// Estimate predicts the cost of a run with the given scheduler and
-// partition policy names and total instruction budget (warmup + measure,
-// per core). The partition policy is preferred for the ledger lookup — the
-// PolicyCycles_* entries are named after partition/scheduling policy points
-// (DBP, MCP, TCM, FRFCFS, …) — falling back to the scheduler name, then to
-// the built-in constant.
-func (m *CostModel) Estimate(scheduler, partition string, instructions uint64) Estimate {
-	cycles := float64(instructions) * cyclesPerInstruction
-	ns := defaultNSPerSimcycle
-	basis := "default"
-	if m != nil {
-		for _, name := range []string{partition, scheduler} {
-			if name == "" {
-				continue
-			}
-			if v, ok := m.nsPerSimcycle[strings.ToUpper(name)]; ok {
-				ns = v
-				basis = "ledger:PolicyCycles_" + strings.ToUpper(name)
-				break
-			}
-		}
-	}
-	return Estimate{
-		SimCycles: uint64(cycles),
-		Seconds:   cycles * ns / float64(time.Second),
-		Basis:     basis,
-	}
+	return Estimate{SimCycles: instructions * cyclesPerInstruction}
 }

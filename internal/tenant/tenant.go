@@ -2,8 +2,8 @@
 // API-key authentication from a reloadable config file, token-bucket quotas
 // on admitted cells and simulated cycles, a weighted-fair queue (wfq.go)
 // scheduling tenants the way the paper's memory scheduler regulates threads,
-// and a cost model (cost.go) predicting a run's simcycle bill from the
-// committed bench ledger.
+// and the admission price (cost.go): a run's simcycles, fixed by its
+// instruction budget.
 //
 // The package deliberately mirrors the paper's own vocabulary: tenants are
 // the service's "threads", the job queue is its "memory controller", and
@@ -57,8 +57,8 @@ type Spec struct {
 	// request the interactive lane.
 	Lane string `json:"lane,omitempty"`
 	// CellsPerSec/CellsBurst regulate admitted runs (one token per enqueued
-	// simulation); SimcyclesPerSec/SimcyclesBurst regulate predicted
-	// simulation cycles (the cost model's estimate is debited at admission).
+	// simulation); SimcyclesPerSec/SimcyclesBurst regulate simulation
+	// cycles (each run's EstimateRun price is debited at admission).
 	CellsPerSec     float64 `json:"cells_per_sec,omitempty"`
 	CellsBurst      float64 `json:"cells_burst,omitempty"`
 	SimcyclesPerSec float64 `json:"simcycles_per_sec,omitempty"`
@@ -146,8 +146,8 @@ func (t *Tenant) Lane() string {
 	return t.spec.Lane
 }
 
-// Admit attempts to charge one admitted cell plus simcycles predicted
-// simulation cycles against the tenant's buckets at time now. On refusal it
+// Admit attempts to charge one admitted cell plus simcycles simulation
+// cycles against the tenant's buckets at time now. On refusal it
 // returns the refill-based wait until the charge could succeed and which
 // bucket refused ("cells" or "simcycles") — the admission controller turns
 // that into quota_exceeded + Retry-After.

@@ -84,8 +84,8 @@ func laneBoost(lane string) float64 {
 
 // Push enqueues v on the (tenantName, lane) flow. weight is the tenant's
 // fair share (clamped to a small positive floor) and cost the item's
-// predicted service demand in any consistent unit — predicted wall seconds
-// here; only ratios matter.
+// service demand in any consistent unit — simcycles here; only ratios
+// matter.
 func (q *FairQueue[T]) Push(v T, tenantName, lane string, weight, cost float64) error {
 	if weight <= 0 {
 		weight = 1

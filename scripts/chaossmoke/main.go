@@ -614,14 +614,14 @@ func seeded(seed int) string {
 // --- multi-tenant scenario -----------------------------------------------
 
 // tenantBody is the workload both tenants submit in the tenancy drill:
-// 301000 instructions → 602000 predicted simcycles at the built-in 2
+// 301000 instructions → 602000 simcycles at the admission price of 2
 // cycles/instruction, big enough (hundreds of ms) that a backlog of them
 // takes visible wall-clock to drain.
 func tenantBody(seed int) string {
 	return fmt.Sprintf(`{"benchmarks": ["mcf-like", "gcc-like"], "seed": %d, "warmup": 1000, "measure": 300000}`, seed)
 }
 
-const tenantBodyCost = 602000 // predicted simcycles per tenantBody run
+const tenantBodyCost = 602000 // admission simcycles per tenantBody run
 
 // greedyJobs is how many runs the greedy tenant gets in before its budget
 // runs dry: its burst covers greedyJobs runs but not greedyJobs+1.
@@ -702,7 +702,7 @@ func scenarioTenants(bin string) error {
 
 	// Cost-aware admission: greedy's next job is over budget and the
 	// refusal carries the bill — a structured quota_exceeded with the
-	// predicted cost and a refill-derived Retry-After, never a bare 429.
+	// simcycle cost and a refill-derived Retry-After, never a bare 429.
 	checkQuotaRefusal := func(d *drill.Daemon) error {
 		status, body, hdr, err := d.Post("/v1/runs", tenantBody(999), "X-API-Key", "k-greedy")
 		if err != nil {
