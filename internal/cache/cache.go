@@ -39,11 +39,30 @@ func (c Config) Validate() error {
 	return nil
 }
 
+// line is one cache line packed into two words: key is tag<<1|valid and
+// stamp is used<<1|dirty, where used is the LRU timestamp. Every access
+// stamps its line with a fresh clock value, so the valid lines of a set
+// carry distinct used times and their stamps order exactly as those times
+// do.
 type line struct {
-	tag   uint64
-	valid bool
-	dirty bool
-	used  uint64 // LRU timestamp
+	key   uint64
+	stamp uint64
+}
+
+func (l line) valid() bool  { return l.key&1 != 0 }
+func (l line) dirty() bool  { return l.stamp&1 != 0 }
+func (l line) tag() uint64  { return l.key >> 1 }
+func (l line) used() uint64 { return l.stamp >> 1 }
+
+func packLine(tag uint64, valid, dirty bool, used uint64) line {
+	return line{key: tag<<1 | b2u(valid), stamp: used<<1 | b2u(dirty)}
+}
+
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // Stats holds access counters for one cache.
@@ -86,9 +105,11 @@ type Result struct {
 // Cache is one set-associative cache level.
 type Cache struct {
 	cfg       Config
-	sets      [][]line
+	lines     []line // sets × ways, set-major
+	ways      int
 	setMask   uint64
 	lineShift uint
+	tagShift  uint // log2 of the set count
 	clock     uint64
 	stats     Stats
 }
@@ -99,16 +120,21 @@ func New(cfg Config) (*Cache, error) {
 		return nil, err
 	}
 	numSets := cfg.SizeBytes / (cfg.Ways * cfg.LineBytes)
-	c := &Cache{cfg: cfg, setMask: uint64(numSets - 1)}
+	c := &Cache{cfg: cfg, ways: cfg.Ways, setMask: uint64(numSets - 1)}
 	for l := cfg.LineBytes; l > 1; l >>= 1 {
 		c.lineShift++
 	}
-	c.sets = make([][]line, numSets)
-	backing := make([]line, numSets*cfg.Ways)
-	for i := range c.sets {
-		c.sets[i], backing = backing[:cfg.Ways], backing[cfg.Ways:]
+	for n := numSets; n > 1; n >>= 1 {
+		c.tagShift++
 	}
+	c.lines = make([]line, numSets*cfg.Ways)
 	return c, nil
+}
+
+// set returns the ways of set idx.
+func (c *Cache) set(idx uint64) []line {
+	i := int(idx) * c.ways
+	return c.lines[i : i+c.ways : i+c.ways]
 }
 
 // Config returns the cache's configuration.
@@ -125,16 +151,18 @@ func (c *Cache) ResetStats() { c.stats = Stats{} }
 func (c *Cache) Access(addr uint64, isWrite bool) Result {
 	c.clock++
 	lineAddr := addr >> c.lineShift
-	set := c.sets[lineAddr&c.setMask]
-	tag := lineAddr >> popcount(c.setMask)
+	setIdx := lineAddr & c.setMask
+	set := c.set(setIdx)
+	key := lineAddr>>c.tagShift<<1 | 1
+	stamp := c.clock << 1
 
 	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			set[i].used = c.clock
+		if set[i].key == key {
 			if isWrite {
-				set[i].dirty = true
+				set[i].stamp = stamp | 1
 				c.stats.WriteHits++
 			} else {
+				set[i].stamp = stamp | set[i].stamp&1
 				c.stats.ReadHits++
 			}
 			return Result{Hit: true}
@@ -150,35 +178,34 @@ func (c *Cache) Access(addr uint64, isWrite bool) Result {
 	// Choose a victim: first invalid way, else LRU.
 	victim := 0
 	for i := range set {
-		if !set[i].valid {
+		if !set[i].valid() {
 			victim = i
 			break
 		}
-		if set[i].used < set[victim].used {
+		if set[i].stamp < set[victim].stamp {
 			victim = i
 		}
 	}
 
 	var res Result
-	if set[victim].valid {
+	if v := set[victim]; v.valid() {
 		c.stats.Evictions++
-		if set[victim].dirty {
+		if v.dirty() {
 			c.stats.Writebacks++
 			res.Writeback = true
-			res.WritebackAddr = c.rebuildAddr(set[victim].tag, lineAddr&c.setMask)
+			res.WritebackAddr = c.rebuildAddr(v.tag(), setIdx)
 		}
 	}
-	set[victim] = line{tag: tag, valid: true, dirty: isWrite, used: c.clock}
+	set[victim] = line{key: key, stamp: stamp | b2u(isWrite)}
 	return res
 }
 
 // Contains reports whether the line holding addr is present (no LRU update).
 func (c *Cache) Contains(addr uint64) bool {
 	lineAddr := addr >> c.lineShift
-	set := c.sets[lineAddr&c.setMask]
-	tag := lineAddr >> popcount(c.setMask)
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
+	key := lineAddr>>c.tagShift<<1 | 1
+	for _, l := range c.set(lineAddr & c.setMask) {
+		if l.key == key {
 			return true
 		}
 	}
@@ -187,16 +214,7 @@ func (c *Cache) Contains(addr uint64) bool {
 
 // rebuildAddr reconstructs a line-aligned byte address from tag and set.
 func (c *Cache) rebuildAddr(tag, setIdx uint64) uint64 {
-	return ((tag << popcount(c.setMask)) | setIdx) << c.lineShift
-}
-
-func popcount(mask uint64) uint {
-	var n uint
-	for mask != 0 {
-		n += uint(mask & 1)
-		mask >>= 1
-	}
-	return n
+	return (tag<<c.tagShift | setIdx) << c.lineShift
 }
 
 // Hierarchy chains an L1 and L2; misses in L1 look up L2, L1 writebacks are

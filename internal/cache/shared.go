@@ -15,6 +15,7 @@ type Shared struct {
 	sets      [][]sline
 	setMask   uint64
 	lineShift uint
+	tagShift  uint // log2 of the set count
 	clock     uint64
 
 	// wayMask[t] is a bitmask of ways thread t may allocate into.
@@ -60,6 +61,9 @@ func NewShared(cfg Config, threads, umonSets int) (*Shared, error) {
 	}
 	for l := cfg.LineBytes; l > 1; l >>= 1 {
 		s.lineShift++
+	}
+	for n := numSets; n > 1; n >>= 1 {
+		s.tagShift++
 	}
 	s.sets = make([][]sline, numSets)
 	backing := make([]sline, numSets*cfg.Ways)
@@ -151,7 +155,7 @@ func (s *Shared) Access(t int, addr uint64, isWrite bool) (Result, bool) {
 	lineAddr := addr >> s.lineShift
 	setIdx := lineAddr & s.setMask
 	set := s.sets[setIdx]
-	tag := lineAddr >> popcount(s.setMask)
+	tag := lineAddr >> s.tagShift
 
 	if u := s.umonOf(t); u != nil {
 		u.Observe(setIdx, tag)
@@ -201,7 +205,7 @@ func (s *Shared) Access(t int, addr uint64, isWrite bool) (Result, bool) {
 	var res Result
 	if set[victim].valid && set[victim].dirty {
 		res.Writeback = true
-		res.WritebackAddr = ((set[victim].tag << popcount(s.setMask)) | setIdx) << s.lineShift
+		res.WritebackAddr = ((set[victim].tag << s.tagShift) | setIdx) << s.lineShift
 	}
 	set[victim] = sline{tag: tag, valid: true, dirty: isWrite, used: s.clock, owner: t}
 	return res, false
@@ -211,7 +215,7 @@ func (s *Shared) Access(t int, addr uint64, isWrite bool) (Result, bool) {
 func (s *Shared) Contains(addr uint64) bool {
 	lineAddr := addr >> s.lineShift
 	set := s.sets[lineAddr&s.setMask]
-	tag := lineAddr >> popcount(s.setMask)
+	tag := lineAddr >> s.tagShift
 	for i := range set {
 		if set[i].valid && set[i].tag == tag {
 			return true

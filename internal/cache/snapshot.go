@@ -30,11 +30,9 @@ type CacheState struct {
 // Snapshot captures the cache's mutable state.
 func (c *Cache) Snapshot() CacheState {
 	st := CacheState{Clock: c.clock, Stats: c.stats}
-	st.Lines = make([]LineState, 0, len(c.sets)*c.cfg.Ways)
-	for _, set := range c.sets {
-		for _, l := range set {
-			st.Lines = append(st.Lines, LineState{Tag: l.tag, Valid: l.valid, Dirty: l.dirty, Used: l.used})
-		}
+	st.Lines = make([]LineState, len(c.lines))
+	for i, l := range c.lines {
+		st.Lines[i] = LineState{Tag: l.tag(), Valid: l.valid(), Dirty: l.dirty(), Used: l.used()}
 	}
 	return st
 }
@@ -42,20 +40,13 @@ func (c *Cache) Snapshot() CacheState {
 // Restore installs a previously captured state. The cache must have the
 // same geometry as the one the snapshot was taken from.
 func (c *Cache) Restore(st CacheState) error {
-	want := len(c.sets) * c.cfg.Ways
-	if len(st.Lines) != want {
-		return fmt.Errorf("cache %s: snapshot has %d lines, cache has %d", c.cfg.Name, len(st.Lines), want)
+	if len(st.Lines) != len(c.lines) {
+		return fmt.Errorf("cache %s: snapshot has %d lines, cache has %d", c.cfg.Name, len(st.Lines), len(c.lines))
 	}
 	c.clock = st.Clock
 	c.stats = st.Stats
-	i := 0
-	for s := range c.sets {
-		set := c.sets[s]
-		for w := range set {
-			ls := st.Lines[i]
-			set[w] = line{tag: ls.Tag, valid: ls.Valid, dirty: ls.Dirty, used: ls.Used}
-			i++
-		}
+	for i, ls := range st.Lines {
+		c.lines[i] = packLine(ls.Tag, ls.Valid, ls.Dirty, ls.Used)
 	}
 	return nil
 }

@@ -69,9 +69,10 @@ func (c Config) Validate() error {
 	return nil
 }
 
+// robEntry keeps readyAt first so the entry packs into 16 bytes.
 type robEntry struct {
-	done    bool
 	readyAt uint64
+	done    bool
 	isLoad  bool
 }
 
@@ -227,33 +228,37 @@ func (c *Core) Tick() error {
 	now := c.now
 	c.now++
 	c.stats.Cycles++
+	width, size := c.cfg.Width, len(c.rob)
 
 	// Retire in order, up to Width.
-	retiredThisCycle := 0
-	for retiredThisCycle < c.cfg.Width && c.count > 0 {
-		e := &c.rob[c.head]
+	head, count, retired := c.head, c.count, 0
+	for retired < width && count > 0 {
+		e := &c.rob[head]
 		if !e.done || e.readyAt > now {
 			break
 		}
 		if e.isLoad {
 			c.outstandingLoads--
 		}
-		if c.head++; c.head == len(c.rob) {
-			c.head = 0
+		if head++; head == size {
+			head = 0
 		}
-		c.count--
-		c.stats.Retired++
-		retiredThisCycle++
+		count--
+		retired++
 	}
-	if retiredThisCycle == 0 {
+	c.head, c.count = head, count
+	c.stats.Retired += uint64(retired)
+	if retired == 0 {
 		c.stats.StallCycles++
 	}
 
 	// Retry spilled cache traffic before generating more.
-	c.flushPendingOps()
+	if len(c.pendingOps) > 0 {
+		c.flushPendingOps()
+	}
 
 	// Fill up to Width new instructions.
-	for filled := 0; filled < c.cfg.Width && c.count < len(c.rob); filled++ {
+	for filled := 0; filled < width && c.count < size; {
 		if !c.haveItem {
 			c.item = c.gen.Next()
 			c.genCalls++
@@ -262,8 +267,11 @@ func (c *Core) Tick() error {
 			c.translated = false
 		}
 		if c.gapLeft > 0 {
-			c.insert(robEntry{done: true, readyAt: now + 1})
-			c.gapLeft--
+			// This cycle's share of the gap run, inserted in one go.
+			n := min(c.gapLeft, width-filled, size-c.count)
+			c.insertGaps(n, now+1)
+			c.gapLeft -= n
+			filled += n
 			continue
 		}
 		// Backpressure: don't start new accesses while spilled traffic
@@ -282,8 +290,26 @@ func (c *Core) Tick() error {
 			break // MSHRs or controller full; retry next cycle
 		}
 		c.haveItem = false
+		filled++
 	}
 	return nil
+}
+
+// insertGaps inserts n done non-memory entries that become ready at
+// readyAt.
+func (c *Core) insertGaps(n int, readyAt uint64) {
+	if readyAt > c.maxReadyAt {
+		c.maxReadyAt = readyAt
+	}
+	tail := c.tail
+	for ; n > 0; n-- {
+		c.rob[tail] = robEntry{done: true, readyAt: readyAt}
+		if tail++; tail == len(c.rob) {
+			tail = 0
+		}
+		c.count++
+	}
+	c.tail = tail
 }
 
 func (c *Core) insert(e robEntry) {
@@ -531,12 +557,25 @@ func (c *Core) Skip(delta uint64) {
 		c.tail = int((uint64(c.tail) + n) % size)
 		c.gapLeft -= int(n)
 		c.stats.Retired += n
-	} else {
-		c.stats.StallCycles += delta
+		c.now += delta
+		c.stats.Cycles += delta
+		return
 	}
-	c.now += delta
-	c.stats.Cycles += delta
+	c.Stall(delta)
 }
+
+// Stall advances a stalled core by n cycles in bulk: exactly what n
+// consecutive Ticks that retire and insert nothing would do. The kernel
+// applies a sleeping core's cycles this way when it next touches the core.
+func (c *Core) Stall(n uint64) {
+	c.stats.StallCycles += n
+	c.now += n
+	c.stats.Cycles += n
+}
+
+// Now returns the core's own clock: the number of cycles it has been
+// advanced by Tick, Skip and Stall.
+func (c *Core) Now() uint64 { return c.now }
 
 // DemandDone completes the demand miss identified by tag: the waiting ROB
 // entry becomes retirable and the MSHR frees. The memory system invokes it

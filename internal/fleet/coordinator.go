@@ -794,7 +794,7 @@ func (c *Coordinator) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeAPIError(w, http.StatusBadRequest, &serve.APIError{Code: serve.CodeBadRequest, Message: laneErr.Error()})
 		return
 	}
-	key, _, est, apiErr := serve.ResolveCost(body, c.opt.MaxInstructions)
+	key, est, apiErr := serve.ResolveCost(body, c.opt.MaxInstructions)
 	if apiErr != nil {
 		writeAPIError(w, http.StatusBadRequest, apiErr)
 		return

@@ -134,7 +134,7 @@ func expandSweep(req SweepRequest, maxInstructions uint64) ([]sweepCell, *serve.
 				if err != nil {
 					return nil, &serve.APIError{Code: serve.CodeBadRequest, Message: err.Error()}
 				}
-				key, _, est, apiErr := serve.ResolveCost(body, maxInstructions)
+				key, est, apiErr := serve.ResolveCost(body, maxInstructions)
 				if apiErr != nil {
 					apiErr.Message = fmt.Sprintf("cell %s/%s/%s: %s",
 						cellLabel(wl.mix, wl.scenName), sched, part, apiErr.Message)

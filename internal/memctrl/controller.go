@@ -62,30 +62,44 @@ type inflight struct {
 	req     *Request
 }
 
-// bankQueue is one request queue in arrival (and ID) order, plus a cached
-// most-preferred request per bank so selection compares one candidate per
-// bank instead of re-ranking the whole queue every cycle. head[b] is the
-// less-minimum of bank b's queued requests unless stale[b] is set; a fresh
-// nil head means the bank has nothing queued. The heads are unserialised
-// scratch: anything that may change a bank's ranking marks it stale, and
-// refresh recomputes every stale bank in one pass over the queue.
+// bankQueue is one request queue in arrival (and ID) order, plus per-bank
+// request lists and a cached most-preferred request per bank, so selection
+// compares one candidate per bank instead of re-ranking the whole queue
+// every cycle. bank[b] holds bank b's requests in arrival order. head[b] is
+// the less-minimum of bank[b] unless stale[b] is set; a fresh nil head means
+// the bank has nothing queued. notBefore[b] is a memory cycle before which
+// head[b]'s next command cannot issue (0 when unknown). The lists and heads
+// are unserialised scratch: anything that may change a bank's ranking marks
+// it stale, and refresh re-ranks each stale bank from its own list.
 type bankQueue struct {
-	q        []*Request
-	head     []*Request
-	stale    []bool
-	anyStale bool
-	banks    int // banks per rank, to flatten (rank, bank)
-	less     func(a, b *Request) bool
+	q         []*Request
+	bank      [][]*Request
+	head      []*Request
+	notBefore []uint64
+	stale     []bool
+	anyStale  bool
+	banks     int // banks per rank, to flatten (rank, bank)
+	less      func(a, b *Request) bool
 }
 
 func newBankQueue(capacity, ranks, banks int, less func(a, b *Request) bool) bankQueue {
-	return bankQueue{
-		q:     make([]*Request, 0, capacity),
-		head:  make([]*Request, ranks*banks),
-		stale: make([]bool, ranks*banks),
-		banks: banks,
-		less:  less,
+	n := ranks * banks
+	bq := bankQueue{
+		q:         make([]*Request, 0, capacity),
+		bank:      make([][]*Request, n),
+		head:      make([]*Request, n),
+		notBefore: make([]uint64, n),
+		stale:     make([]bool, n),
+		banks:     banks,
+		less:      less,
 	}
+	// One backing array gives every bank room for a full queue, so the
+	// lists never grow in a run.
+	backing := make([]*Request, n*capacity)
+	for b := range bq.bank {
+		bq.bank[b] = backing[b*capacity : b*capacity : (b+1)*capacity]
+	}
+	return bq
 }
 
 func (bq *bankQueue) bankOf(r *Request) int { return r.Loc.Rank*bq.banks + r.Loc.Bank }
@@ -94,27 +108,52 @@ func (bq *bankQueue) bankOf(r *Request) int { return r.Loc.Rank*bq.banks + r.Loc
 // call (a stale bank picks it up at the next refresh).
 func (bq *bankQueue) push(r *Request) {
 	bq.q = append(bq.q, r)
-	if b := bq.bankOf(r); !bq.stale[b] && (bq.head[b] == nil || bq.less(r, bq.head[b])) {
+	b := bq.bankOf(r)
+	bq.bank[b] = append(bq.bank[b], r)
+	if !bq.stale[b] && (bq.head[b] == nil || bq.less(r, bq.head[b])) {
 		bq.head[b] = r
+		bq.notBefore[b] = 0
 	}
 }
 
-// remove deletes r from the queue, preserving order, and re-ranks its bank.
+// remove deletes r from the queue and its bank's list, preserving order,
+// and re-ranks its bank.
 func (bq *bankQueue) remove(r *Request) {
-	for i, o := range bq.q {
+	bq.q = deleteRequest(bq.q, r)
+	b := bq.bankOf(r)
+	bq.bank[b] = deleteRequest(bq.bank[b], r)
+	bq.invalidate(b)
+}
+
+// deleteRequest removes r from list in place, preserving order.
+func deleteRequest(list []*Request, r *Request) []*Request {
+	for i, o := range list {
 		if o == r {
-			copy(bq.q[i:], bq.q[i+1:])
-			bq.q[len(bq.q)-1] = nil // no stale alias in the backing array
-			bq.q = bq.q[:len(bq.q)-1]
-			break
+			copy(list[i:], list[i+1:])
+			list[len(list)-1] = nil // no stale alias in the backing array
+			return list[:len(list)-1]
 		}
 	}
-	bq.invalidate(bq.bankOf(r))
+	return list
+}
+
+// rebuild refills the per-bank lists from q (after a restore).
+func (bq *bankQueue) rebuild() {
+	for b := range bq.bank {
+		clear(bq.bank[b])
+		bq.bank[b] = bq.bank[b][:0]
+	}
+	for _, r := range bq.q {
+		b := bq.bankOf(r)
+		bq.bank[b] = append(bq.bank[b], r)
+	}
+	bq.invalidateAll()
 }
 
 // invalidate marks bank b's head for recomputation.
 func (bq *bankQueue) invalidate(b int) {
 	bq.head[b] = nil
+	bq.notBefore[b] = 0
 	bq.stale[b] = true
 	bq.anyStale = true
 }
@@ -126,18 +165,23 @@ func (bq *bankQueue) invalidateAll() {
 	}
 }
 
-// refresh recomputes every stale head in one pass over the queue.
+// refresh re-ranks every stale bank from its own list.
 func (bq *bankQueue) refresh() {
 	if !bq.anyStale {
 		return
 	}
-	for _, r := range bq.q {
-		if b := bq.bankOf(r); bq.stale[b] && (bq.head[b] == nil || bq.less(r, bq.head[b])) {
-			bq.head[b] = r
+	for b, stale := range bq.stale {
+		if !stale {
+			continue
 		}
-	}
-	for b := range bq.stale {
 		bq.stale[b] = false
+		var h *Request
+		for _, r := range bq.bank[b] {
+			if h == nil || bq.less(r, h) {
+				h = r
+			}
+		}
+		bq.head[b] = h
 	}
 	bq.anyStale = false
 }
@@ -150,8 +194,13 @@ type Controller struct {
 	mapper    *addr.Mapper
 	sched     Scheduler
 
-	reads    bankQueue
-	writes   bankQueue
+	reads  bankQueue
+	writes bankQueue
+	// nextEv memoises NextEvent's controller-and-channel part (its value
+	// before the scheduler's NextTickEvent is folded in) while nextEvOK is
+	// set; Tick, an accepted Enqueue and Restore clear it. Unserialised.
+	nextEv   uint64
+	nextEvOK bool
 	inflight []inflight
 	nextID   uint64
 	now      uint64
@@ -357,6 +406,7 @@ func (c *Controller) Enqueue(r *Request) bool {
 		c.recycle(r)
 		return false
 	}
+	c.nextEvOK = false
 	r.Loc = c.mapper.Decode(r.Addr)
 	r.ID = c.nextID
 	c.nextID++
@@ -398,6 +448,7 @@ func (c *Controller) ForEachOutstandingRead(fn func(thread, globalBank int, page
 // Tick advances the controller by one memory cycle: completes finished
 // transfers, manages refresh, and issues at most one DRAM command.
 func (c *Controller) Tick() {
+	c.nextEvOK = false
 	c.completeTransfers()
 	if len(c.reads.q) > 0 || len(c.inflight) > 0 {
 		c.BusyReadCycles++
@@ -681,7 +732,13 @@ func (c *Controller) selectAndIssue(bq *bankQueue, preferred *Request) bool {
 	}
 	var best *Request
 	for b, r := range bq.head {
-		if r == nil || b == blocked || !c.ready(r) {
+		if r == nil || b == blocked || c.now < bq.notBefore[b] {
+			continue
+		}
+		if !c.ready(r) {
+			// Commands to other banks only add constraints, and a command
+			// to this bank invalidates the bound with the head.
+			bq.notBefore[b] = c.earliestIssue(r)
 			continue
 		}
 		if best == nil || bq.less(r, best) {
@@ -723,6 +780,19 @@ func (c *Controller) NextEvent() uint64 {
 	if wake <= c.now {
 		return c.now
 	}
+	if !c.nextEvOK {
+		c.nextEv, c.nextEvOK = c.nextOwnEvent(), true
+	}
+	return max(min(wake, c.nextEv), c.now)
+}
+
+// nextOwnEvent is NextEvent without the scheduler: the earliest memory
+// cycle at which the queues, the in-flight transfers, refresh or the
+// row-timeout policy need a real Tick. Its inputs change only in Tick,
+// Enqueue and Restore; Skip only moves the clock up to at most the result,
+// so the value stays a valid bound until one of those runs.
+func (c *Controller) nextOwnEvent() uint64 {
+	wake := NeverEvent
 	// In-flight read transfers complete (and unblock cores) at dataEnd.
 	for _, f := range c.inflight {
 		if f.dataEnd < wake {
@@ -780,9 +850,6 @@ func (c *Controller) NextEvent() uint64 {
 				}
 			}
 		}
-	}
-	if wake < c.now {
-		wake = c.now
 	}
 	return wake
 }

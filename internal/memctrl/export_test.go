@@ -93,3 +93,29 @@ func (c *Controller) refSelectAndIssue(bq *bankQueue, preferred int, less func(a
 		blocked[bq.bankOf(r)] = true
 	}
 }
+
+// NextEventFresh is NextEvent recomputed from scratch, bypassing the memo.
+func (c *Controller) NextEventFresh() uint64 {
+	wake := c.sched.NextTickEvent(c.now)
+	if wake <= c.now {
+		return c.now
+	}
+	return max(min(wake, c.nextOwnEvent()), c.now)
+}
+
+// SkippedReadyHead reports a fresh bank head whose not-before bound lies
+// ahead of the clock although its next command could issue now: one that
+// selection would wrongly pass over. bank is -1 when there is none.
+func (c *Controller) SkippedReadyHead() (queue string, bank int) {
+	for _, q := range []struct {
+		name string
+		bq   *bankQueue
+	}{{"read", &c.reads}, {"write", &c.writes}} {
+		for b, r := range q.bq.head {
+			if r != nil && !q.bq.stale[b] && c.now < q.bq.notBefore[b] && c.ready(r) {
+				return q.name, b
+			}
+		}
+	}
+	return "", -1
+}

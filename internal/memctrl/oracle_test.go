@@ -208,7 +208,22 @@ func runOracle(t *testing.T, build func() oracleStack, cfg memctrl.Config, refre
 	rng := rand.New(rand.NewSource(seed))
 	samples := make([]profile.ThreadSample, oracleThreads)
 	levels := make([]int, oracleThreads)
+	// checkDerived compares the production controller's memoised NextEvent
+	// with a fresh computation and checks that no head its not-before bound
+	// passes over could issue now.
+	checkDerived := func(when string) string {
+		if got, want := pc.NextEvent(), pc.NextEventFresh(); got != want {
+			return fmt.Sprintf("%s: memoised NextEvent %d, fresh %d (now %d)", when, got, want, pc.Now())
+		}
+		if q, b := pc.SkippedReadyHead(); b >= 0 {
+			return fmt.Sprintf("%s: %s bank %d's head is ready but its not-before bound skips it (now %d)", when, q, b, pc.Now())
+		}
+		return ""
+	}
 	for cycle := 0; cycle < cycles; cycle++ {
+		if diff := checkDerived("before enqueue"); diff != "" {
+			return cycle, diff
+		}
 		// Alternating busy and quiet phases move the queues between empty
 		// and full; a few rows per bank give both hits and conflicts.
 		if cycle/500%3 != 2 && rng.Intn(4) == 0 {
@@ -232,6 +247,9 @@ func runOracle(t *testing.T, build func() oracleStack, cfg memctrl.Config, refre
 				t.Fatalf("snapshot/restore at cycle %d: %v", cycle, err)
 			}
 		}
+		if diff := checkDerived("before tick"); diff != "" {
+			return cycle, diff
+		}
 		pc.Tick()
 		rc.TickReference()
 		if ps, rs := pc.Snapshot(), rc.Snapshot(); !reflect.DeepEqual(ps, rs) {
@@ -246,7 +264,10 @@ func runOracle(t *testing.T, build func() oracleStack, cfg memctrl.Config, refre
 // in-tree scheduler (and the priority wrapper over FR-FCFS, TCM, PAR-BS and
 // BLISS), every controller configuration, and streams with and without
 // mid-stream Snapshot/Restore, the cached per-bank heads issue exactly the
-// command sequence a full re-ranking issues.
+// command sequence a full re-ranking issues. On every cycle it also checks
+// the production controller's derived state: the memoised NextEvent equals
+// a fresh computation, and no head skipped by its not-before bound was
+// ready.
 func TestSelectionMatchesFullScan(t *testing.T) {
 	cycles := 6000
 	if testing.Short() {

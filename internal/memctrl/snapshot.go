@@ -121,8 +121,9 @@ func (c *Controller) Restore(st ControllerState) error {
 	for i, rs := range st.WriteQ {
 		c.writes.q[i] = unsnapRequest(rs)
 	}
-	c.reads.invalidateAll()
-	c.writes.invalidateAll()
+	c.reads.rebuild()
+	c.writes.rebuild()
+	c.nextEvOK = false
 	c.inflight = make([]inflight, len(st.Inflight))
 	for i, fs := range st.Inflight {
 		c.inflight[i] = inflight{dataEnd: fs.DataEnd, req: unsnapRequest(fs.Req)}

@@ -71,12 +71,25 @@ func (a *Allocator) Stats() []uint64 {
 	return out
 }
 
+// memoSize is the number of direct-mapped translation memo slots (a power
+// of two).
+const memoSize = 64
+
+// memoSlot caches one vpn → pfn entry; tag is vpn+1, so the zero slot is
+// empty.
+type memoSlot struct{ tag, pfn uint64 }
+
 // PageTable is one thread's virtual→physical mapping with a color mask.
 type PageTable struct {
-	mapper    *addr.Mapper
-	alloc     *Allocator
-	entries   map[uint64]uint64 // vpn → pfn
-	order     []uint64          // vpns in first-touch order (for migration scans)
+	mapper  *addr.Mapper
+	alloc   *Allocator
+	entries map[uint64]uint64 // vpn → pfn
+	// memo is a direct-mapped cache of entries in front of the map, indexed
+	// by the vpn's low bits. Every entries write to a memoised vpn updates
+	// its slot, so a slot never disagrees with the map. Unserialised:
+	// Restore clears it.
+	memo      [memoSize]memoSlot
+	order     []uint64 // vpns in first-touch order (for migration scans)
 	mask      ColorSet
 	allowed   []int // cached mask.Colors()
 	rr        int   // round-robin cursor into allowed
@@ -139,6 +152,11 @@ func (pt *PageTable) nextColor() int {
 // page on first touch. allocated reports a first-touch fault.
 func (pt *PageTable) Translate(vaddr uint64) (paddr uint64, allocated bool, err error) {
 	vpn := vaddr >> pt.pageShift
+	offset := vaddr & ((1 << pt.pageShift) - 1)
+	slot := &pt.memo[vpn&(memoSize-1)]
+	if slot.tag == vpn+1 {
+		return slot.pfn<<pt.pageShift | offset, false, nil
+	}
 	pfn, ok := pt.entries[vpn]
 	if !ok {
 		pfn, err = pt.alloc.Alloc(pt.nextColor())
@@ -150,8 +168,16 @@ func (pt *PageTable) Translate(vaddr uint64) (paddr uint64, allocated bool, err 
 		pt.PagesAllocated++
 		allocated = true
 	}
-	offset := vaddr & ((1 << pt.pageShift) - 1)
+	*slot = memoSlot{tag: vpn + 1, pfn: pfn}
 	return pfn<<pt.pageShift | offset, allocated, nil
+}
+
+// remap points vpn at a new frame, keeping its memo slot coherent.
+func (pt *PageTable) remap(vpn, pfn uint64) {
+	pt.entries[vpn] = pfn
+	if slot := &pt.memo[vpn&(memoSize-1)]; slot.tag == vpn+1 {
+		slot.pfn = pfn
+	}
 }
 
 // Mapped reports whether vaddr's page is mapped, without allocating it.
@@ -193,7 +219,7 @@ func (pt *PageTable) Migrate(maxPages int) int {
 			break // destination full; stop migrating
 		}
 		pt.alloc.Free(pfn)
-		pt.entries[vpn] = newPfn
+		pt.remap(vpn, newPfn)
 		pt.PagesMigrated++
 		moved++
 	}
@@ -246,7 +272,7 @@ func (pt *PageTable) Rebalance(maxPages int) int {
 			break
 		}
 		pt.alloc.Free(pfn)
-		pt.entries[vpn] = newPfn
+		pt.remap(vpn, newPfn)
 		hist[c]--
 		hist[best]++
 		pt.PagesMigrated++

@@ -1,6 +1,7 @@
 package paging
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -398,5 +399,88 @@ func TestRebalanceNoopCases(t *testing.T) {
 	pt.Rebalance(10)
 	if pt.PagesMigrated != before {
 		t.Error("balanced table kept migrating")
+	}
+}
+
+// TestTranslateMemoMatchesMap is a differential test of the translation
+// memo: one page table serves Translate through its memo, a reference twin
+// has its memo emptied before every lookup, so it translates through the
+// plain map alone. Both see the same random sequence of translations (over
+// more pages than the memo has slots, so slots conflict), mask changes,
+// migrations, rebalances, snapshots and restores of an earlier snapshot,
+// and must agree on every physical address, first-touch report and page
+// counter.
+func TestTranslateMemoMatchesMap(t *testing.T) {
+	m := testMapper()
+	colors := m.Geometry().NumColors()
+	alloc, refAlloc := NewAllocator(m), NewAllocator(m)
+	pt, ref := NewPageTable(m, alloc), NewPageTable(m, refAlloc)
+	rng := rand.New(rand.NewSource(5))
+	const pages = 3 * memoSize
+	var saved *[2]struct {
+		a AllocatorState
+		p PageTableState
+	}
+	for op := 0; op < 20000; op++ {
+		switch k := rng.Intn(100); {
+		case k < 85:
+			va := uint64(rng.Intn(pages))<<m.PageShift() | uint64(rng.Intn(1<<m.PageShift()))
+			pa, allocated, err := pt.Translate(va)
+			ref.memo = [memoSize]memoSlot{}
+			rpa, rallocated, rerr := ref.Translate(va)
+			if pa != rpa || allocated != rallocated || (err == nil) != (rerr == nil) {
+				t.Fatalf("op %d: Translate(%#x) = %#x, %v, %v with the memo; %#x, %v, %v through the map",
+					op, va, pa, allocated, err, rpa, rallocated, rerr)
+			}
+		case k < 90:
+			mask := NewColorSet(colors)
+			for mask.Empty() {
+				for c := 0; c < colors; c++ {
+					if rng.Intn(3) == 0 {
+						mask.Add(c)
+					}
+				}
+			}
+			if err := pt.SetMask(mask); err != nil {
+				t.Fatal(err)
+			}
+			if err := ref.SetMask(mask); err != nil {
+				t.Fatal(err)
+			}
+		case k < 95:
+			n := rng.Intn(8)
+			if got, want := pt.Migrate(n)+pt.Rebalance(n), ref.Migrate(n)+ref.Rebalance(n); got != want {
+				t.Fatalf("op %d: moved %d pages with the memo, %d through the map", op, got, want)
+			}
+		case k < 97:
+			saved = &[2]struct {
+				a AllocatorState
+				p PageTableState
+			}{{alloc.Snapshot(), pt.Snapshot()}, {refAlloc.Snapshot(), ref.Snapshot()}}
+		default:
+			// Both tables go back to the last snapshot; the memoised one
+			// has translated, migrated and rebalanced since.
+			if saved == nil {
+				continue
+			}
+			for i, tbl := range []struct {
+				a  *Allocator
+				pt *PageTable
+			}{{alloc, pt}, {refAlloc, ref}} {
+				if err := tbl.a.Restore(saved[i].a); err != nil {
+					t.Fatal(err)
+				}
+				if err := tbl.pt.Restore(saved[i].p); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if pt.PagesAllocated != ref.PagesAllocated || pt.PagesMigrated != ref.PagesMigrated {
+			t.Fatalf("op %d: counters allocated/migrated %d/%d with the memo, %d/%d through the map",
+				op, pt.PagesAllocated, pt.PagesMigrated, ref.PagesAllocated, ref.PagesMigrated)
+		}
+	}
+	if pt.PagesMigrated == 0 {
+		t.Fatal("the sequence never migrated a page; the memo's coherence went untested")
 	}
 }

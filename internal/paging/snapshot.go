@@ -85,6 +85,7 @@ func (pt *PageTable) Restore(st PageTableState) error {
 		pt.entries[vpn] = pfn
 	}
 	pt.order = append([]uint64(nil), st.Order...)
+	pt.memo = [memoSize]memoSlot{}
 	pt.setMask(ColorSetOf(n, st.MaskColors...))
 	pt.rr = st.RR
 	pt.PagesAllocated = st.PagesAllocated

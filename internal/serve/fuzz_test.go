@@ -23,6 +23,7 @@ func FuzzDecodeRunRequest(f *testing.F) {
 		`[1, 2, 3]`,
 		`{"mix": "W4-M1"}{"mix": "W4-M1"}`,
 		"{\"mix\": \"W4-M1\", \"benchmarks\": [\"\\u0000\"]}",
+		overflowBudgetBody,
 	}
 	for _, s := range seeds {
 		f.Add([]byte(s))
@@ -39,8 +40,9 @@ func FuzzDecodeRunRequest(f *testing.F) {
 		if err != nil {
 			return
 		}
-		if rr.key == "" || rr.expKey == "" || rr.cfgHash == "" {
-			t.Fatalf("resolved run missing identity: %+v", rr)
+		expKey, err := rr.experimentKey()
+		if err != nil || rr.key == "" || expKey == "" || rr.cfgHash == "" {
+			t.Fatalf("resolved run missing identity (%v): %+v", err, rr)
 		}
 	})
 }

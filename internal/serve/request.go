@@ -3,6 +3,7 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"strings"
 
 	"dbpsim/internal/obs"
@@ -52,9 +53,9 @@ type RunRequest struct {
 }
 
 // resolvedRun is a validated request bound to concrete simulator inputs,
-// plus the two identities the service caches by: key (the content address
-// of the run — config hash, mix membership, budgets) and expKey (the
-// alone-run baseline identity, shared across policies and mixes).
+// plus key, the content address of the run (config hash, mix membership,
+// budgets) that the result cache uses. The alone-run baseline identity is
+// derived only when a run executes (see experimentKey).
 type resolvedRun struct {
 	scen    *scenario.Scenario // non-nil for scenario runs
 	mix     workload.Mix
@@ -66,7 +67,6 @@ type resolvedRun struct {
 	warmup  uint64
 	measure uint64
 	key     string
-	expKey  string
 }
 
 // resolve validates a request against the sim/workload layer and binds it
@@ -113,6 +113,9 @@ func resolve(req RunRequest, maxInstructions uint64) (resolvedRun, error) {
 	rr.measure = req.Measure
 	if rr.measure == 0 {
 		rr.measure = DefaultMeasure
+	}
+	if rr.warmup > math.MaxUint64-rr.measure {
+		return rr, fmt.Errorf("serve: warmup %d + measure %d overflows", rr.warmup, rr.measure)
 	}
 	if maxInstructions > 0 && rr.warmup+rr.measure > maxInstructions {
 		return rr, fmt.Errorf("serve: warmup+measure %d exceeds the server's per-run cap %d",
@@ -165,10 +168,6 @@ func resolve(req RunRequest, maxInstructions uint64) (resolvedRun, error) {
 	rr.cfgJSON = cfgJSON
 	rr.cfgHash = obs.HashConfig(cfgJSON)
 	rr.key = runKey(rr.cfgHash, rr.mix, rr.warmup, rr.measure)
-	rr.expKey, err = experimentKey(base, rr.warmup, rr.measure)
-	if err != nil {
-		return rr, err
-	}
 	return rr, nil
 }
 
@@ -188,22 +187,27 @@ func ResolveRequest(body []byte, maxInstructions uint64) (runKey, expKey string,
 	if err != nil {
 		return "", "", &APIError{Code: CodeBadRequest, Message: err.Error()}
 	}
-	return rr.key, rr.expKey, nil
+	expKey, err = rr.experimentKey()
+	if err != nil {
+		return "", "", &APIError{Code: CodeBadRequest, Message: err.Error()}
+	}
+	return rr.key, expKey, nil
 }
 
-// ResolveCost is ResolveRequest plus the run's admission cost. The fleet
-// coordinator charges entry-node quotas with this, so a run costs the same
-// wherever it enters the fleet.
-func ResolveCost(body []byte, maxInstructions uint64) (runKey, expKey string, est tenant.Estimate, apiErr *APIError) {
+// ResolveCost validates a raw POST /v1/runs body like ResolveRequest and
+// returns its run key and admission cost. The fleet coordinator charges
+// entry-node quotas with this, so a run costs the same wherever it enters
+// the fleet.
+func ResolveCost(body []byte, maxInstructions uint64) (runKey string, est tenant.Estimate, apiErr *APIError) {
 	req, derr := decodeRunRequest(body)
 	if derr != nil {
-		return "", "", tenant.Estimate{}, derr
+		return "", tenant.Estimate{}, derr
 	}
 	rr, err := resolve(req, maxInstructions)
 	if err != nil {
-		return "", "", tenant.Estimate{}, &APIError{Code: CodeBadRequest, Message: err.Error()}
+		return "", tenant.Estimate{}, &APIError{Code: CodeBadRequest, Message: err.Error()}
 	}
-	return rr.key, rr.expKey, tenant.EstimateRun(rr.warmup + rr.measure), nil
+	return rr.key, tenant.EstimateRun(rr.warmup + rr.measure), nil
 }
 
 // runKey is the content address of one run: the ledger's config sha256
@@ -214,13 +218,13 @@ func runKey(cfgHash string, mix workload.Mix, warmup, measure uint64) string {
 		cfgHash, mix.Name, strings.Join(mix.Members, ","), warmup, measure)
 }
 
-// experimentKey identifies the alone-run baseline pool one run draws from.
+// experimentKey identifies the alone-run baseline pool the run draws from.
 // Baselines are measured on the neutral system (1 core, FR-FCFS, no
 // partitioning), so the per-run fields are neutralised before hashing:
 // requests that differ only in mix or policy share one sim.Experiment and
 // therefore one baseline cache.
-func experimentKey(base sim.Config, warmup, measure uint64) (string, error) {
-	neutral := base
+func (rr resolvedRun) experimentKey() (string, error) {
+	neutral := rr.base
 	neutral.Cores = 1
 	neutral.Scheduler = sim.SchedFRFCFS
 	neutral.Partition = sim.PartNone
@@ -229,5 +233,5 @@ func experimentKey(base sim.Config, warmup, measure uint64) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	return fmt.Sprintf("%s|w=%d|m=%d", obs.HashConfig(data), warmup, measure), nil
+	return fmt.Sprintf("%s|w=%d|m=%d", obs.HashConfig(data), rr.warmup, rr.measure), nil
 }

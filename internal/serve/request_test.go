@@ -23,8 +23,8 @@ func TestResolveDefaults(t *testing.T) {
 	if rr.base.Cores != 4 {
 		t.Errorf("base cores = %d", rr.base.Cores)
 	}
-	if rr.cfgHash == "" || rr.key == "" || rr.expKey == "" {
-		t.Errorf("identities missing: %+v", rr)
+	if expKey, err := rr.experimentKey(); err != nil || rr.cfgHash == "" || rr.key == "" || expKey == "" {
+		t.Errorf("identities missing (%v): %+v", err, rr)
 	}
 }
 
@@ -71,6 +71,21 @@ func TestResolveBudgetCap(t *testing.T) {
 
 // TestRunKeyIdentity pins the content-address semantics: identical requests
 // share a key; any change to mix, policy, budgets, seed or config moves it.
+// overflowBudgetBody's warmup+measure wraps past 2^64 to 399,999.
+const overflowBudgetBody = `{"mix": "W4-M1", "warmup": 18446744073709551615, "measure": 400000}`
+
+// TestResolveCostRejectsBudgetOverflow pins the overflow guard: a budget
+// whose sum wraps must be refused as bad_request, with or without a cap,
+// instead of passing a cap and being priced at the wrapped sum.
+func TestResolveCostRejectsBudgetOverflow(t *testing.T) {
+	for _, limit := range []uint64{0, 1_000_000} {
+		key, est, apiErr := ResolveCost([]byte(overflowBudgetBody), limit)
+		if apiErr == nil || apiErr.Code != CodeBadRequest {
+			t.Errorf("cap %d: key %q priced at %+v, error %+v; want bad_request", limit, key, est, apiErr)
+		}
+	}
+}
+
 func TestRunKeyIdentity(t *testing.T) {
 	base := RunRequest{Mix: "W4-M1", Scheduler: "frfcfs", Partition: "dbp"}
 	a, err := resolve(base, 0)
@@ -107,20 +122,25 @@ func TestRunKeyIdentity(t *testing.T) {
 // in mix or policy share an experiment (one alone-run pool), while base
 // config or budget changes split it.
 func TestExperimentKeySharing(t *testing.T) {
-	a, err := resolve(RunRequest{Mix: "W4-M1", Partition: "dbp"}, 0)
-	if err != nil {
-		t.Fatal(err)
+	expKey := func(req RunRequest) string {
+		t.Helper()
+		rr, err := resolve(req, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		key, err := rr.experimentKey()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return key
 	}
+	a := expKey(RunRequest{Mix: "W4-M1", Partition: "dbp"})
 	sameExp := []RunRequest{
 		{Mix: "W4-M1", Scheduler: "tcm", Partition: "none"},
 		{Mix: "W4-H1", Partition: "equal"},
 	}
 	for i, v := range sameExp {
-		rv, err := resolve(v, 0)
-		if err != nil {
-			t.Fatalf("sameExp %d: %v", i, err)
-		}
-		if rv.expKey != a.expKey {
+		if expKey(v) != a {
 			t.Errorf("sameExp %d: experiment not shared", i)
 		}
 	}
@@ -129,11 +149,7 @@ func TestExperimentKeySharing(t *testing.T) {
 		{Mix: "W4-M1", Partition: "dbp", Config: json.RawMessage(`{"Geometry": {"BanksPerRank": 16}}`)},
 	}
 	for i, v := range diffExp {
-		rv, err := resolve(v, 0)
-		if err != nil {
-			t.Fatalf("diffExp %d: %v", i, err)
-		}
-		if rv.expKey == a.expKey {
+		if expKey(v) == a {
 			t.Errorf("diffExp %d: experiment wrongly shared", i)
 		}
 	}

@@ -1094,7 +1094,10 @@ func (s *Server) finishJob(j *job, data []byte, apiErr *APIError, dur time.Durat
 // to a clean cycle-0 run rather than failing the job.
 func (s *Server) execute(ctx context.Context, j *job) ([]byte, error) {
 	rr := j.run
-	exp := s.experiment(rr)
+	exp, err := s.experiment(rr)
+	if err != nil {
+		return nil, err
+	}
 	// Fleet consult, worker-goroutine side: the key's owner may already hold
 	// this exact result (or run it for us) — the fleet-wide singleflight
 	// invariant. Best-effort: network trouble just means we simulate. A
@@ -1205,15 +1208,19 @@ func (s *Server) checkpointer(j *job) *sim.Checkpointer {
 
 // experiment returns the shared Experiment for a run's baseline identity,
 // creating it on first use.
-func (s *Server) experiment(rr resolvedRun) *sim.Experiment {
+func (s *Server) experiment(rr resolvedRun) (*sim.Experiment, error) {
+	key, err := rr.experimentKey()
+	if err != nil {
+		return nil, err
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if e, ok := s.exps[rr.expKey]; ok {
-		return e
+	if e, ok := s.exps[key]; ok {
+		return e, nil
 	}
 	e := sim.NewExperiment(rr.base, rr.warmup, rr.measure)
-	s.exps[rr.expKey] = e
-	return e
+	s.exps[key] = e
+	return e, nil
 }
 
 // registerJobLocked adds a job to the async registry, evicting the oldest

@@ -217,12 +217,42 @@ func (s *System) RunCheckpointed(ctx context.Context, warmup, measure, maxCycles
 		nextCkpt = s.cycle + roundUpQuantum(ck.Interval, s.schedQ)
 	}
 
-	// retireTargets feeds the cycle-skipping fast path each iteration: core
-	// i's next threshold in the crossing checks below, so jumps never
-	// overshoot a warmup or measurement boundary.
-	var retireTargets []uint64
-	if s.skipping {
-		retireTargets = make([]uint64, n)
+	// retireTargets[i] is core i's next threshold in the crossing checks
+	// below (noRetireTarget once finished); the cycle-skipping fast path
+	// reads it so jumps never overshoot a warmup or measurement boundary.
+	// It changes only on a crossing.
+	retireTargets := make([]uint64, n)
+	for i := range retireTargets {
+		switch {
+		case finished[i]:
+			retireTargets[i] = noRetireTarget
+		case !started[i]:
+			retireTargets[i] = warmup
+		default:
+			retireTargets[i] = warmup + measure
+		}
+	}
+	// cross records core i's crossing of its next threshold, if Retired has
+	// reached it.
+	cross := func(i int) {
+		r := s.cores[i].Retired()
+		if r < retireTargets[i] {
+			return
+		}
+		if !started[i] {
+			started[i] = true
+			startCycle[i] = s.cycle
+			retireTargets[i] = warmup + measure
+			if r >= warmup+measure {
+				// The measurement crossing is recorded one iteration later.
+				s.crossPending = true
+			}
+			return
+		}
+		finished[i] = true
+		finishCycle[i] = s.cycle
+		retireTargets[i] = noRetireTarget
+		remaining--
 	}
 
 	for remaining > 0 {
@@ -253,16 +283,6 @@ func (s *System) RunCheckpointed(ctx context.Context, warmup, measure, maxCycles
 			// event instead of ticking through replayable cycles. Jumps are
 			// clamped so Retired counts cross the warmup/measure thresholds
 			// at exactly the cycle per-cycle execution would record below.
-			for i := range retireTargets {
-				switch {
-				case finished[i]:
-					retireTargets[i] = noRetireTarget
-				case !started[i]:
-					retireTargets[i] = warmup
-				default:
-					retireTargets[i] = warmup + measure
-				}
-			}
 			var err error
 			jumped, err = s.trySkip(maxCycles, retireTargets)
 			if err != nil {
@@ -274,25 +294,24 @@ func (s *System) RunCheckpointed(ctx context.Context, warmup, measure, maxCycles
 				return Result{}, err
 			}
 		}
-		for i, c := range s.cores {
-			if finished[i] {
-				continue
+		// A sleeping core retired nothing since the last check, so only the
+		// awake ones can have crossed, unless a second crossing is pending.
+		if s.crossPending {
+			s.crossPending = false
+			for i := range s.cores {
+				cross(i)
 			}
-			r := c.Retired()
-			if !started[i] {
-				if r >= warmup {
-					started[i] = true
-					startCycle[i] = s.cycle
-				}
-				continue
+			continue
+		}
+		for it := s.awakeCores(); ; {
+			i := it.next()
+			if i < 0 {
+				break
 			}
-			if r >= warmup+measure {
-				finished[i] = true
-				finishCycle[i] = s.cycle
-				remaining--
-			}
+			cross(i)
 		}
 	}
+	s.catchUp()
 
 	// Flush the trailing partial quantum into the lifetime totals.
 	s.accumulate(s.prof.Quantum())

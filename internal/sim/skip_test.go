@@ -6,6 +6,7 @@ import (
 	"errors"
 	"testing"
 
+	"dbpsim/internal/cpu"
 	"dbpsim/internal/obs"
 	"dbpsim/internal/trace"
 	"dbpsim/internal/workload"
@@ -348,5 +349,124 @@ func BenchmarkMeasureLoopSteadyState(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// stepTo drives sys the way the run loop does (trySkip first when skipping
+// is on, else a step) until its clock reaches cycle, a quantum boundary.
+// After every iteration each awake core's own clock must equal the
+// system's: a woken core has had its stalled cycles applied. It returns the
+// longest stretch any core slept waiting on DRAM before a demand
+// completion woke it.
+func stepTo(t *testing.T, sys *System, cycle uint64) (longestDRAMSleep uint64) {
+	t.Helper()
+	targets := make([]uint64, len(sys.cores))
+	for i := range targets {
+		targets[i] = noRetireTarget
+	}
+	since := make([]uint64, len(sys.cores)) // 0: not asleep on DRAM
+	for sys.Cycle() < cycle {
+		jumped := false
+		if sys.skipping {
+			var err error
+			if jumped, err = sys.trySkip(cycle, targets); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !jumped {
+			if err := sys.step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i, w := range sys.coreWake {
+			if now := sys.cores[i].Now(); w == 0 && now != sys.Cycle() {
+				t.Fatalf("awake core %d is at cycle %d, the system at %d", i, now, sys.Cycle())
+			}
+			switch {
+			case w == cpu.NeverEvent && since[i] == 0:
+				since[i] = sys.Cycle()
+			case w == 0 && since[i] != 0:
+				longestDRAMSleep = max(longestDRAMSleep, sys.Cycle()-since[i])
+				since[i] = 0
+			}
+		}
+	}
+	return longestDRAMSleep
+}
+
+// snapshotAfter builds a system over benches, steps it to cycle with
+// skipping on or off, and returns its snapshot and longest DRAM sleep.
+func snapshotAfter(t *testing.T, cfg Config, benches func() []Bench, cycle uint64, skipping bool) ([]byte, uint64) {
+	t.Helper()
+	sys, err := NewSystem(cfg, benches())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.SetCycleSkipping(skipping)
+	slept := stepTo(t, sys, cycle)
+	blob, err := sys.Snapshot(RunProgress{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return blob, slept
+}
+
+// TestSkipMatchesTickAcrossDemandWakes covers a core that sleeps on DRAM
+// for a long stretch while the others keep the kernel stepping, then wakes
+// on a demand completion: the pointer chase's serialised misses queue
+// behind three random streams. The sleeper's stalled cycles are applied in
+// bulk when the completion wakes it, and the whole system state must equal
+// the cycle-by-cycle run's, byte for byte, with the paranoid checks on.
+func TestSkipMatchesTickAcrossDemandWakes(t *testing.T) {
+	cfg := DefaultConfig(4)
+	cfg.SchedQuantumCPUCycles = 1000
+	cfg.Paranoid = true
+	benches := func() []Bench {
+		heavy := trace.Config{MemRatio: 0.4, WriteFrac: 0.3, WorkingSetBytes: 64 << 20}
+		return []Bench{
+			{Name: "chase", Gen: trace.NewChase(trace.Config{MemRatio: 0.3, WorkingSetBytes: 64 << 20}, 1)},
+			{Name: "random-a", Gen: trace.NewRandom(heavy, 2)},
+			{Name: "random-b", Gen: trace.NewRandom(heavy, 3)},
+			{Name: "random-c", Gen: trace.NewRandom(heavy, 4)},
+		}
+	}
+	const cycles = 40_000
+	on, slept := snapshotAfter(t, cfg, benches, cycles, true)
+	off, _ := snapshotAfter(t, cfg, benches, cycles, false)
+	if !bytes.Equal(on, off) {
+		t.Fatalf("system state after %d cycles differs between skip modes (%d vs %d snapshot bytes)", cycles, len(on), len(off))
+	}
+	if slept < 200 {
+		t.Fatalf("longest sleep on DRAM before a demand wake was %d cycles, want at least 200", slept)
+	}
+}
+
+// TestSkipMatchesTickAbove64Cores runs a system wider than one word of the
+// awake set: every core, including those past index 63, must tick, sleep
+// and wake exactly as under cycle-by-cycle execution.
+func TestSkipMatchesTickAbove64Cores(t *testing.T) {
+	const cores = 66
+	cfg := DefaultConfig(cores)
+	cfg.SchedQuantumCPUCycles = 1000
+	benches := func() []Bench {
+		b := make([]Bench, cores)
+		for i := range b {
+			tc := trace.Config{MemRatio: 0.05 + 0.1*float64(i%4), WriteFrac: 0.2, WorkingSetBytes: 1 << 20, BaseAddr: uint64(i) << 24}
+			switch i % 3 {
+			case 0:
+				b[i] = Bench{Name: "chase", Gen: trace.NewChase(tc, int64(i))}
+			case 1:
+				b[i] = Bench{Name: "random", Gen: trace.NewRandom(tc, int64(i))}
+			default:
+				b[i] = Bench{Name: "stream", Gen: trace.NewStream(tc, 2, 64, int64(i))}
+			}
+		}
+		return b
+	}
+	const cycles = 6000
+	on, _ := snapshotAfter(t, cfg, benches, cycles, true)
+	off, _ := snapshotAfter(t, cfg, benches, cycles, false)
+	if !bytes.Equal(on, off) {
+		t.Fatalf("system state after %d cycles differs between skip modes (%d vs %d snapshot bytes)", cycles, len(on), len(off))
 	}
 }

@@ -116,6 +116,7 @@ func (s *System) Snapshot(progress RunProgress) ([]byte, error) {
 	if s.cycle%s.schedQ != 0 {
 		return nil, fmt.Errorf("sim: snapshot requested at cycle %d, which is not a scheduler-quantum boundary (quantum %d)", s.cycle, s.schedQ)
 	}
+	s.catchUp()
 	st := systemState{
 		Cycle:          s.cycle,
 		MemCycles:      s.memCycles,
@@ -450,7 +451,7 @@ func (s *System) RestoreSnapshot(blob []byte) error {
 		}
 	}
 
-	s.cycle = st.Cycle
+	s.setCycle(st.Cycle)
 	s.memCycles = st.MemCycles
 	copy(s.agg, st.Agg)
 	s.aggCount = st.AggCount
@@ -469,7 +470,8 @@ func (s *System) RestoreSnapshot(blob []byte) error {
 		copy(s.bestIPC, st.BestIPC)
 	}
 	s.migrationDrops = st.MigrationDrops
-	clear(s.coreWake)
+	s.wakeAll()
+	s.crossPending = false
 	s.invErr = nil
 	if st.InvariantErr != "" {
 		s.invErr = fmt.Errorf("%s", st.InvariantErr)

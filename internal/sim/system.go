@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math/bits"
 
 	"dbpsim/internal/addr"
 	"dbpsim/internal/bankpart"
@@ -72,15 +73,32 @@ type System struct {
 	// per-cycle ticking. Host-side observability only: never serialised and
 	// never part of any ledger (it differs between skip modes by design).
 	skippedCycles uint64
+	// nextMemTick is the next CPU cycle that ticks the controllers (a
+	// multiple of CPUClockRatio) and nextQuantum the next scheduler-quantum
+	// boundary after the clock; setCycle derives both.
+	nextMemTick uint64
+	nextQuantum uint64
 	// coreWake[i] is the cycle core i next needs a Tick, recorded when a
 	// Tick retired nothing and NextEvent certified a stall (cpu.NeverEvent
-	// while it waits on DRAM; 0 when awake). While it is ahead of the
-	// clock, step advances the core with a stalled Skip(1) instead of Tick
-	// and trySkip reads it instead of calling NextEvent. A demand completion
-	// for the thread and RestoreSnapshot clear it. Derived, unserialised
-	// state; only used with skipping on.
+	// while it waits on DRAM; 0 when awake). A sleeping core leaves the
+	// awake set: step and trySkip do not visit it, and its stalled cycles
+	// are applied in one bulk Stall when it is next touched (see catchUp).
+	// A demand completion for the thread, a due wake and RestoreSnapshot
+	// return it to the set. Derived, unserialised state; only used with
+	// skipping on.
 	coreWake []uint64
-	// sleptCoreCycles counts core-cycles advanced by Skip(1) while asleep.
+	// awake holds one bit per awake core, in index order; asleep counts the
+	// cores outside it, and nextWake lower-bounds their earliest coreWake
+	// (it may lag low after a demand completion; wakeDue makes it exact).
+	awake    []uint64
+	asleep   int
+	nextWake uint64
+	// crossPending is set when a core crossed its warmup and measurement
+	// thresholds in one step: the run loop records the second crossing one
+	// iteration later, when the core may already be asleep, so that
+	// iteration visits every core and trySkip does not jump.
+	crossPending bool
+	// sleptCoreCycles counts core-cycles step spent on sleeping cores.
 	// Diagnostic only, like skippedCycles.
 	sleptCoreCycles uint64
 
@@ -145,8 +163,11 @@ func newSystem(cfg Config, benches []Bench, wrap func(memctrl.Scheduler) memctrl
 		lifeBLPWSum: make([]float64, cfg.Cores),
 		partScratch: make([]profile.ThreadSample, cfg.Cores),
 		coreWake:    make([]uint64, cfg.Cores),
+		awake:       make([]uint64, (cfg.Cores+63)/64),
 		skipping:    true,
 	}
+	s.setCycle(0)
+	s.wakeAll()
 	s.alloc = paging.NewAllocator(s.mapper)
 
 	// Scheduler (shared across channels so thread ranks are global).
@@ -358,8 +379,13 @@ func (p *memoryPort) Submit(thread int, paddr uint64, isWrite, demand bool, tag 
 // per-request OnComplete closures) and wakes the core.
 func (s *System) demandDone(thread int, tag uint64) {
 	if thread >= 0 && thread < len(s.cores) {
+		if s.coreWake[thread] != 0 {
+			// The controllers tick after the cores, so per-cycle execution
+			// has already stalled the core through this cycle: catch it up
+			// to cycle+1 before the completion changes its state.
+			s.wake(thread, s.cycle+1)
+		}
 		s.cores[thread].DemandDone(tag)
-		s.coreWake[thread] = 0
 	}
 }
 
@@ -408,40 +434,162 @@ func (s *System) Cycle() uint64 { return s.cycle }
 // bit-identity test suite itself).
 func (s *System) SetCycleSkipping(on bool) {
 	s.skipping = on
-	clear(s.coreWake)
+	s.catchUp()
+	s.wakeAll()
 }
 
 // SkippedCycles returns the CPU cycles covered by event-driven clock jumps
 // so far (0 with skipping disabled). Diagnostic only; not simulated state.
 func (s *System) SkippedCycles() uint64 { return s.skippedCycles }
 
-// SleptCoreCycles returns the core-cycles that per-core sleeping advanced
-// with a stalled Skip instead of a Tick (0 with skipping disabled).
-// Diagnostic only; not simulated state.
+// SleptCoreCycles returns the core-cycles of stepped cycles that sleeping
+// cores spent outside Tick, applied later as bulk stalls (0 with skipping
+// disabled). Diagnostic only; not simulated state.
 func (s *System) SleptCoreCycles() uint64 { return s.sleptCoreCycles }
 
-// step advances the whole system by one CPU cycle. With skipping on, a
-// core whose recorded wake is still ahead is provably stalled this cycle,
-// so a Skip(1) stands in for its Tick; after a Tick that retired nothing,
-// the core's NextEvent, when in the future, becomes its wake.
-func (s *System) step() error {
-	for i, c := range s.cores {
-		if s.coreWake[i] > s.cycle { // only ever set with skipping on
-			c.Skip(1)
-			s.sleptCoreCycles++
-			continue
+// setCycle moves the clock to c and derives the next controller tick (the
+// first multiple of CPUClockRatio at or after c) and the next
+// scheduler-quantum boundary (the first multiple of the quantum after c).
+func (s *System) setCycle(c uint64) {
+	s.cycle = c
+	r := uint64(s.cfg.CPUClockRatio)
+	s.nextMemTick = (c + r - 1) / r * r
+	s.nextQuantum = (c/s.schedQ + 1) * s.schedQ
+}
+
+// wakeAll empties the sleeping set without touching the cores (they must
+// already be caught up to the clock).
+func (s *System) wakeAll() {
+	clear(s.coreWake)
+	clear(s.awake)
+	for i := 0; i < s.cfg.Cores; i++ {
+		s.awake[i>>6] |= 1 << (i & 63)
+	}
+	s.asleep = 0
+	s.nextWake = cpu.NeverEvent
+}
+
+// awakeIter walks the awake set in core order:
+//
+//	for it := s.awakeCores(); ; {
+//		i := it.next()
+//		if i < 0 {
+//			break
+//		}
+//		...
+//	}
+//
+// Like a range over s.awake, it reads each 64-core word once, when it
+// reaches it: a core that sleeps or wakes in a word being walked is seen
+// from the next walk on.
+type awakeIter struct {
+	s    *System
+	w    int
+	word uint64
+}
+
+// awakeCores starts a walk of the awake set.
+func (s *System) awakeCores() awakeIter { return awakeIter{s: s, w: -1} }
+
+// next returns the next awake core, or -1 at the end of the set.
+func (it *awakeIter) next() int {
+	for it.word == 0 {
+		it.w++
+		// The unsigned compare lets the compiler drop the bounds check.
+		if uint(it.w) >= uint(len(it.s.awake)) {
+			return -1
 		}
+		it.word = it.s.awake[it.w]
+	}
+	i := it.w<<6 | bits.TrailingZeros64(it.word)
+	it.word &= it.word - 1
+	return i
+}
+
+// sleep takes core i out of the awake set until cycle wake.
+func (s *System) sleep(i int, wake uint64) {
+	s.coreWake[i] = wake
+	s.awake[i>>6] &^= 1 << (i & 63)
+	s.asleep++
+	if wake < s.nextWake {
+		s.nextWake = wake
+	}
+}
+
+// wake returns sleeping core i to the awake set, first applying its stalled
+// cycles up to cycle to.
+func (s *System) wake(i int, to uint64) {
+	s.stallTo(i, to)
+	s.coreWake[i] = 0
+	s.awake[i>>6] |= 1 << (i & 63)
+	s.asleep--
+}
+
+// stallTo advances core i, stalled since it fell asleep, to cycle to in one
+// bulk Stall.
+func (s *System) stallTo(i int, to uint64) {
+	if c := s.cores[i]; c.Now() < to {
+		c.Stall(to - c.Now())
+	}
+}
+
+// catchUp brings every sleeping core's clock up to the system clock, so its
+// timing state reads as per-cycle execution would have left it. Anything
+// that reads a sleeping core's timing state (snapshots, paranoid checks,
+// the end of a run) calls it first; the cores stay asleep.
+func (s *System) catchUp() {
+	if s.asleep == 0 {
+		return
+	}
+	for i, w := range s.coreWake {
+		if w != 0 {
+			s.stallTo(i, s.cycle)
+		}
+	}
+}
+
+// wakeDue wakes every sleeping core whose wake cycle has come and makes
+// nextWake the exact earliest wake of the rest.
+func (s *System) wakeDue() {
+	next := cpu.NeverEvent
+	for i, w := range s.coreWake {
+		switch {
+		case w == 0:
+		case w <= s.cycle:
+			s.wake(i, s.cycle)
+		case w < next:
+			next = w
+		}
+	}
+	s.nextWake = next
+}
+
+// step advances the whole system by one CPU cycle. With skipping on, only
+// the awake cores are visited; after a Tick that retired nothing, the
+// core's NextEvent, when in the future, puts it to sleep until then.
+func (s *System) step() error {
+	if s.cycle >= s.nextWake {
+		s.wakeDue()
+	}
+	s.sleptCoreCycles += uint64(s.asleep)
+	for it := s.awakeCores(); ; {
+		i := it.next()
+		if i < 0 {
+			break
+		}
+		c := s.cores[i]
 		retired := c.Retired()
 		if err := c.Tick(); err != nil {
 			return err
 		}
 		if s.skipping && c.Retired() == retired {
 			if e, rate := c.NextEvent(); e > s.cycle+1 && rate == 0 {
-				s.coreWake[i] = e
+				s.sleep(i, e)
 			}
 		}
 	}
-	if s.cycle%uint64(s.cfg.CPUClockRatio) == 0 {
+	if s.cycle == s.nextMemTick {
+		s.nextMemTick += uint64(s.cfg.CPUClockRatio)
 		// Empty samples only touch unserialised sampler scratch, so gating
 		// on outstanding work changes no observable state.
 		if s.anyOutstanding() {
@@ -453,7 +601,8 @@ func (s *System) step() error {
 		s.memCycles++
 	}
 	s.cycle++
-	if s.cycle%s.schedQ == 0 {
+	if s.cycle == s.nextQuantum {
+		s.nextQuantum += s.schedQ
 		s.onSchedQuantum()
 	}
 	return s.invErr
@@ -490,7 +639,13 @@ const noRetireTarget = ^uint64(0)
 // detection is pending, or the jump would not clear at least one full cycle.
 func (s *System) trySkip(maxCycles uint64, retireTargets []uint64) (jumped bool, err error) {
 	c := s.cycle
-	limit := (c/s.schedQ + 1) * s.schedQ
+	if s.crossPending {
+		return false, nil // a recorded crossing is due at the per-cycle-exact cycle
+	}
+	if s.nextWake <= c {
+		s.wakeDue() // a due core is active now; a stale bound is refreshed
+	}
+	limit := s.nextQuantum
 	if maxCycles < limit {
 		limit = maxCycles
 	}
@@ -506,25 +661,32 @@ func (s *System) trySkip(maxCycles uint64, retireTargets []uint64) (jumped bool,
 	if limit <= c+1 {
 		return false, nil
 	}
-	wake := limit
-	for i, core := range s.cores {
-		e, rate := s.coreWake[i], uint64(0)
-		if e <= c {
-			e, rate = core.NextEvent()
+	// Sleeping cores retire nothing before their wakes, and the run loop
+	// has already recorded their crossings, so only the awake cores need
+	// asking.
+	wake := min(limit, s.nextWake)
+	for it := s.awakeCores(); ; {
+		i := it.next()
+		if i < 0 {
+			break
 		}
+		core := s.cores[i]
+		e, rate := core.NextEvent()
 		if e <= c {
 			return false, nil
 		}
 		if t := retireTargets[i]; t != noRetireTarget {
 			r := core.Retired()
 			if r >= t {
-				// Crossing already happened but the run loop has not recorded
-				// it yet; step so detection fires at the per-cycle-exact cycle.
+				// Crossing already happened but the run loop has not
+				// recorded it yet; step so detection fires at the
+				// per-cycle-exact cycle.
 				return false, nil
 			}
 			if rate > 0 {
-				// Streaming at rate/cycle: per-cycle execution would record
-				// the crossing with s.cycle == cross, so never jump past it.
+				// Streaming at rate/cycle: per-cycle execution would
+				// record the crossing with s.cycle == cross, so never
+				// jump past it.
 				if cross := c + (t-r+rate-1)/rate; cross < wake {
 					wake = cross
 				}
@@ -558,12 +720,17 @@ func (s *System) trySkip(maxCycles uint64, retireTargets []uint64) (jumped bool,
 
 	delta := wake - c
 	s.skippedCycles += delta
-	for _, core := range s.cores {
-		core.Skip(delta)
+	for it := s.awakeCores(); ; {
+		i := it.next()
+		if i < 0 {
+			break
+		}
+		s.cores[i].Skip(delta)
 	}
 	// Memory cycles ticked in CPU-cycle range [c, wake): multiples of ratio.
-	m := (wake+ratio-1)/ratio - (c+ratio-1)/ratio
-	if m > 0 {
+	fromMem, quantum := s.nextMemTick, wake == s.nextQuantum
+	s.setCycle(wake)
+	if m := (s.nextMemTick - fromMem) / ratio; m > 0 {
 		if s.anyOutstanding() {
 			s.prof.SkipSample(m)
 		}
@@ -572,8 +739,7 @@ func (s *System) trySkip(maxCycles uint64, retireTargets []uint64) (jumped bool,
 		}
 		s.memCycles += m
 	}
-	s.cycle = wake
-	if s.cycle%s.schedQ == 0 {
+	if quantum {
 		s.onSchedQuantum()
 	}
 	return true, s.invErr
@@ -596,6 +762,7 @@ func (s *System) onSchedQuantum() {
 	samples := s.prof.Quantum()
 	s.accumulate(samples)
 	if s.cfg.Paranoid {
+		s.catchUp()
 		if s.checker == nil {
 			s.checker = newInvariantChecker(s)
 		}

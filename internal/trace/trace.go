@@ -132,9 +132,14 @@ func NewStream(cfg Config, streams, strideBytes int, seed int64) *StreamGen {
 // Next implements Generator.
 func (g *StreamGen) Next() Item {
 	s := g.cur
-	g.cur = (g.cur + 1) % len(g.offsets)
+	if g.cur++; g.cur == len(g.offsets) {
+		g.cur = 0
+	}
 	addr := g.cfg.BaseAddr + uint64(s)*g.region + g.offsets[s]
-	g.offsets[s] = (g.offsets[s] + g.stride) % g.region
+	// offsets[s] < region and stride <= region, so one subtraction wraps.
+	if g.offsets[s] += g.stride; g.offsets[s] >= g.region {
+		g.offsets[s] -= g.region
+	}
 	return Item{
 		Gap:     g.gaps.next(),
 		Addr:    addr,
@@ -208,7 +213,8 @@ type Weighted struct {
 // mixture's memory intensity is the weighted blend of its parts.
 type MixGen struct {
 	parts []Weighted
-	total float64 // sum of selection weights (Weight/Burst)
+	sel   []float64 // per-part selection weight, Weight/Burst
+	total float64   // sum of selection weights
 	rng   *rand.Rand
 
 	// current run
@@ -219,14 +225,19 @@ type MixGen struct {
 // NewMix builds a mixture generator. Parts with non-positive weight are
 // dropped; NewMix panics if nothing remains (a configuration bug).
 func NewMix(parts []Weighted, seed int64) *MixGen {
-	g := &MixGen{rng: rand.New(rand.NewSource(seed))}
+	g := &MixGen{
+		parts: make([]Weighted, 0, len(parts)),
+		sel:   make([]float64, 0, len(parts)),
+		rng:   rand.New(rand.NewSource(seed)),
+	}
 	for _, p := range parts {
 		if p.Weight > 0 && p.Gen != nil {
 			if p.Burst < 1 {
 				p.Burst = 1
 			}
 			g.parts = append(g.parts, p)
-			g.total += p.Weight / float64(p.Burst)
+			g.sel = append(g.sel, p.Weight/float64(p.Burst))
+			g.total += g.sel[len(g.sel)-1]
 		}
 	}
 	if len(g.parts) == 0 {
@@ -240,8 +251,7 @@ func (g *MixGen) Next() Item {
 	if g.left == 0 {
 		x := g.rng.Float64() * g.total
 		g.cur = len(g.parts) - 1
-		for i, p := range g.parts {
-			sel := p.Weight / float64(p.Burst)
+		for i, sel := range g.sel {
 			if x < sel {
 				g.cur = i
 				break
