@@ -38,24 +38,25 @@ test:
 test-short:
 	$(GO) test -short ./...
 
-# --- Benchmarks / performance ledger (see EXPERIMENTS.md) --------------------
+# --- Benchmarks / performance ledger (see docs/LEDGER.md) -------------------
 #
 # -run='^$' keeps unit tests out of bench runs; -count repeats each benchmark
-# so scripts/benchjson can take medians. The gate set is split into macro
-# benchmarks (one op = one full simulation run; -benchtime=1x) and micro
-# benchmarks (per-cycle and substrate costs; wall-clock benchtime), because
-# no single -benchtime suits both.
+# so scripts/benchjson can take medians. The gate set records only
+# allocs/op and coreticks/simcycle, which do not depend on how long a
+# benchmark runs, so one op each (-benchtime=1x) suffices for the macro
+# benchmarks (one op = one full simulation run) and the micro ones alike.
 BENCH_COUNT ?= 6
-BENCH_PR ?= 17
+BENCH_PR ?= 23
 BENCH_BASELINE ?= BENCH_$(BENCH_PR).json
-BENCH_MACRO = 'PolicyCycles|IdleHeavy'
-BENCH_MICRO = 'MeasureLoopSteadyState|DRAMCommandIssue|CacheAccess|TraceGeneration|AddressDecode'
-# bench-gate writes the raw benchmark output and the parsed head ledger here.
+BENCH_NAMES = 'PolicyCycles|IdleHeavy|MeasureLoopSteadyState|DRAMCommandIssue|CacheAccess|TraceGeneration|AddressDecode'
+# bench-json and bench-gate write the raw benchmark output here, and
+# bench-gate the parsed head ledger. The raw output goes to a file, not a
+# pipe, so a failing benchmark fails the target instead of dropping out of
+# the ledger.
 BENCH_LOG ?= /tmp/bench-output.txt
 BENCH_HEAD ?= /tmp/bench-head.json
-# The perf-ledger set, as one shell command printing raw benchmark output.
-BENCH_SET = { $(GO) test -run='^$$' -bench=$(BENCH_MACRO) -benchmem -benchtime=1x -count=3 . ; \
-	  $(GO) test -run='^$$' -bench=$(BENCH_MICRO) -benchmem -benchtime=100ms -count=3 . ./internal/sim ; }
+# The perf-ledger set, as one command printing raw benchmark output.
+BENCH_SET = $(GO) test -run='^$$' -bench=$(BENCH_NAMES) -benchmem -benchtime=1x -count=3 . ./internal/sim
 
 # Full benchmark sweep: every benchmark (paper figures + perf ledger).
 bench:
@@ -63,19 +64,22 @@ bench:
 
 # The perf-ledger set only: fast enough for CI, stable enough to gate on.
 bench-quick:
-	$(GO) test -run='^$$' -bench=$(BENCH_MACRO) -benchmem -benchtime=1x -count=3 .
-	$(GO) test -run='^$$' -bench=$(BENCH_MICRO) -benchmem -benchtime=100ms -count=3 . ./internal/sim
+	$(BENCH_SET)
 
 # Record the perf-ledger baseline (commit the resulting BENCH_<pr>.json).
 bench-json:
-	$(BENCH_SET) | $(GO) run ./scripts/benchjson parse -pr $(BENCH_PR) -o $(BENCH_BASELINE)
+	$(BENCH_SET) > $(BENCH_LOG) || { cat $(BENCH_LOG); exit 1; }
+	$(GO) run ./scripts/benchjson parse -pr $(BENCH_PR) -o $(BENCH_BASELINE) < $(BENCH_LOG)
 
-# Regression gate: rerun the perf-ledger set and compare against the
-# committed baseline. Time metrics tolerate 35% (override with
-# BENCH_MAX_SLOWER); allocs/op is strict — zero-alloc stays zero-alloc;
-# the deterministic coreticks/simcycle work count is near-exact (+0.5%).
+# Regression gate on the machine-independent units: rerun the perf-ledger
+# set and compare against the committed baseline. allocs/op is strict
+# (zero stays zero, otherwise +5% plus 8); the deterministic
+# coreticks/simcycle work count is near-exact (+0.5%). Wall time is not
+# gated here: a stored time moves with the host. scripts/abbench gates it,
+# parent and change side by side on one host (docs/LEDGER.md).
 bench-gate:
-	$(BENCH_SET) | tee $(BENCH_LOG) | $(GO) run ./scripts/benchjson parse -o $(BENCH_HEAD)
+	$(BENCH_SET) > $(BENCH_LOG) || { cat $(BENCH_LOG); exit 1; }
+	$(GO) run ./scripts/benchjson parse -o $(BENCH_HEAD) < $(BENCH_LOG)
 	$(GO) run ./scripts/benchjson compare $(BENCH_BASELINE) $(BENCH_HEAD)
 
 # Run the simulation service in the foreground (ctrl-C drains).
@@ -151,8 +155,8 @@ fleet-chaos-smoke:
 # test suite, the suite again under the race detector with -short (the paper-shape regressions run several
 # full-length simulations; under the detector's ~15x slowdown they would
 # blow the test timeout without adding race coverage), the dbpserved
-# smoke + chaos + fleet + fleet-resilience drills against the real binary, and the benchmark
-# regression gate against the committed perf-ledger baseline.
+# smoke + chaos + fleet + fleet-resilience drills against the real binary, and the
+# allocation and work-count gate against the committed perf-ledger baseline.
 ci:
 	$(MAKE) lint
 	$(GO) build ./...

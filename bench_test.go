@@ -247,8 +247,10 @@ func BenchmarkAblationLightSpreadAll(b *testing.B) {
 //
 // These benchmarks measure the simulator itself, not the simulated system:
 // how many nanoseconds of wall clock one simulated CPU cycle costs under
-// each paper policy. scripts/benchjson turns their output into BENCH_<pr>.json
-// and `make bench-gate` compares against the committed baseline.
+// each paper policy. scripts/benchjson keeps only their machine-independent
+// units (allocs/op, coreticks/simcycle) in BENCH_<pr>.json, which `make
+// bench-gate` compares against the committed baseline; wall time is gated by
+// scripts/abbench.
 
 // reportSimSpeed reports wall nanoseconds per simulated CPU cycle and
 // simulated cycles per wall second over the accumulated cycle count.

@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 	"time"
@@ -109,5 +110,27 @@ func TestRunMixCheckpointedContextCanceled(t *testing.T) {
 	}
 	if n := len(exp.ExportBaselines()); n != 0 {
 		t.Errorf("canceled run cached %d baselines", n)
+	}
+}
+
+// TestRunDefaultBoundSaturates pins the default cycle bound on budgets whose
+// warmup+measure, or that sum times 2000, overflows uint64: the bound
+// saturates, so the run proceeds until its context ends instead of failing
+// at once against a wrapped bound.
+func TestRunDefaultBoundSaturates(t *testing.T) {
+	for _, tc := range []struct {
+		name            string
+		warmup, measure uint64
+	}{
+		{"sum wraps", math.MaxUint64, 1},
+		{"product wraps", 1 << 63, 1},
+	} {
+		sys := cancelTestSystem(t, 2)
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+		_, err := sys.RunContext(ctx, tc.warmup, tc.measure, 0)
+		cancel()
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Errorf("%s: warmup %d, measure %d returned %v, want the context's deadline", tc.name, tc.warmup, tc.measure, err)
+		}
 	}
 }

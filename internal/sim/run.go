@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"dbpsim/internal/dram"
 	"dbpsim/internal/stats"
@@ -148,7 +149,11 @@ func (s *System) RunCheckpointed(ctx context.Context, warmup, measure, maxCycles
 		return Result{}, fmt.Errorf("sim: measure must be positive")
 	}
 	if maxCycles == 0 {
-		maxCycles = (warmup + measure) * 2000
+		// Saturate, so a huge budget never wraps to a tiny bound.
+		maxCycles = math.MaxUint64
+		if total := warmup + measure; total >= warmup && total <= math.MaxUint64/2000 {
+			maxCycles = total * 2000
+		}
 	}
 	if ck != nil && ck.Restore != nil {
 		if err := s.RestoreSnapshot(ck.Restore); err != nil {

@@ -1,21 +1,26 @@
-// Command abbench runs the paired A/B benchmark protocol on one host. It
-// builds a parent revision in a git worktree under .bench_build/, then
-// alternates pairs of runs of the benchmark command that BENCHMARK.json
-// declares (bash perfbench/run.sh) between that revision and the working
-// tree, swapping which side runs first from pair to pair. It prints, per
-// end-to-end metric of BENCHMARK.json:
+// Command abbench is the wall-time gate. It builds a parent revision in a
+// git worktree under .bench_build/, then alternates pairs of runs of the
+// benchmark command that BENCHMARK.json declares (bash perfbench/run.sh)
+// between that revision and the working tree, swapping which side runs
+// first from pair to pair. It prints, per end-to-end metric of
+// BENCHMARK.json:
 //
 //   - the parent's and the change's medians and the change in percent;
 //   - the parent's interquartile range, absolute and relative to its
 //     median;
-//   - the pairs the change won (read better than the parent run beside it);
+//   - the pairs the change won and lost (ties count for neither side);
 //   - "unresolved" when the parent's relative IQR exceeds the metric's
 //     bound, so the runs spread too widely to tell a move of that size;
+//   - "REGRESSION" when the parent won at least nine tenths of the pairs
+//     (at 6 pairs, all 6) and the change's median is worse by more than
+//     the parent's IQR;
 //   - every run's value, parent/change.
 //
-// It also prints every run's correct, attempted and failed counts. It only
-// reports and never gates: the exit status is non-zero only when a build or
-// a run fails outright, or a run's result lacks an end-to-end metric.
+// It also prints every run's correct, attempted and failed counts. It exits
+// 1 on a REGRESSION, on a change run that is not correct, on a change that
+// fails a larger share of its attempted operations than the parent, when a
+// build or a run fails outright, and when a result lacks an end-to-end
+// metric.
 //
 // Run it from the repository root; everything after -- goes to the
 // benchmark command:
@@ -69,6 +74,8 @@ func main() {
 	pairs := flag.Int("pairs", 6, "number of parent/change run pairs")
 	flag.Usage = func() {
 		fmt.Fprintln(os.Stderr, "usage: abbench -rev REV [-pairs N] -- BENCHMARK-ARGS...")
+		fmt.Fprintln(os.Stderr, "Exits 1 when the parent wins 9/10 of the pairs on an end-to-end metric by a median gap")
+		fmt.Fprintln(os.Stderr, "wider than its IQR, or a change run is not correct or fails a larger share than the parent.")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -127,7 +134,10 @@ func run(rev string, pairs int, args []string, out io.Writer) error {
 			fmt.Fprintf(os.Stderr, "abbench: pair %d/%d %s done\n", p+1, pairs, side(where, dir))
 		}
 	}
-	report(out, bf.EndToEnd, parent, change)
+	if failures := report(out, bf.EndToEnd, parent, change); len(failures) > 0 {
+		return fmt.Errorf("the change regressed: %s", strings.Join(failures, "; "))
+	}
+	fmt.Fprintln(out, "abbench: pass")
 	return nil
 }
 
@@ -181,8 +191,8 @@ func git(args ...string) (string, error) {
 type summary struct {
 	parentMedian, changeMedian float64
 	parentIQR                  float64
-	won                        int
-	unresolved                 bool
+	won, lost                  int
+	unresolved, regressed      bool
 }
 
 // compare summarises one metric. values are in pair order.
@@ -190,12 +200,22 @@ func compare(m metric, parent, change []float64) summary {
 	s := summary{parentMedian: quantile(parent, 0.5), changeMedian: quantile(change, 0.5)}
 	s.parentIQR = quantile(parent, 0.75) - quantile(parent, 0.25)
 	for i := range parent {
-		if (m.Better == "lower" && change[i] < parent[i]) || (m.Better == "higher" && change[i] > parent[i]) {
+		switch {
+		case m.better(change[i], parent[i]):
 			s.won++
+		case m.better(parent[i], change[i]):
+			s.lost++
 		}
 	}
+	s.regressed = 10*s.lost >= 9*len(parent) && m.better(s.parentMedian, s.changeMedian) &&
+		math.Abs(s.changeMedian-s.parentMedian) > s.parentIQR
 	s.unresolved = s.parentMedian != 0 && s.parentIQR/math.Abs(s.parentMedian) > m.Bound
 	return s
+}
+
+// better reports whether a reads better than b.
+func (m metric) better(a, b float64) bool {
+	return (m.Better == "lower" && a < b) || (m.Better == "higher" && a > b)
 }
 
 // quantile interpolates linearly between the closest ranks.
@@ -213,9 +233,11 @@ func quantile(v []float64, q float64) float64 {
 	return s[lo] + (pos-float64(lo))*(s[lo+1]-s[lo])
 }
 
-func report(out io.Writer, metrics []metric, parent, change []runResult) {
+// report prints the comparison and returns the gate rules that tripped, one
+// description each.
+func report(out io.Writer, metrics []metric, parent, change []runResult) (failures []string) {
 	n := len(parent)
-	fmt.Fprintf(out, "%-16s %12s %12s %8s %22s %6s\n", "metric", "parent", "change", "delta", "parent IQR", "won")
+	fmt.Fprintf(out, "%-16s %12s %12s %8s %22s %6s %6s\n", "metric", "parent", "change", "delta", "parent IQR", "won", "lost")
 	values := func(rs []runResult, name string) []float64 {
 		v := make([]float64, len(rs))
 		for i, r := range rs {
@@ -232,7 +254,12 @@ func report(out io.Writer, metrics []metric, parent, change []runResult) {
 		if s.unresolved {
 			flag = "  unresolved"
 		}
-		fmt.Fprintf(out, "%-16s %12.4g %12.4g %+7.1f%% %22s %3d/%d%s\n", m.Name, s.parentMedian, s.changeMedian, delta, iqr, s.won, n, flag)
+		if s.regressed {
+			rule := fmt.Sprintf("parent won %d/%d, median worse by more than the parent IQR", s.lost, n)
+			flag += "  REGRESSION: " + rule
+			failures = append(failures, m.Name+": "+rule)
+		}
+		fmt.Fprintf(out, "%-16s %12.4g %12.4g %+7.1f%% %22s %3d/%d %3d/%d%s\n", m.Name, s.parentMedian, s.changeMedian, delta, iqr, s.won, n, s.lost, n, flag)
 	}
 	fmt.Fprintln(out, "every run, parent/change:")
 	for _, m := range metrics {
@@ -244,9 +271,24 @@ func report(out io.Writer, metrics []metric, parent, change []runResult) {
 		fmt.Fprintf(out, "  %-16s %s\n", m.Name, strings.Join(runs, ", "))
 	}
 	runs := make([]string, n)
+	var pFailed, pAttempted, cFailed, cAttempted int
 	for i := range runs {
-		runs[i] = fmt.Sprintf("%v %d/%d | %v %d/%d", parent[i].Correct, parent[i].Failed, parent[i].Attempted,
-			change[i].Correct, change[i].Failed, change[i].Attempted)
+		p, c := parent[i], change[i]
+		runs[i] = fmt.Sprintf("%v %d/%d | %v %d/%d", p.Correct, p.Failed, p.Attempted, c.Correct, c.Failed, c.Attempted)
+		if !c.Correct {
+			failures = append(failures, fmt.Sprintf("change run %d is not correct", i+1))
+		}
+		pFailed, pAttempted = pFailed+p.Failed, pAttempted+p.Attempted
+		cFailed, cAttempted = cFailed+c.Failed, cAttempted+c.Attempted
 	}
 	fmt.Fprintf(out, "  %-16s %s\n", "correct f/att", strings.Join(runs, ", "))
+	// The change's failed/attempted share exceeds the parent's, compared
+	// without dividing.
+	if cFailed*pAttempted > pFailed*cAttempted {
+		failures = append(failures, fmt.Sprintf("the change failed %d/%d operations, the parent %d/%d", cFailed, cAttempted, pFailed, pAttempted))
+	}
+	for _, f := range failures {
+		fmt.Fprintln(out, "FAIL", f)
+	}
+	return failures
 }

@@ -66,3 +66,58 @@ func TestRunOnceRejectsMissingMetric(t *testing.T) {
 		t.Fatalf("result without peak_rss_mb gave error %v, want one naming the metric", err)
 	}
 }
+
+// TestGate runs the two gate rules over synthetic pairs. The parent's op_ms
+// runs have median 100 and IQR 4 (4%).
+func TestGate(t *testing.T) {
+	parentMs := []float64{96, 104, 97.6, 102.4, 99.2, 100.8}
+	metrics := []metric{{Name: "op_ms", Better: "lower", Bound: 0.25}, {Name: "ops_per_s", Better: "higher", Bound: 0.25}}
+	side := func(ms []float64) []runResult {
+		rs := make([]runResult, len(ms))
+		for i, v := range ms {
+			rs[i] = runResult{Correct: true, Attempted: 20, Metrics: map[string]struct {
+				Value float64 `json:"value"`
+			}{"op_ms": {v}, "ops_per_s": {1000 / v}}}
+		}
+		return rs
+	}
+	scaled := func(f ...float64) []float64 {
+		v := make([]float64, len(parentMs))
+		for i := range v {
+			v[i] = parentMs[i] * f[i]
+		}
+		return v
+	}
+	for _, tc := range []struct {
+		name   string
+		change []runResult
+		want   []string // one substring per expected failure; none passes
+	}{
+		{"identical runs", side(parentMs), nil},
+		{"5/6 pairs lost by 15%", side(scaled(1.15, 1.15, 0.9, 1.15, 1.15, 1.15)), nil},
+		{"6/6 pairs 1% slower, inside the parent IQR", side(scaled(1.01, 1.01, 1.01, 1.01, 1.01, 1.01)), nil},
+		{"6/6 pairs 15% slower", side(scaled(1.15, 1.15, 1.15, 1.15, 1.15, 1.15)), []string{"op_ms: parent won 6/6", "ops_per_s: parent won 6/6"}},
+		{"a change run not correct", func() []runResult {
+			rs := side(parentMs)
+			rs[3].Correct = false
+			return rs
+		}(), []string{"change run 4 is not correct"}},
+		{"a higher failed share", func() []runResult {
+			rs := side(parentMs)
+			rs[0].Failed = 1
+			return rs
+		}(), []string{"the change failed 1/120 operations, the parent 0/120"}},
+	} {
+		var out bytes.Buffer
+		failures := report(&out, metrics, side(parentMs), tc.change)
+		if len(failures) != len(tc.want) {
+			t.Errorf("%s: failures %q, want %d:\n%s", tc.name, failures, len(tc.want), out.String())
+			continue
+		}
+		for i, w := range tc.want {
+			if !strings.Contains(failures[i], w) || !strings.Contains(out.String(), w) {
+				t.Errorf("%s: failure %q or the report lacks %q:\n%s", tc.name, failures[i], w, out.String())
+			}
+		}
+	}
+}

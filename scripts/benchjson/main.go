@@ -1,29 +1,28 @@
 // Command benchjson turns `go test -bench` output into the repo's
 // machine-readable performance ledger (BENCH_<pr>.json) and compares two
-// ledgers as a regression gate.
+// ledgers as a regression gate. It keeps only units that read the same on
+// any machine; wall time is gated by scripts/abbench, which runs the parent
+// and the change side by side on one host.
 //
 // Parse mode reads benchmark output on stdin, aggregates repeated runs
-// (-count=N) per benchmark by median, and writes one JSON document:
+// (-count=N) per benchmark by median, and writes one JSON document holding
+// the gated units alone:
 //
-//	go test -run='^$' -bench=. -benchmem -count=5 ./... | benchjson parse -pr 6 -o BENCH_6.json
+//	go test -run='^$' -bench=. -benchmem -count=3 ./... | benchjson parse -pr 23 -o BENCH_23.json
 //
 // Compare mode reads a baseline and a head ledger and exits non-zero when
 // the head regresses:
 //
-//	benchjson compare BENCH_6.json /tmp/bench-head.json
+//	benchjson compare BENCH_23.json /tmp/bench-head.json
 //
 // Two gates apply per benchmark present in both ledgers:
 //
-//   - allocs/op is machine-independent and therefore strict: a zero-alloc
-//     baseline must stay at zero, and a nonzero baseline may grow at most
-//     5% plus an absolute slack of 8 allocations.
+//   - allocs/op is strict: a zero-alloc baseline must stay at zero, and a
+//     nonzero baseline may grow at most 5% plus an absolute slack of 8
+//     allocations.
 //   - work counts (coreticks/simcycle: full core Ticks per simulated cycle)
 //     are deterministic, so they are near-exact: the head may exceed the
 //     baseline by at most 0.5%, which only absorbs the printed rounding.
-//   - time metrics (ns/op, ns/simcycle) are machine- and load-dependent, so
-//     the threshold is deliberately lenient: default 35% slower
-//     (-max-slower 0.35), overridable via the BENCH_MAX_SLOWER environment
-//     variable for noisier hosts.
 //
 // Benchmarks present in only one ledger are reported but never fail the
 // gate, so adding or retiring benchmarks does not require regenerating the
@@ -37,6 +36,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -46,10 +46,7 @@ import (
 type Ledger struct {
 	Schema string `json:"schema"`
 	// PR tags which stacked change produced the baseline (0 = untagged).
-	PR     int    `json:"pr,omitempty"`
-	Goos   string `json:"goos,omitempty"`
-	Goarch string `json:"goarch,omitempty"`
-	CPU    string `json:"cpu,omitempty"`
+	PR int `json:"pr,omitempty"`
 	// Benchmarks is sorted by name for stable diffs.
 	Benchmarks []Benchmark `json:"benchmarks"`
 }
@@ -59,8 +56,8 @@ type Benchmark struct {
 	Name string `json:"name"`
 	// Samples is how many repetitions the medians were taken over.
 	Samples int `json:"samples"`
-	// Metrics maps unit to median value: ns/op, B/op, allocs/op, plus any
-	// custom b.ReportMetric units (ns/simcycle, simcycles/sec, ws, ms, ...).
+	// Metrics maps each gated unit the benchmark reported (allocs/op,
+	// coreticks/simcycle) to its median value.
 	Metrics map[string]float64 `json:"metrics"`
 }
 
@@ -82,7 +79,7 @@ func main() {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, "usage: benchjson parse [-pr N] [-o FILE] < bench-output")
-	fmt.Fprintln(os.Stderr, "       benchjson compare [-max-slower F] BASE NEW")
+	fmt.Fprintln(os.Stderr, "       benchjson compare BASE NEW")
 	os.Exit(2)
 }
 
@@ -118,25 +115,15 @@ func parseMain(args []string) {
 }
 
 // parseBench consumes `go test -bench` text output. Repeated occurrences of
-// one benchmark (from -count or multiple packages) are merged; each metric
-// reports the median across samples.
+// one benchmark (from -count or multiple packages) are merged; each gated
+// unit reports the median across samples, and other units are dropped.
 func parseBench(sc *bufio.Scanner) (Ledger, error) {
 	ledger := Ledger{Schema: schemaID}
 	samples := map[string]map[string][]float64{}
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
-		switch {
-		case strings.HasPrefix(line, "goos: ") && ledger.Goos == "":
-			ledger.Goos = strings.TrimPrefix(line, "goos: ")
-			continue
-		case strings.HasPrefix(line, "goarch: ") && ledger.Goarch == "":
-			ledger.Goarch = strings.TrimPrefix(line, "goarch: ")
-			continue
-		case strings.HasPrefix(line, "cpu: ") && ledger.CPU == "":
-			ledger.CPU = strings.TrimPrefix(line, "cpu: ")
-			continue
-		case !strings.HasPrefix(line, "Benchmark"):
+		if !strings.HasPrefix(line, "Benchmark") {
 			continue
 		}
 		fields := strings.Fields(line)
@@ -156,8 +143,9 @@ func parseBench(sc *bufio.Scanner) (Ledger, error) {
 			if err != nil {
 				continue
 			}
-			unit := fields[i+1]
-			samples[name][unit] = append(samples[name][unit], v)
+			if unit := fields[i+1]; slices.Contains(gatedUnits, unit) {
+				samples[name][unit] = append(samples[name][unit], v)
+			}
 		}
 	}
 	if err := sc.Err(); err != nil {
@@ -204,52 +192,51 @@ func median(vals []float64) float64 {
 	return (s[n/2-1] + s[n/2]) / 2
 }
 
-// Gate thresholds (see package comment).
+// Gated units and their thresholds (see package comment).
 const (
-	defaultMaxSlower = 0.35
-	allocRelSlack    = 0.05
-	allocAbsSlack    = 8
-	workRelSlack     = 0.005
+	allocUnit     = "allocs/op"
+	allocRelSlack = 0.05
+	allocAbsSlack = 8
 	// workUnit is the deterministic work count gated near-exactly.
-	workUnit = "coreticks/simcycle"
+	workUnit     = "coreticks/simcycle"
+	workRelSlack = 0.005
 )
 
+// gatedUnits are the units parse records and compare gates.
+var gatedUnits = []string{allocUnit, workUnit}
+
 func compareMain(args []string) {
-	fs := flag.NewFlagSet("compare", flag.ExitOnError)
-	maxSlower := fs.Float64("max-slower", envFloat("BENCH_MAX_SLOWER", defaultMaxSlower),
-		"maximum tolerated fractional slowdown for time metrics")
-	fs.Parse(args)
-	if fs.NArg() != 2 {
+	if len(args) != 2 {
 		usage()
 	}
-	base, err := loadLedger(fs.Arg(0))
+	base, err := loadLedger(args[0])
 	if err != nil {
 		fatal(err)
 	}
-	head, err := loadLedger(fs.Arg(1))
+	head, err := loadLedger(args[1])
 	if err != nil {
 		fatal(err)
 	}
 
-	matched, failures := compareLedgers(base, head, *maxSlower, os.Stdout)
+	matched, failures := compareLedgers(base, head, os.Stdout)
 	if matched == 0 {
-		fatal(fmt.Errorf("no benchmarks in common between %s and %s", fs.Arg(0), fs.Arg(1)))
+		fatal(fmt.Errorf("no benchmarks in common between %s and %s", args[0], args[1]))
 	}
 	if len(failures) > 0 {
-		fmt.Printf("\nbenchjson: %d regression(s) against %s:\n", len(failures), fs.Arg(0))
+		fmt.Printf("\nbenchjson: %d regression(s) against %s:\n", len(failures), args[0])
 		for _, f := range failures {
 			fmt.Println("  " + f)
 		}
 		os.Exit(1)
 	}
-	fmt.Printf("\nbenchjson: %d benchmarks within thresholds (time +%.0f%%, allocs +%.0f%%+%d; zero stays zero; work +%.1f%%)\n",
-		matched, 100**maxSlower, 100*allocRelSlack, allocAbsSlack, 100*workRelSlack)
+	fmt.Printf("\nbenchjson: %d benchmarks within thresholds (allocs +%.0f%%+%d; zero stays zero; work +%.1f%%)\n",
+		matched, 100*allocRelSlack, allocAbsSlack, 100*workRelSlack)
 }
 
 // compareLedgers gates every benchmark present in both ledgers, printing one
 // line per checked metric to w, and returns how many benchmarks matched and
 // a description of each regression.
-func compareLedgers(base, head Ledger, maxSlower float64, w io.Writer) (matched int, failures []string) {
+func compareLedgers(base, head Ledger, w io.Writer) (matched int, failures []string) {
 	headBy := map[string]Benchmark{}
 	for _, b := range head.Benchmarks {
 		headBy[b.Name] = b
@@ -262,50 +249,18 @@ func compareLedgers(base, head Ledger, maxSlower float64, w io.Writer) (matched 
 		}
 		delete(headBy, bb.Name)
 		matched++
-		for _, unit := range []string{"ns/op", "ns/simcycle"} {
+		for _, unit := range gatedUnits {
 			bv, okB := bb.Metrics[unit]
 			hv, okH := hb.Metrics[unit]
-			if !okB || !okH || bv <= 0 {
+			if !okB || !okH {
 				continue
 			}
-			ratio := hv / bv
-			verdict := "ok"
-			if ratio > 1+maxSlower {
-				verdict = "REGRESSION"
-				failures = append(failures, fmt.Sprintf("%s %s: %.4g -> %.4g (%.0f%% slower, limit %.0f%%)",
-					bb.Name, unit, bv, hv, 100*(ratio-1), 100*maxSlower))
+			lim, mark := limit(unit, bv), " "
+			if hv > lim {
+				mark = "!"
+				failures = append(failures, fmt.Sprintf("%s %s: %.4g -> %.4g (limit %.4g)", bb.Name, unit, bv, hv, lim))
 			}
-			fmt.Fprintf(w, "%s %-40s %-12s %10.4g -> %10.4g  (%+.1f%%)\n",
-				mark(verdict), bb.Name, unit, bv, hv, 100*(ratio-1))
-		}
-		if bv, ok := bb.Metrics["allocs/op"]; ok {
-			if hv, ok := hb.Metrics["allocs/op"]; ok {
-				limit := bv*(1+allocRelSlack) + allocAbsSlack
-				if bv == 0 {
-					limit = 0 // zero-alloc benchmarks must stay zero-alloc
-				}
-				verdict := "ok"
-				if hv > limit {
-					verdict = "REGRESSION"
-					failures = append(failures, fmt.Sprintf("%s allocs/op: %.0f -> %.0f (limit %.0f)",
-						bb.Name, bv, hv, limit))
-				}
-				fmt.Fprintf(w, "%s %-40s %-12s %10.0f -> %10.0f  (limit %.0f)\n",
-					mark(verdict), bb.Name, "allocs/op", bv, hv, limit)
-			}
-		}
-		if bv, ok := bb.Metrics[workUnit]; ok {
-			if hv, ok := hb.Metrics[workUnit]; ok {
-				limit := bv * (1 + workRelSlack)
-				verdict := "ok"
-				if hv > limit {
-					verdict = "REGRESSION"
-					failures = append(failures, fmt.Sprintf("%s %s: %.4g -> %.4g (limit %.4g)",
-						bb.Name, workUnit, bv, hv, limit))
-				}
-				fmt.Fprintf(w, "%s %-40s %-12s %10.4g -> %10.4g  (limit %.4g)\n",
-					mark(verdict), bb.Name, workUnit, bv, hv, limit)
-			}
+			fmt.Fprintf(w, "%s %-40s %-18s %10.4g -> %10.4g  (limit %.4g)\n", mark, bb.Name, unit, bv, hv, lim)
 		}
 	}
 	for name := range headBy {
@@ -314,20 +269,16 @@ func compareLedgers(base, head Ledger, maxSlower float64, w io.Writer) (matched 
 	return matched, failures
 }
 
-func mark(verdict string) string {
-	if verdict == "REGRESSION" {
-		return "!"
+// limit is the largest head value of unit that passes against base.
+func limit(unit string, base float64) float64 {
+	switch {
+	case unit == workUnit:
+		return base * (1 + workRelSlack)
+	case base == 0:
+		return 0 // zero-alloc benchmarks must stay zero-alloc
+	default:
+		return base*(1+allocRelSlack) + allocAbsSlack
 	}
-	return " "
-}
-
-func envFloat(name string, def float64) float64 {
-	if s := os.Getenv(name); s != "" {
-		if v, err := strconv.ParseFloat(s, 64); err == nil {
-			return v
-		}
-	}
-	return def
 }
 
 func loadLedger(path string) (Ledger, error) {
