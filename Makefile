@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test test-short bench bench-quick bench-json bench-gate sweep sweep-quick vet fmt lint ci serve smoke chaos-smoke scenario-smoke fleet-smoke fleet-chaos-smoke tenant-smoke
+.PHONY: build test test-short test-race bench sweep sweep-quick vet fmt lint ci serve smoke chaos-smoke scenario-smoke fleet-smoke fleet-chaos-smoke tenant-smoke
 
 build:
 	$(GO) build ./...
@@ -16,21 +16,22 @@ vet:
 fmt:
 	gofmt -l -w .
 
-# Static analysis beyond vet: gofmt cleanliness always; a doc-consistency
-# check that every field used by the committed scenario files is documented
-# in docs/SCENARIOS.md and that every dbpserved flag and serve/fleet metric
-# is documented in docs/SERVICE.md, docs/FLEET.md, or README.md;
-# staticcheck and govulncheck when they are on PATH
-# (the hermetic build container has only the go toolchain, so they are
-# opportunistic locally but installed in CI).
+# Static analysis beyond vet: a doc-consistency check that every field used
+# by the committed scenario files is documented in docs/SCENARIOS.md and
+# that every dbpserved flag and serve/fleet metric is documented in
+# docs/SERVICE.md, docs/FLEET.md, or README.md; staticcheck and govulncheck
+# when they are on PATH (the hermetic build container has only the go
+# toolchain, so they are opportunistic locally but installed in CI); gofmt
+# cleanliness always, checked last so a formatting slip does not hide the
+# other checks.
 lint:
-	test -z "$$(gofmt -l .)" || { gofmt -l .; exit 1; }
 	$(GO) vet ./...
 	$(GO) run ./scripts/doccheck
 	@if command -v staticcheck >/dev/null 2>&1; then staticcheck ./...; \
 	else echo "lint: staticcheck not on PATH; skipping"; fi
 	@if command -v govulncheck >/dev/null 2>&1; then govulncheck ./...; \
 	else echo "lint: govulncheck not on PATH; skipping"; fi
+	test -z "$$(gofmt -l .)" || { gofmt -l .; exit 1; }
 
 test:
 	$(GO) test ./...
@@ -38,49 +39,23 @@ test:
 test-short:
 	$(GO) test -short ./...
 
-# --- Benchmarks / performance ledger (see docs/LEDGER.md) -------------------
-#
-# -run='^$' keeps unit tests out of bench runs; -count repeats each benchmark
-# so scripts/benchjson can take medians. The gate set records only
-# allocs/op and coreticks/simcycle, which do not depend on how long a
-# benchmark runs, so one op each (-benchtime=1x) suffices for the macro
-# benchmarks (one op = one full simulation run) and the micro ones alike.
-BENCH_COUNT ?= 6
-BENCH_PR ?= 23
-BENCH_BASELINE ?= BENCH_$(BENCH_PR).json
-BENCH_NAMES = 'PolicyCycles|IdleHeavy|MeasureLoopSteadyState|DRAMCommandIssue|CacheAccess|TraceGeneration|AddressDecode'
-# bench-json and bench-gate write the raw benchmark output here, and
-# bench-gate the parsed head ledger. The raw output goes to a file, not a
-# pipe, so a failing benchmark fails the target instead of dropping out of
-# the ledger.
-BENCH_LOG ?= /tmp/bench-output.txt
-BENCH_HEAD ?= /tmp/bench-head.json
-# The perf-ledger set, as one command printing raw benchmark output.
-BENCH_SET = $(GO) test -run='^$$' -bench=$(BENCH_NAMES) -benchmem -benchtime=1x -count=3 . ./internal/sim
+# The suite under the race detector, with -short: the paper-shape
+# regressions run several full-length simulations, and under the detector's
+# ~15x slowdown they would blow the test timeout without adding race
+# coverage.
+test-race:
+	$(GO) test -race -short ./...
 
-# Full benchmark sweep: every benchmark (paper figures + perf ledger).
+# --- Benchmarks (see docs/LEDGER.md) ----------------------------------------
+#
+# Every benchmark: the paper tables/figures and the simulator-cost set, for
+# reading and profiling. -run='^$' keeps unit tests out. Nothing here gates:
+# TestBenchmarkWorkCounts (go test) pins allocs/op and coreticks/simcycle,
+# and scripts/abbench gates wall time.
+BENCH_COUNT ?= 6
+
 bench:
 	$(GO) test -run='^$$' -bench=. -benchmem -count=$(BENCH_COUNT) . ./internal/sim
-
-# The perf-ledger set only: fast enough for CI, stable enough to gate on.
-bench-quick:
-	$(BENCH_SET)
-
-# Record the perf-ledger baseline (commit the resulting BENCH_<pr>.json).
-bench-json:
-	$(BENCH_SET) > $(BENCH_LOG) || { cat $(BENCH_LOG); exit 1; }
-	$(GO) run ./scripts/benchjson parse -pr $(BENCH_PR) -o $(BENCH_BASELINE) < $(BENCH_LOG)
-
-# Regression gate on the machine-independent units: rerun the perf-ledger
-# set and compare against the committed baseline. allocs/op is strict
-# (zero stays zero, otherwise +5% plus 8); the deterministic
-# coreticks/simcycle work count is near-exact (+0.5%). Wall time is not
-# gated here: a stored time moves with the host. scripts/abbench gates it,
-# parent and change side by side on one host (docs/LEDGER.md).
-bench-gate:
-	$(BENCH_SET) > $(BENCH_LOG) || { cat $(BENCH_LOG); exit 1; }
-	$(GO) run ./scripts/benchjson parse -o $(BENCH_HEAD) < $(BENCH_LOG)
-	$(GO) run ./scripts/benchjson compare $(BENCH_BASELINE) $(BENCH_HEAD)
 
 # Run the simulation service in the foreground (ctrl-C drains).
 serve:
@@ -151,24 +126,13 @@ fleet-chaos-smoke:
 	$(GO) run ./scripts/fleetsmoke -chaos /tmp/dbpserved-fleet-chaos
 	rm -f /tmp/dbpserved-fleet-chaos
 
-# The gate CI runs: lint, build, a vet of the perfbench module, the full
-# test suite, the suite again under the race detector with -short (the paper-shape regressions run several
-# full-length simulations; under the detector's ~15x slowdown they would
-# blow the test timeout without adding race coverage), the dbpserved
-# smoke + chaos + fleet + fleet-resilience drills against the real binary, and the
-# allocation and work-count gate against the committed perf-ledger baseline.
-ci:
-	$(MAKE) lint
-	$(GO) build ./...
-	$(GO) -C perfbench vet ./...
-	$(GO) test ./...
-	$(GO) test -race -short ./...
-	$(MAKE) smoke
-	$(MAKE) scenario-smoke
-	$(MAKE) chaos-smoke
-	$(MAKE) fleet-smoke
-	$(MAKE) fleet-chaos-smoke
-	$(MAKE) bench-gate
+# The gate CI runs: lint, build, vet (both modules), the full test suite
+# (including TestBenchmarkWorkCounts, the allocation and work-count gate),
+# the short race pass, and the dbpserved smoke, scenario, chaos, fleet and
+# fleet-resilience drills against the real binary. The stages are
+# prerequisites, so `make -k ci` (what CI runs) runs and reports every
+# stage even when an earlier one fails, and still fails overall.
+ci: lint build vet test test-race smoke scenario-smoke chaos-smoke fleet-smoke fleet-chaos-smoke
 
 # Regenerate every paper table/figure (full budgets; ~15 min).
 sweep:

@@ -247,28 +247,37 @@ func BenchmarkAblationLightSpreadAll(b *testing.B) {
 //
 // These benchmarks measure the simulator itself, not the simulated system:
 // how many nanoseconds of wall clock one simulated CPU cycle costs under
-// each paper policy. scripts/benchjson keeps only their machine-independent
-// units (allocs/op, coreticks/simcycle) in BENCH_<pr>.json, which `make
-// bench-gate` compares against the committed baseline; wall time is gated by
-// scripts/abbench.
+// each paper policy. TestBenchmarkWorkCounts (workcount_test.go) gates
+// their machine-independent units, allocs/op and coreticks/simcycle;
+// wall time is gated by scripts/abbench.
 
 // reportSimSpeed reports wall nanoseconds per simulated CPU cycle and
-// simulated cycles per wall second over the accumulated cycle count.
-func reportSimSpeed(b *testing.B, simCycles uint64) {
+// simulated cycles per wall second over the accumulated cycle count, and
+// coreticks/simcycle: the full core Ticks the kernel ran per simulated
+// cycle (at most one per core; clock jumps and sleeping cores' stalled
+// skips cover the rest), a deterministic work count.
+func reportSimSpeed(b *testing.B, simCycles, coreTicks uint64) {
 	b.Helper()
+	if simCycles == 0 {
+		return
+	}
+	b.ReportMetric(float64(coreTicks)/float64(simCycles), "coreticks/simcycle")
 	elapsed := b.Elapsed()
-	if simCycles == 0 || elapsed <= 0 {
+	if elapsed <= 0 {
 		return
 	}
 	b.ReportMetric(float64(elapsed.Nanoseconds())/float64(simCycles), "ns/simcycle")
 	b.ReportMetric(float64(simCycles)/elapsed.Seconds(), "simcycles/sec")
 }
 
+// ranCoreTicks counts the full core Ticks sys ran in one run of cycles
+// simulated cycles.
+func ranCoreTicks(sys *dbpsim.System, cores int, cycles uint64) uint64 {
+	return uint64(cores)*(cycles-sys.SkippedCycles()) - sys.SleptCoreCycles()
+}
+
 // benchPolicyCycles runs a fixed 4-core mix for a fixed instruction budget
-// under one policy, with system construction off the clock. Besides speed
-// it reports coreticks/simcycle, the full core Ticks the kernel ran per
-// simulated cycle (at most one per core; clock jumps and sleeping cores'
-// stalled skips cover the rest): a deterministic work count.
+// under one policy, with system construction off the clock.
 func benchPolicyCycles(b *testing.B, sched dbpsim.SchedulerKind, part dbpsim.PartitionKind) {
 	b.Helper()
 	b.ReportAllocs()
@@ -300,12 +309,9 @@ func benchPolicyCycles(b *testing.B, sched dbpsim.SchedulerKind, part dbpsim.Par
 			b.Fatal(err)
 		}
 		total += res.Cycles
-		coreTicks += uint64(cfg.Cores)*(res.Cycles-sys.SkippedCycles()) - sys.SleptCoreCycles()
+		coreTicks += ranCoreTicks(sys, cfg.Cores, res.Cycles)
 	}
-	reportSimSpeed(b, total)
-	if total > 0 {
-		b.ReportMetric(float64(coreTicks)/float64(total), "coreticks/simcycle")
-	}
+	reportSimSpeed(b, total, coreTicks)
 }
 
 func BenchmarkPolicyCycles_FRFCFS(b *testing.B) {
@@ -327,13 +333,12 @@ func BenchmarkPolicyCycles_DBPTCM(b *testing.B) {
 // benchIdleHeavy runs an idle-heavy (low-MPKI, compute-bound) 2-core
 // pairing: accesses every ~200 instructions against L1-resident working
 // sets, so after warmup nearly every cycle is a replayable full-width
-// compute cycle. SkipOn versus SkipOff quantifies the cycle-skipping
-// speedup (the perf ledger's headline number — skipping must deliver at
-// least 2x simcycles/sec here).
+// compute cycle. SkipOn versus SkipOff shows what cycle skipping saves:
+// coreticks/simcycle counts it, simcycles/sec times it.
 func benchIdleHeavy(b *testing.B, skipping bool) {
 	b.Helper()
 	b.ReportAllocs()
-	var total uint64
+	var total, coreTicks uint64
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		cfg := dbpsim.DefaultConfig(2)
@@ -352,8 +357,9 @@ func benchIdleHeavy(b *testing.B, skipping bool) {
 			b.Fatal(err)
 		}
 		total += res.Cycles
+		coreTicks += ranCoreTicks(sys, cfg.Cores, res.Cycles)
 	}
-	reportSimSpeed(b, total)
+	reportSimSpeed(b, total, coreTicks)
 }
 
 func BenchmarkIdleHeavySkipOn(b *testing.B)  { benchIdleHeavy(b, true) }
@@ -424,7 +430,7 @@ func BenchmarkAddressDecode(b *testing.B) {
 // 8-core paper configuration.
 func BenchmarkSystemCycles(b *testing.B) {
 	b.ReportAllocs()
-	var total uint64
+	var total, coreTicks uint64
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		cfg := dbpsim.DefaultConfig(8)
@@ -444,6 +450,7 @@ func BenchmarkSystemCycles(b *testing.B) {
 			b.Fatal(err)
 		}
 		total += res.Cycles
+		coreTicks += ranCoreTicks(sys, cfg.Cores, res.Cycles)
 	}
-	reportSimSpeed(b, total)
+	reportSimSpeed(b, total, coreTicks)
 }

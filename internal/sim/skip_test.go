@@ -304,8 +304,8 @@ func TestMeasureLoopZeroAlloc(t *testing.T) {
 // BenchmarkMeasureLoopSteadyState measures the warm per-cycle cost of the
 // run loop's inner body — the hot path every simulation spends its life in —
 // with one op per simulated cycle, so ns/op is ns per simulated cycle
-// directly. allocs/op must read 0 under -benchmem; `make bench-gate` pins
-// that, and TestMeasureLoopZeroAlloc enforces the strict version.
+// directly. allocs/op reads 0 under -benchmem; TestMeasureLoopZeroAlloc
+// enforces that.
 func BenchmarkMeasureLoopSteadyState(b *testing.B) {
 	for _, mode := range []struct {
 		name string

@@ -12,8 +12,8 @@
 //   - "unresolved" when the parent's relative IQR exceeds the metric's
 //     bound, so the runs spread too widely to tell a move of that size;
 //   - "REGRESSION" when the parent won at least nine tenths of the pairs
-//     (at 6 pairs, all 6) and the change's median is worse by more than
-//     the parent's IQR;
+//     (at 10 pairs, 9) and the change's median is worse by more than the
+//     parent's IQR;
 //   - every run's value, parent/change.
 //
 // It also prints every run's correct, attempted and failed counts. It exits
@@ -23,9 +23,9 @@
 // metric.
 //
 // Run it from the repository root; everything after -- goes to the
-// benchmark command:
+// benchmark command. -pairs defaults to 10, the fewest it accepts:
 //
-//	go run ./scripts/abbench -rev HEAD -pairs 6 -- --workload dense-paper --seed 1 --seconds 20 --trace 0
+//	go run ./scripts/abbench -rev HEAD -- --workload dense-paper --seed 1 --seconds 20 --trace 0
 //
 // The worktree is removed on exit. An interrupted run can leave it behind;
 // abbench then refuses to start until it is removed.
@@ -69,24 +69,45 @@ type runResult struct {
 	} `json:"metrics"`
 }
 
+// minPairs is the fewest pairs abbench gates on. Below it the 9/10 rule
+// asks for every pair and the parent's IQR comes from a handful of runs.
+const minPairs = 10
+
 func main() {
-	rev := flag.String("rev", "", "parent revision to compare the working tree against (required)")
-	pairs := flag.Int("pairs", 6, "number of parent/change run pairs")
-	flag.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: abbench -rev REV [-pairs N] -- BENCHMARK-ARGS...")
-		fmt.Fprintln(os.Stderr, "Exits 1 when the parent wins 9/10 of the pairs on an end-to-end metric by a median gap")
-		fmt.Fprintln(os.Stderr, "wider than its IQR, or a change run is not correct or fails a larger share than the parent.")
-		flag.PrintDefaults()
+	rev, pairs, args, err := parseArgs(os.Args[1:], os.Stderr)
+	if err == flag.ErrHelp {
+		os.Exit(0)
 	}
-	flag.Parse()
-	if *rev == "" || *pairs < 1 {
-		flag.Usage()
+	if err != nil {
 		os.Exit(2)
 	}
-	if err := run(*rev, *pairs, flag.Args(), os.Stdout); err != nil {
+	if err := run(rev, pairs, args, os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "abbench:", err)
 		os.Exit(1)
 	}
+}
+
+// parseArgs reads the command line. On an error it has printed the usage
+// to stderr.
+func parseArgs(argv []string, stderr io.Writer) (rev string, pairs int, args []string, err error) {
+	fs := flag.NewFlagSet("abbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fs.StringVar(&rev, "rev", "", "parent revision to compare the working tree against (required)")
+	fs.IntVar(&pairs, "pairs", minPairs, fmt.Sprintf("number of parent/change run pairs, at least %d", minPairs))
+	fs.Usage = func() {
+		fmt.Fprintf(stderr, "usage: abbench -rev REV [-pairs N] -- BENCHMARK-ARGS...   (N at least %d)\n", minPairs)
+		fmt.Fprintln(stderr, "Exits 1 when the parent wins 9/10 of the pairs on an end-to-end metric by a median gap")
+		fmt.Fprintln(stderr, "wider than its IQR, or a change run is not correct or fails a larger share than the parent.")
+		fs.PrintDefaults()
+	}
+	if err := fs.Parse(argv); err != nil {
+		return "", 0, nil, err
+	}
+	if rev == "" || pairs < minPairs {
+		fs.Usage()
+		return "", 0, nil, fmt.Errorf("need -rev and at least %d pairs", minPairs)
+	}
+	return rev, pairs, fs.Args(), nil
 }
 
 func run(rev string, pairs int, args []string, out io.Writer) error {

@@ -18,6 +18,20 @@ func TestQuantile(t *testing.T) {
 	}
 }
 
+func TestParseArgsRefusesFewPairs(t *testing.T) {
+	var stderr bytes.Buffer
+	if _, _, _, err := parseArgs([]string{"-rev", "HEAD", "-pairs", "9", "--", "--seconds", "5"}, &stderr); err == nil {
+		t.Fatal("9 pairs accepted")
+	}
+	if usage := strings.SplitN(stderr.String(), "\n", 2)[0]; !strings.Contains(usage, "at least 10") {
+		t.Errorf("usage line %q does not name the minimum of 10 pairs", usage)
+	}
+	rev, pairs, args, err := parseArgs([]string{"-rev", "HEAD", "--", "--seconds", "5"}, &stderr)
+	if err != nil || rev != "HEAD" || pairs != 10 || strings.Join(args, " ") != "--seconds 5" {
+		t.Errorf("default parse = %q, %d, %q, %v; want HEAD, 10 pairs, the benchmark args", rev, pairs, args, err)
+	}
+}
+
 func TestCompare(t *testing.T) {
 	lower := metric{Name: "op_ms", Better: "lower", Bound: 0.25}
 	s := compare(lower, []float64{100, 110, 90, 100}, []float64{80, 115, 85, 100})
