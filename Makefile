@@ -33,8 +33,11 @@ lint:
 	else echo "lint: govulncheck not on PATH; skipping"; fi
 	test -z "$$(gofmt -l .)" || { gofmt -l .; exit 1; }
 
+# perfbench/ is a nested module, so the root ./... stops at it; its own
+# unit tests (BENCHMARK.json against the declared metrics) run second.
 test:
 	$(GO) test ./...
+	$(GO) -C perfbench test ./...
 
 test-short:
 	$(GO) test -short ./...

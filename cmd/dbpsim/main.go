@@ -28,11 +28,11 @@ import (
 	"net/http"
 	_ "net/http/pprof"
 	"os"
-	"path/filepath"
 	"runtime/pprof"
 	"strings"
 
 	"dbpsim"
+	"dbpsim/internal/durable"
 	"dbpsim/internal/stats"
 )
 
@@ -185,7 +185,7 @@ func run(args []string, stdout io.Writer) error {
 		if *checkpointOut != "" {
 			ck.Interval = *ckptInterval
 			ck.Sink = func(blob []byte, cycle uint64) {
-				if err := writeFileAtomic(*checkpointOut, blob); err != nil {
+				if err := durable.WriteAtomic(*checkpointOut, blob); err != nil {
 					fmt.Fprintf(os.Stderr, "dbpsim: checkpoint at cycle %d: %v\n", cycle, err)
 				}
 			}
@@ -292,30 +292,6 @@ func run(args []string, stdout io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// writeFileAtomic replaces path with data via a same-directory tmp file,
-// fsync, and rename, so an interrupted write never leaves a torn checkpoint
-// where a resumable one used to be.
-func writeFileAtomic(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".ckpt-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
 }
 
 // writeTo creates path, streams write into it, and closes it, reporting the

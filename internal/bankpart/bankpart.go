@@ -4,9 +4,9 @@
 // (internal/core) and Memory Channel Partitioning (internal/mcp) implement
 // the same interface.
 //
-// The static policies here (None, Fixed, Equal) hold no mutable state after
-// construction, so the checkpoint subsystem (internal/sim snapshots) has
-// nothing to capture for them; only DBP and MCP carry snapshot state.
+// The static policies here differ only in their masks, so they are one
+// type, Static, with no mutable state after construction: its snapshot
+// state is empty.
 package bankpart
 
 import (
@@ -27,6 +27,12 @@ type Policy interface {
 	// Quantum consumes the last quantum's thread profiles and returns new
 	// masks; changed=false means "keep the current masks".
 	Quantum(samples []profile.ThreadSample) (masks []paging.ColorSet, changed bool)
+	// Snapshot encodes the policy's own mutable state for a checkpoint; a
+	// static policy returns none.
+	Snapshot() ([]byte, error)
+	// Restore installs Snapshot's bytes into an identically configured
+	// policy.
+	Restore([]byte) error
 }
 
 // SpreadOrder returns all colors ordered so that consecutive entries
@@ -45,43 +51,27 @@ func SpreadOrder(g addr.Geometry) []int {
 	return out
 }
 
-// None gives every thread every bank: the conventional fully interleaved
-// baseline, where all interference happens at the scheduler.
-type None struct {
-	numThreads int
-	numColors  int
-}
-
-// NewNone builds the no-partitioning policy.
-func NewNone(numThreads int, g addr.Geometry) *None {
-	return &None{numThreads: numThreads, numColors: g.NumColors()}
-}
-
-// Name implements Policy.
-func (*None) Name() string { return "none" }
-
-// Initial implements Policy.
-func (p *None) Initial() []paging.ColorSet {
-	masks := make([]paging.ColorSet, p.numThreads)
-	for i := range masks {
-		masks[i] = paging.FullColorSet(p.numColors)
-	}
-	return masks
-}
-
-// Quantum implements Policy: never changes anything.
-func (p *None) Quantum([]profile.ThreadSample) ([]paging.ColorSet, bool) {
-	return nil, false
-}
-
-// Fixed installs caller-chosen static masks (used by motivation and
-// sensitivity experiments that pin a thread to an explicit bank set).
-type Fixed struct {
+// Static installs per-thread masks once and never changes them.
+type Static struct {
+	name  string
 	masks []paging.ColorSet
 }
 
-// NewFixed builds a static policy from explicit per-thread color lists.
-func NewFixed(colorsPerThread [][]int, g addr.Geometry) (*Fixed, error) {
+// NewNone gives every thread every bank: the conventional fully
+// interleaved baseline, where all interference happens at the scheduler.
+func NewNone(numThreads int, g addr.Geometry) *Static {
+	full := paging.FullColorSet(g.NumColors())
+	masks := make([]paging.ColorSet, numThreads)
+	for i := range masks {
+		masks[i] = full
+	}
+	return &Static{name: "none", masks: masks}
+}
+
+// NewFixed installs caller-chosen per-thread color lists (used by
+// motivation and sensitivity experiments that pin a thread to an explicit
+// bank set).
+func NewFixed(colorsPerThread [][]int, g addr.Geometry) (*Static, error) {
 	if len(colorsPerThread) == 0 {
 		return nil, fmt.Errorf("bankpart: NewFixed needs at least one thread")
 	}
@@ -100,36 +90,14 @@ func NewFixed(colorsPerThread [][]int, g addr.Geometry) (*Fixed, error) {
 		}
 		masks[t] = m
 	}
-	return &Fixed{masks: masks}, nil
+	return &Static{name: "fixed", masks: masks}, nil
 }
 
-// Name implements Policy.
-func (*Fixed) Name() string { return "fixed" }
-
-// Initial implements Policy.
-func (p *Fixed) Initial() []paging.ColorSet {
-	out := make([]paging.ColorSet, len(p.masks))
-	for i, m := range p.masks {
-		out[i] = m.Clone()
-	}
-	return out
-}
-
-// Quantum implements Policy: static, never changes.
-func (p *Fixed) Quantum([]profile.ThreadSample) ([]paging.ColorSet, bool) {
-	return nil, false
-}
-
-// Equal statically splits the banks evenly among threads — the prior
+// NewEqual statically splits the banks evenly among threads — the prior
 // bank-partitioning scheme DBP improves on. Each thread's share is drawn
-// from SpreadOrder so it still spans the channels.
-type Equal struct {
-	masks []paging.ColorSet
-}
-
-// NewEqual builds the equal-partitioning policy. It returns an error when
-// there are more threads than bank colors.
-func NewEqual(numThreads int, g addr.Geometry) (*Equal, error) {
+// from SpreadOrder so it still spans the channels. It returns an error
+// when there are more threads than bank colors.
+func NewEqual(numThreads int, g addr.Geometry) (*Static, error) {
 	n := g.NumColors()
 	if numThreads <= 0 {
 		return nil, fmt.Errorf("bankpart: numThreads must be positive, got %d", numThreads)
@@ -157,14 +125,14 @@ func NewEqual(numThreads int, g addr.Geometry) (*Equal, error) {
 			pos++
 		}
 	}
-	return &Equal{masks: masks}, nil
+	return &Static{name: "equal", masks: masks}, nil
 }
 
 // Name implements Policy.
-func (*Equal) Name() string { return "equal" }
+func (p *Static) Name() string { return p.name }
 
 // Initial implements Policy.
-func (p *Equal) Initial() []paging.ColorSet {
+func (p *Static) Initial() []paging.ColorSet {
 	out := make([]paging.ColorSet, len(p.masks))
 	for i, m := range p.masks {
 		out[i] = m.Clone()
@@ -173,6 +141,17 @@ func (p *Equal) Initial() []paging.ColorSet {
 }
 
 // Quantum implements Policy: static, never changes.
-func (p *Equal) Quantum([]profile.ThreadSample) ([]paging.ColorSet, bool) {
+func (*Static) Quantum([]profile.ThreadSample) ([]paging.ColorSet, bool) {
 	return nil, false
+}
+
+// Snapshot implements Policy: there is no mutable state.
+func (*Static) Snapshot() ([]byte, error) { return nil, nil }
+
+// Restore implements Policy: only the empty state restores.
+func (p *Static) Restore(b []byte) error {
+	if len(b) > 0 {
+		return fmt.Errorf("bankpart: static policy %s given %d bytes of state", p.name, len(b))
+	}
+	return nil
 }

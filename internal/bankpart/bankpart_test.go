@@ -42,6 +42,38 @@ func TestNoneGivesEveryoneEverything(t *testing.T) {
 	if _, changed := p.Quantum(nil); changed {
 		t.Error("None must never change")
 	}
+	// The masks share one full set; Initial must still hand out clones.
+	masks[0].Remove(3)
+	if masks[1].Count() != 16 || p.Initial()[0].Count() != 16 {
+		t.Error("Initial does not return independent clones")
+	}
+}
+
+// TestStaticPoliciesHaveEmptyState pins the static side of the policy
+// state contract: nothing to snapshot, nothing to restore, and state a
+// static policy could not have written is refused.
+func TestStaticPoliciesHaveEmptyState(t *testing.T) {
+	g := addr.DefaultGeometry()
+	equal, err := NewEqual(4, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fixed, err := NewFixed([][]int{{0}, {1}}, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []Policy{NewNone(4, g), equal, fixed} {
+		b, err := p.Snapshot()
+		if err != nil || len(b) != 0 {
+			t.Errorf("%s: Snapshot = %d bytes, %v; want none", p.Name(), len(b), err)
+		}
+		if err := p.Restore(nil); err != nil {
+			t.Errorf("%s: Restore(nil) = %v", p.Name(), err)
+		}
+		if err := p.Restore([]byte{1}); err == nil {
+			t.Errorf("%s: restored non-empty state", p.Name())
+		}
+	}
 }
 
 func TestEqualPartitionsDisjointAndComplete(t *testing.T) {

@@ -1,58 +1,40 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
 
-// DBPState is the dynamic bank partitioner's mutable state (cfg, geometry
+	"dbpsim/internal/detmap"
+)
+
+// dbpState is the dynamic bank partitioner's mutable state (cfg, geometry
 // and the channel-spread color order are configuration, rebuilt by New).
-type DBPState struct {
+type dbpState struct {
 	Owned   [][]int
 	Heavy   []bool
 	Quantum int
 	History []Allocation
 }
 
-// Snapshot captures the partitioner's mutable state.
-func (d *DBP) Snapshot() DBPState {
-	st := DBPState{
-		Owned:   make([][]int, len(d.owned)),
-		Heavy:   append([]bool(nil), d.heavy...),
-		Quantum: d.quantum,
-		History: make([]Allocation, len(d.history)),
-	}
-	for u, colors := range d.owned {
-		st.Owned[u] = append([]int(nil), colors...)
-	}
-	for i, a := range d.history {
-		st.History[i] = Allocation{
-			Quantum: a.Quantum,
-			Colors:  append([]int(nil), a.Colors...),
-			Heavy:   append([]bool(nil), a.Heavy...),
-		}
-	}
-	return st
+// Snapshot implements bankpart.Policy.
+func (d *DBP) Snapshot() ([]byte, error) {
+	return detmap.Marshal(dbpState{d.owned, d.heavy, d.quantum, d.history})
 }
 
-// Restore installs a previously captured state into a partitioner built
-// with the same configuration.
-func (d *DBP) Restore(st DBPState) error {
+// Restore implements bankpart.Policy.
+func (d *DBP) Restore(b []byte) error {
+	var st dbpState
+	if err := detmap.Unmarshal(b, &st); err != nil {
+		return fmt.Errorf("core: DBP snapshot: %w", err)
+	}
 	if len(st.Owned) != len(d.owned) {
 		return fmt.Errorf("core: DBP snapshot has %d ownership units, partitioner has %d", len(st.Owned), len(d.owned))
 	}
 	if len(st.Heavy) != len(d.heavy) {
 		return fmt.Errorf("core: DBP snapshot has %d threads, partitioner has %d", len(st.Heavy), len(d.heavy))
 	}
-	for u := range d.owned {
-		d.owned[u] = append([]int(nil), st.Owned[u]...)
-	}
+	d.owned = st.Owned
 	copy(d.heavy, st.Heavy)
 	d.quantum = st.Quantum
-	d.history = make([]Allocation, len(st.History))
-	for i, a := range st.History {
-		d.history[i] = Allocation{
-			Quantum: a.Quantum,
-			Colors:  append([]int(nil), a.Colors...),
-			Heavy:   append([]bool(nil), a.Heavy...),
-		}
-	}
+	d.history = st.History
 	return nil
 }

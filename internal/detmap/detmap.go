@@ -21,6 +21,21 @@ import (
 // delete and len all work directly.
 type Map[K cmp.Ordered, V any] map[K]V
 
+// Marshal gob-encodes a snapshot state value. With every map-shaped field a
+// Map, equal states encode to equal bytes.
+func Marshal(v any) ([]byte, error) {
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
+// Unmarshal decodes bytes Marshal produced into v (a pointer).
+func Unmarshal(data []byte, v any) error {
+	return gob.NewDecoder(bytes.NewReader(data)).Decode(v)
+}
+
 // Copy returns a Map holding the entries of src (nil in, nil out).
 func Copy[K cmp.Ordered, V any](src map[K]V) Map[K, V] {
 	if src == nil {

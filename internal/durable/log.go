@@ -94,7 +94,7 @@ func Rewrite[R any](path string, recs []R) error {
 		buf.Write(line)
 		buf.WriteByte('\n')
 	}
-	return writeAtomic(path, buf.Bytes())
+	return WriteAtomic(path, buf.Bytes())
 }
 
 // Append writes rec as one line and fsyncs it before returning. The
@@ -132,10 +132,11 @@ func (l *Log[R]) Close() error {
 	return l.f.Close()
 }
 
-// writeAtomic writes data to a dot-prefixed temporary file in path's
-// directory, fsyncs it, and renames it to path. The temporary file is
-// removed on every failure.
-func writeAtomic(path string, data []byte) error {
+// WriteAtomic writes data to a dot-prefixed temporary file in path's
+// directory, fsyncs it, and renames it to path, so an interrupted write
+// never leaves a torn file where a whole one used to be. The temporary
+// file is removed on every failure.
+func WriteAtomic(path string, data []byte) error {
 	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
 	if err != nil {
 		return fmt.Errorf("durable: write %s: %w", filepath.Base(path), err)

@@ -51,7 +51,7 @@ func (s *Store) Put(data []byte) (string, error) {
 	if _, err := os.Stat(path); err == nil {
 		return hash, nil
 	}
-	if err := writeAtomic(path, data); err != nil {
+	if err := WriteAtomic(path, data); err != nil {
 		return "", err
 	}
 	return hash, nil

@@ -1,20 +1,28 @@
 package mcp
 
-import "fmt"
+import (
+	"fmt"
 
-// State is the MCP policy's mutable state (everything else — config,
+	"dbpsim/internal/detmap"
+)
+
+// state is the MCP policy's mutable state (everything else — config,
 // geometry, channel masks — is rebuilt by New).
-type State struct {
+type state struct {
 	LastGroups []int
 }
 
-// Snapshot captures the policy's mutable state.
-func (m *MCP) Snapshot() State {
-	return State{LastGroups: append([]int(nil), m.lastGroups...)}
+// Snapshot implements bankpart.Policy.
+func (m *MCP) Snapshot() ([]byte, error) {
+	return detmap.Marshal(state{m.lastGroups})
 }
 
-// Restore installs a previously captured state.
-func (m *MCP) Restore(st State) error {
+// Restore implements bankpart.Policy.
+func (m *MCP) Restore(b []byte) error {
+	var st state
+	if err := detmap.Unmarshal(b, &st); err != nil {
+		return fmt.Errorf("mcp: snapshot: %w", err)
+	}
 	if len(st.LastGroups) != len(m.lastGroups) {
 		return fmt.Errorf("mcp: snapshot has %d threads, policy has %d", len(st.LastGroups), len(m.lastGroups))
 	}

@@ -24,6 +24,8 @@ func (frfcfs) NextTickEvent(uint64) uint64 { return NeverEvent }
 func (frfcfs) PriorityEpoch() uint64       { return 0 }
 func (frfcfs) OnEnqueue(*Request)          {}
 func (frfcfs) OnService(*Request)          {}
+func (frfcfs) Snapshot() ([]byte, error)   { return nil, nil }
+func (frfcfs) Restore([]byte) error        { return nil }
 
 func testSetup(t *testing.T, refresh bool) (*Controller, *addr.Mapper) {
 	t.Helper()

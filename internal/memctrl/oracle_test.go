@@ -23,8 +23,8 @@ import (
 const oracleThreads = 4
 
 // oracleStack is one scheduler configuration: the scheduler the controller
-// sees, plus every stateful component under it (for Snapshot/Restore and
-// for feeding quantum updates).
+// sees, plus every stateful component under it (for feeding quantum
+// updates).
 type oracleStack struct {
 	top   memctrl.Scheduler
 	parts []memctrl.Scheduler
@@ -151,47 +151,18 @@ func feedQuantum(parts []memctrl.Scheduler, samples []profile.ThreadSample, leve
 	}
 }
 
-// roundTrip snapshots the controller and every scheduler component, then
-// restores them all in place, the way a checkpoint resume does.
-func roundTrip(c *memctrl.Controller, parts []memctrl.Scheduler) error {
-	var restores []func() error
-	for _, p := range parts {
-		switch p := p.(type) {
-		case *sched.TCM:
-			st := p.Snapshot()
-			restores = append(restores, func() error { return p.Restore(st) })
-		case *sched.ATLAS:
-			st := p.Snapshot()
-			restores = append(restores, func() error { return p.Restore(st) })
-		case *sched.PARBS:
-			st := p.Snapshot(func(r *memctrl.Request) sched.RequestRef { return sched.RequestRef{ID: r.ID} })
-			restores = append(restores, func() error {
-				byID := map[uint64]*memctrl.Request{}
-				c.ForEachRequest(func(r *memctrl.Request) { byID[r.ID] = r })
-				return p.Restore(st, func(ref sched.RequestRef) *memctrl.Request { return byID[ref.ID] })
-			})
-		case *sched.BLISS:
-			st := p.Snapshot()
-			restores = append(restores, func() error { return p.Restore(st) })
-		case *sched.FRFCFSCap:
-			st := p.Snapshot()
-			restores = append(restores, func() error { return p.Restore(st) })
-		case *sched.ThreadPriority:
-			st := p.Snapshot()
-			restores = append(restores, func() error { return p.Restore(st) })
-		default:
-			return fmt.Errorf("no snapshot support for %T", p)
-		}
+// roundTrip snapshots the controller and its scheduler, then restores both
+// in place, the way a checkpoint resume does: the scheduler's bytes restore
+// with no help from the controller's rebuilt requests.
+func roundTrip(c *memctrl.Controller, s memctrl.Scheduler) error {
+	st, err := s.Snapshot()
+	if err != nil {
+		return err
 	}
 	if err := c.Restore(c.Snapshot()); err != nil {
 		return err
 	}
-	for _, r := range restores {
-		if err := r(); err != nil {
-			return err
-		}
-	}
-	return nil
+	return s.Restore(st)
 }
 
 // runOracle drives a production and a reference controller through one
@@ -243,7 +214,7 @@ func runOracle(t *testing.T, build func() oracleStack, cfg memctrl.Config, refre
 			feedQuantum(ref.parts, samples, levels)
 		}
 		if restoreEvery > 0 && cycle%restoreEvery == restoreEvery-1 {
-			if err := roundTrip(pc, prod.parts); err != nil {
+			if err := roundTrip(pc, prod.top); err != nil {
 				t.Fatalf("snapshot/restore at cycle %d: %v", cycle, err)
 			}
 		}

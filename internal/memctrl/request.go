@@ -102,6 +102,13 @@ type Scheduler interface {
 	// OnService fires when a read request's data command has issued (it
 	// leaves the queue).
 	OnService(r *Request)
+	// Snapshot encodes the scheduler's own mutable state, a wrapper's
+	// including its inner scheduler's; a stateless scheduler returns none.
+	Snapshot() ([]byte, error)
+	// Restore installs Snapshot's bytes into an identically configured
+	// scheduler. It needs nothing from the controller: requests are
+	// named by (Loc.Channel, ID), which a controller restore preserves.
+	Restore([]byte) error
 }
 
 // NeverEvent marks "no self-scheduled future event": a component returning

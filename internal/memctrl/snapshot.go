@@ -8,8 +8,8 @@ import (
 )
 
 // RequestState is one queued or in-flight request, flattened for
-// serialisation. OnComplete closures are not serialisable; demand reads are
-// relinked by the simulation kernel after Restore via their Tag.
+// serialisation. OnComplete closures are not serialisable; after Restore
+// demand reads reach their cores through the demand completer, by Tag.
 type RequestState struct {
 	ID        uint64
 	Thread    int
@@ -101,8 +101,8 @@ func (c *Controller) Snapshot() ControllerState {
 
 // Restore installs a previously captured state, rebuilding the request
 // queues in their exact order and re-ranking every bank. Restored requests
-// carry nil OnComplete hooks; the kernel relinks demand reads to their
-// cores afterwards (see ForEachRequest).
+// carry nil OnComplete hooks; demand reads reach their cores through the
+// demand completer by Tag.
 func (c *Controller) Restore(st ControllerState) error {
 	if len(st.LastColCmd) != len(c.lastColCmd) {
 		return fmt.Errorf("memctrl: snapshot has %d bank slots, controller has %d", len(st.LastColCmd), len(c.lastColCmd))
@@ -135,20 +135,4 @@ func (c *Controller) Restore(st ControllerState) error {
 	copy(c.perThread, st.PerThread)
 	c.BusyReadCycles = st.BusyReadCycles
 	return nil
-}
-
-// ForEachRequest calls fn for every queued or in-flight request, in queue
-// order (reads, then writes, then in-flight). The kernel uses it after
-// Restore to relink demand-read completion hooks and scheduler-held
-// request references.
-func (c *Controller) ForEachRequest(fn func(r *Request)) {
-	for _, r := range c.reads.q {
-		fn(r)
-	}
-	for _, r := range c.writes.q {
-		fn(r)
-	}
-	for _, f := range c.inflight {
-		fn(f.req)
-	}
 }

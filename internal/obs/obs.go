@@ -34,7 +34,8 @@ const (
 
 // DefaultMaxSpans caps the per-request span buffer (completed reads kept
 // for the Chrome trace). At ~48 bytes per span this bounds recorder memory
-// to a few tens of megabytes on the longest runs.
+// to a few tens of megabytes on the longest runs. Once full, further
+// completions are counted in CounterDropped instead of stored.
 const DefaultMaxSpans = 1 << 19
 
 // Options configures a Recorder.
@@ -46,9 +47,6 @@ type Options struct {
 	// Spans enables per-request span capture (needed only for the Chrome
 	// trace export; epoch series work without it).
 	Spans bool
-	// MaxSpans caps the span buffer (0 = DefaultMaxSpans). Once full,
-	// further completions are counted in CounterDropped instead of stored.
-	MaxSpans int
 }
 
 // Span is one completed read request: the interval from controller arrival
@@ -173,9 +171,6 @@ func NewRecorder(opt Options) (*Recorder, error) {
 	if opt.NumThreads <= 0 || opt.NumBanks <= 0 {
 		return nil, fmt.Errorf("obs: need positive NumThreads (%d) and NumBanks (%d)", opt.NumThreads, opt.NumBanks)
 	}
-	if opt.MaxSpans == 0 {
-		opt.MaxSpans = DefaultMaxSpans
-	}
 	r := &Recorder{
 		opt:        opt,
 		bankMark:   make([]uint32, opt.NumThreads*opt.NumBanks),
@@ -240,7 +235,7 @@ func (r *Recorder) OnComplete(thread, channel int, arrival, end uint64, rowHit b
 	if !r.opt.Spans {
 		return
 	}
-	if len(r.spans) >= r.opt.MaxSpans {
+	if len(r.spans) >= DefaultMaxSpans {
 		r.dropped++
 		return
 	}

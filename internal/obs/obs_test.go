@@ -147,21 +147,22 @@ func TestRecorderCountsAndOccupancy(t *testing.T) {
 }
 
 func TestSpanCapDropsNotGrows(t *testing.T) {
-	r, err := NewRecorder(Options{NumThreads: 1, NumBanks: 1, Spans: true, MaxSpans: 2})
+	r, err := NewRecorder(Options{NumThreads: 1, NumBanks: 1, Spans: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 5; i++ {
+	const n = DefaultMaxSpans + 3
+	for i := 0; i < n; i++ {
 		r.OnComplete(0, 0, uint64(i), uint64(i+10), false)
 	}
-	if len(r.Spans()) != 2 {
-		t.Errorf("spans = %d, want capped at 2", len(r.Spans()))
+	if len(r.Spans()) != DefaultMaxSpans {
+		t.Errorf("spans = %d, want capped at %d", len(r.Spans()), DefaultMaxSpans)
 	}
 	if got := r.Counters()[CounterDropped]; got != 3 {
 		t.Errorf("dropped = %d, want 3", got)
 	}
-	if got := r.Counters()[CounterCompletions]; got != 5 {
-		t.Errorf("completions = %d, want 5 (counting continues past the cap)", got)
+	if got := r.Counters()[CounterCompletions]; got != n {
+		t.Errorf("completions = %d, want %d (counting continues past the cap)", got, n)
 	}
 }
 

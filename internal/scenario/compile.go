@@ -1,11 +1,10 @@
 package scenario
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"hash/fnv"
 
+	"dbpsim/internal/detmap"
 	"dbpsim/internal/trace"
 	"dbpsim/internal/workload"
 )
@@ -214,11 +213,11 @@ func (r *Runtime) Snapshot() ([]byte, error) {
 	for i, g := range r.gens {
 		st.Logs[i] = g.Log()
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
+	b, err := detmap.Marshal(st)
+	if err != nil {
 		return nil, fmt.Errorf("scenario: snapshot: %w", err)
 	}
-	return buf.Bytes(), nil
+	return b, nil
 }
 
 // Restore installs a snapshot into a freshly compiled runtime. It must run
@@ -226,7 +225,7 @@ func (r *Runtime) Snapshot() ([]byte, error) {
 // logs then replay each phase switch at its original call index.
 func (r *Runtime) Restore(data []byte) error {
 	var st runtimeState
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
+	if err := detmap.Unmarshal(data, &st); err != nil {
 		return fmt.Errorf("scenario: restore: %w", err)
 	}
 	if st.Applied < 0 || st.Applied > len(r.events) {

@@ -1,7 +1,9 @@
 package sched
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"dbpsim/internal/memctrl"
 )
@@ -17,12 +19,30 @@ import (
 type PARBS struct {
 	cap int
 
-	marked      map[*memctrl.Request]struct{}
-	outstanding map[*memctrl.Request]struct{}
+	// outstanding holds every queued read; marked is the current batch,
+	// a subset of it.
+	outstanding map[reqKey]queuedRead
+	marked      map[reqKey]struct{}
 	// markedPerThread ranks threads inside the batch (fewer = earlier).
 	markedPerThread map[int]int
 	// epoch counts batch changes (PriorityEpoch).
 	epoch uint64
+}
+
+// reqKey names a queued request by value, so the batch survives a
+// controller restore that rebuilds every request object. The scheduler is
+// shared by all channels and request IDs are unique only per controller,
+// so the channel disambiguates.
+type reqKey struct {
+	channel int
+	id      uint64
+}
+
+func keyOf(r *memctrl.Request) reqKey { return reqKey{r.Loc.Channel, r.ID} }
+
+// queuedRead is what batch formation needs of a queued read.
+type queuedRead struct {
+	thread, bank int
 }
 
 // NewPARBS builds a PAR-BS scheduler with the given per-(thread,bank)
@@ -33,8 +53,8 @@ func NewPARBS(markingCap int) (*PARBS, error) {
 	}
 	return &PARBS{
 		cap:             markingCap,
-		marked:          make(map[*memctrl.Request]struct{}),
-		outstanding:     make(map[*memctrl.Request]struct{}),
+		outstanding:     make(map[reqKey]queuedRead),
+		marked:          make(map[reqKey]struct{}),
 		markedPerThread: make(map[int]int),
 	}, nil
 }
@@ -44,14 +64,15 @@ func (*PARBS) Name() string { return "parbs" }
 
 // OnEnqueue implements memctrl.Scheduler.
 func (p *PARBS) OnEnqueue(r *memctrl.Request) {
-	p.outstanding[r] = struct{}{}
+	p.outstanding[keyOf(r)] = queuedRead{r.Thread, bankKey(r)}
 }
 
 // OnService implements memctrl.Scheduler.
 func (p *PARBS) OnService(r *memctrl.Request) {
-	delete(p.outstanding, r)
-	if _, ok := p.marked[r]; ok {
-		delete(p.marked, r)
+	k := keyOf(r)
+	delete(p.outstanding, k)
+	if _, ok := p.marked[k]; ok {
+		delete(p.marked, k)
 		p.markedPerThread[r.Thread]--
 		p.epoch++
 	}
@@ -83,31 +104,31 @@ func (p *PARBS) NextTickEvent(now uint64) uint64 {
 // formBatch marks the oldest cap requests of every (thread, bank) pair.
 func (p *PARBS) formBatch() {
 	p.epoch++
-	type key struct{ thread, bank int }
-	counts := make(map[key]int)
+	counts := make(map[queuedRead]int)
 	// Mark in age order so the oldest requests win the per-pair cap.
-	var reqs []*memctrl.Request
-	for r := range p.outstanding {
-		reqs = append(reqs, r)
+	keys := make([]reqKey, 0, len(p.outstanding))
+	for k := range p.outstanding {
+		keys = append(keys, k)
 	}
-	// Insertion sort by ID: queues are small and mostly ordered.
-	for i := 1; i < len(reqs); i++ {
-		for j := i; j > 0 && reqs[j].ID < reqs[j-1].ID; j-- {
-			reqs[j], reqs[j-1] = reqs[j-1], reqs[j]
-		}
-	}
-	for k := range p.markedPerThread {
-		delete(p.markedPerThread, k)
-	}
-	for _, r := range reqs {
-		k := key{r.Thread, r.Loc.Channel<<16 | r.Loc.Rank<<8 | r.Loc.Bank}
-		if counts[k] >= p.cap {
+	slices.SortFunc(keys, compareKeys)
+	clear(p.markedPerThread)
+	for _, k := range keys {
+		q := p.outstanding[k]
+		if counts[q] >= p.cap {
 			continue
 		}
-		counts[k]++
-		p.marked[r] = struct{}{}
-		p.markedPerThread[r.Thread]++
+		counts[q]++
+		p.marked[k] = struct{}{}
+		p.markedPerThread[q.thread]++
 	}
+}
+
+// compareKeys orders requests by age (ID), then channel.
+func compareKeys(a, b reqKey) int {
+	if c := cmp.Compare(a.id, b.id); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.channel, b.channel)
 }
 
 // MarkedCount reports the live batch size (for tests).
@@ -116,8 +137,8 @@ func (p *PARBS) MarkedCount() int { return len(p.marked) }
 // Less implements memctrl.Scheduler: marked first, then
 // shortest-job-first across threads, then row hit, then age.
 func (p *PARBS) Less(ctx memctrl.SchedContext, a, b *memctrl.Request) bool {
-	_, ma := p.marked[a]
-	_, mb := p.marked[b]
+	_, ma := p.marked[keyOf(a)]
+	_, mb := p.marked[keyOf(b)]
 	if ma != mb {
 		return ma
 	}

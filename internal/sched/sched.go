@@ -5,7 +5,11 @@
 // profiles by the simulation kernel.
 package sched
 
-import "dbpsim/internal/memctrl"
+import (
+	"fmt"
+
+	"dbpsim/internal/memctrl"
+)
 
 // noQueueEvents gives a scheduler that ignores queue contents no-op
 // memctrl.Scheduler OnEnqueue and OnService methods.
@@ -14,8 +18,26 @@ type noQueueEvents struct{}
 func (noQueueEvents) OnEnqueue(*memctrl.Request) {}
 func (noQueueEvents) OnService(*memctrl.Request) {}
 
+// stateless gives a scheduler that orders requests by their own fields and
+// the open row alone every memctrl.Scheduler method but Name and Less:
+// OnTick never mutates anything, the priority epoch never moves, and the
+// snapshot state is empty.
+type stateless struct{ noQueueEvents }
+
+func (stateless) OnTick(uint64)               {}
+func (stateless) NextTickEvent(uint64) uint64 { return memctrl.NeverEvent }
+func (stateless) PriorityEpoch() uint64       { return 0 }
+func (stateless) Snapshot() ([]byte, error)   { return nil, nil }
+
+func (stateless) Restore(b []byte) error {
+	if len(b) > 0 {
+		return fmt.Errorf("sched: stateless scheduler given %d bytes of state", len(b))
+	}
+	return nil
+}
+
 // FCFS serves requests strictly oldest-first.
-type FCFS struct{ noQueueEvents }
+type FCFS struct{ stateless }
 
 // NewFCFS returns the first-come-first-served scheduler.
 func NewFCFS() *FCFS { return &FCFS{} }
@@ -28,18 +50,9 @@ func (*FCFS) Less(_ memctrl.SchedContext, a, b *memctrl.Request) bool {
 	return a.ID < b.ID
 }
 
-// OnTick implements memctrl.Scheduler.
-func (*FCFS) OnTick(uint64) {}
-
-// NextTickEvent implements memctrl.Scheduler: OnTick never mutates state.
-func (*FCFS) NextTickEvent(uint64) uint64 { return memctrl.NeverEvent }
-
-// PriorityEpoch implements memctrl.Scheduler: FCFS has no state.
-func (*FCFS) PriorityEpoch() uint64 { return 0 }
-
 // FRFCFS serves row-buffer hits first, then oldest-first — the standard
 // throughput-oriented baseline the paper builds on.
-type FRFCFS struct{ noQueueEvents }
+type FRFCFS struct{ stateless }
 
 // NewFRFCFS returns the first-ready FCFS scheduler.
 func NewFRFCFS() *FRFCFS { return &FRFCFS{} }
@@ -55,15 +68,6 @@ func (*FRFCFS) Less(ctx memctrl.SchedContext, a, b *memctrl.Request) bool {
 	}
 	return a.ID < b.ID
 }
-
-// OnTick implements memctrl.Scheduler.
-func (*FRFCFS) OnTick(uint64) {}
-
-// NextTickEvent implements memctrl.Scheduler: OnTick never mutates state.
-func (*FRFCFS) NextTickEvent(uint64) uint64 { return memctrl.NeverEvent }
-
-// PriorityEpoch implements memctrl.Scheduler: FR-FCFS has no state.
-func (*FRFCFS) PriorityEpoch() uint64 { return 0 }
 
 // ThreadPriority wraps an inner scheduler with a coarse per-thread priority
 // level (higher level = served first). MCP's integrated scheme uses it to

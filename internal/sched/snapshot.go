@@ -2,27 +2,34 @@ package sched
 
 import (
 	"fmt"
+	"maps"
 	"slices"
 
 	"dbpsim/internal/detmap"
-	"dbpsim/internal/memctrl"
 )
 
-// Snapshot/Restore capture the mutable state of every scheduler baseline so
-// checkpointed runs resume bit-identically. PAR-BS keys its batch state by
-// request pointer; those are serialised as (channel, request-ID) references
-// and relinked through a lookup the kernel builds after the controllers'
-// queues are restored.
+// Snapshot/Restore implement memctrl.Scheduler's state pair: each
+// scheduler gob-encodes its own mutable state (configuration is rebuilt by
+// its constructor), and every Restore bumps the priority epoch so the
+// controller re-ranks its cached heads.
 
-// RequestRef identifies a queued request across a snapshot boundary.
-// Request IDs are unique only per controller, so the channel disambiguates.
-type RequestRef struct {
-	Channel int
-	ID      uint64
+// decodeState decodes a scheduler's snapshot bytes into st.
+func decodeState(name string, b []byte, st any) error {
+	if err := detmap.Unmarshal(b, st); err != nil {
+		return fmt.Errorf("sched: %s snapshot: %w", name, err)
+	}
+	return nil
 }
 
-// TCMState is the TCM scheduler's mutable state.
-type TCMState struct {
+// mapOf copies a decoded map into a fresh, never-nil map.
+func mapOf[K comparable, V any](m map[K]V) map[K]V {
+	out := make(map[K]V, len(m))
+	maps.Copy(out, m)
+	return out
+}
+
+// tcmState is the TCM scheduler's mutable state.
+type tcmState struct {
 	Rank        []int
 	IsLatency   []bool
 	BWBase      []int
@@ -30,19 +37,17 @@ type TCMState struct {
 	LastShuffle uint64
 }
 
-// Snapshot captures the scheduler's mutable state.
-func (t *TCM) Snapshot() TCMState {
-	return TCMState{
-		Rank:        append([]int(nil), t.rank...),
-		IsLatency:   append([]bool(nil), t.isLatency...),
-		BWBase:      append([]int(nil), t.bwBase...),
-		ShufflePos:  t.shufflePos,
-		LastShuffle: t.lastShuffle,
-	}
+// Snapshot implements memctrl.Scheduler.
+func (t *TCM) Snapshot() ([]byte, error) {
+	return detmap.Marshal(tcmState{t.rank, t.isLatency, t.bwBase, t.shufflePos, t.lastShuffle})
 }
 
-// Restore installs a previously captured state.
-func (t *TCM) Restore(st TCMState) error {
+// Restore implements memctrl.Scheduler.
+func (t *TCM) Restore(b []byte) error {
+	var st tcmState
+	if err := decodeState("TCM", b, &st); err != nil {
+		return err
+	}
 	if len(st.Rank) != len(t.rank) || len(st.IsLatency) != len(t.isLatency) {
 		return fmt.Errorf("sched: TCM snapshot has %d threads, scheduler has %d", len(st.Rank), len(t.rank))
 	}
@@ -55,22 +60,23 @@ func (t *TCM) Restore(st TCMState) error {
 	return nil
 }
 
-// ATLASState is the ATLAS scheduler's mutable state.
-type ATLASState struct {
+// atlasState is the ATLAS scheduler's mutable state.
+type atlasState struct {
 	Attained []float64
 	Rank     []int
 }
 
-// Snapshot captures the scheduler's mutable state.
-func (a *ATLAS) Snapshot() ATLASState {
-	return ATLASState{
-		Attained: append([]float64(nil), a.attained...),
-		Rank:     append([]int(nil), a.rank...),
-	}
+// Snapshot implements memctrl.Scheduler.
+func (a *ATLAS) Snapshot() ([]byte, error) {
+	return detmap.Marshal(atlasState{a.attained, a.rank})
 }
 
-// Restore installs a previously captured state.
-func (a *ATLAS) Restore(st ATLASState) error {
+// Restore implements memctrl.Scheduler.
+func (a *ATLAS) Restore(b []byte) error {
+	var st atlasState
+	if err := decodeState("ATLAS", b, &st); err != nil {
+		return err
+	}
 	if len(st.Attained) != len(a.attained) || len(st.Rank) != len(a.rank) {
 		return fmt.Errorf("sched: ATLAS snapshot has %d threads, scheduler has %d", len(st.Attained), len(a.attained))
 	}
@@ -80,145 +86,130 @@ func (a *ATLAS) Restore(st ATLASState) error {
 	return nil
 }
 
-// PARBSState is the PAR-BS scheduler's mutable state, with request pointers
-// replaced by (channel, ID) references.
-type PARBSState struct {
-	Marked          []RequestRef
-	Outstanding     []RequestRef
-	MarkedPerThread detmap.Map[int, int]
+// parbsState lists PAR-BS's queued reads in (ID, channel) order; the
+// per-thread batch counts follow from the marked ones.
+type parbsState struct {
+	Queued []parbsQueued
 }
 
-// Snapshot captures the scheduler's mutable state. ref maps a live request
-// to its cross-snapshot reference (the kernel supplies the channel).
-func (p *PARBS) Snapshot(ref func(r *memctrl.Request) RequestRef) PARBSState {
-	st := PARBSState{MarkedPerThread: detmap.Copy(p.markedPerThread)}
-	for r := range p.marked {
-		st.Marked = append(st.Marked, ref(r))
-	}
-	for r := range p.outstanding {
-		st.Outstanding = append(st.Outstanding, ref(r))
-	}
-	// The batch sets are iterated in map order; sort the references so the
-	// serialised state is byte-deterministic (Restore rebuilds sets, so the
-	// order carries no meaning).
-	sortRefs(st.Marked)
-	sortRefs(st.Outstanding)
-	return st
+type parbsQueued struct {
+	Channel, Thread, Bank int
+	ID                    uint64
+	Marked                bool
 }
 
-// sortRefs orders references by (channel, ID) for deterministic encoding.
-func sortRefs(refs []RequestRef) {
-	slices.SortFunc(refs, func(a, b RequestRef) int {
-		if a.Channel != b.Channel {
-			return a.Channel - b.Channel
-		}
-		switch {
-		case a.ID < b.ID:
-			return -1
-		case a.ID > b.ID:
-			return 1
-		}
-		return 0
-	})
+// Snapshot implements memctrl.Scheduler.
+func (p *PARBS) Snapshot() ([]byte, error) {
+	keys := make([]reqKey, 0, len(p.outstanding))
+	for k := range p.outstanding {
+		keys = append(keys, k)
+	}
+	slices.SortFunc(keys, compareKeys)
+	st := parbsState{Queued: make([]parbsQueued, len(keys))}
+	for i, k := range keys {
+		q := p.outstanding[k]
+		_, marked := p.marked[k]
+		st.Queued[i] = parbsQueued{Channel: k.channel, Thread: q.thread, Bank: q.bank, ID: k.id, Marked: marked}
+	}
+	return detmap.Marshal(st)
 }
 
-// Restore installs a previously captured state. lookup resolves a reference
-// to the restored request object; it returns nil for unknown references,
-// which Restore reports as an error.
-func (p *PARBS) Restore(st PARBSState, lookup func(ref RequestRef) *memctrl.Request) error {
-	marked := make(map[*memctrl.Request]struct{}, len(st.Marked))
-	outstanding := make(map[*memctrl.Request]struct{}, len(st.Outstanding))
-	for _, ref := range st.Marked {
-		r := lookup(ref)
-		if r == nil {
-			return fmt.Errorf("sched: PAR-BS snapshot references unknown request %d on channel %d", ref.ID, ref.Channel)
-		}
-		marked[r] = struct{}{}
+// Restore implements memctrl.Scheduler.
+func (p *PARBS) Restore(b []byte) error {
+	var st parbsState
+	if err := decodeState("PAR-BS", b, &st); err != nil {
+		return err
 	}
-	for _, ref := range st.Outstanding {
-		r := lookup(ref)
-		if r == nil {
-			return fmt.Errorf("sched: PAR-BS snapshot references unknown request %d on channel %d", ref.ID, ref.Channel)
+	p.outstanding = make(map[reqKey]queuedRead, len(st.Queued))
+	p.marked = make(map[reqKey]struct{})
+	p.markedPerThread = make(map[int]int)
+	for _, q := range st.Queued {
+		k := reqKey{q.Channel, q.ID}
+		p.outstanding[k] = queuedRead{q.Thread, q.Bank}
+		if q.Marked {
+			p.marked[k] = struct{}{}
+			p.markedPerThread[q.Thread]++
 		}
-		outstanding[r] = struct{}{}
-	}
-	p.marked = marked
-	p.outstanding = outstanding
-	p.markedPerThread = make(map[int]int, len(st.MarkedPerThread))
-	for k, v := range st.MarkedPerThread {
-		p.markedPerThread[k] = v
 	}
 	p.epoch++
 	return nil
 }
 
-// BLISSState is the BLISS scheduler's mutable state.
-type BLISSState struct {
+// blissState is the BLISS scheduler's mutable state.
+type blissState struct {
 	LastThread  int
 	Streak      int
 	Blacklisted detmap.Map[int, bool]
 	LastClear   uint64
 }
 
-// Snapshot captures the scheduler's mutable state.
-func (b *BLISS) Snapshot() BLISSState {
-	st := BLISSState{
-		LastThread:  b.lastThread,
-		Streak:      b.streak,
-		Blacklisted: detmap.Copy(b.blacklisted),
-		LastClear:   b.lastClear,
-	}
-	return st
+// Snapshot implements memctrl.Scheduler.
+func (b *BLISS) Snapshot() ([]byte, error) {
+	return detmap.Marshal(blissState{b.lastThread, b.streak, b.blacklisted, b.lastClear})
 }
 
-// Restore installs a previously captured state.
-func (b *BLISS) Restore(st BLISSState) error {
+// Restore implements memctrl.Scheduler.
+func (b *BLISS) Restore(data []byte) error {
+	var st blissState
+	if err := decodeState("BLISS", data, &st); err != nil {
+		return err
+	}
 	b.lastThread = st.LastThread
 	b.streak = st.Streak
-	b.blacklisted = make(map[int]bool, len(st.Blacklisted))
-	for k, v := range st.Blacklisted {
-		b.blacklisted[k] = v
-	}
+	b.blacklisted = mapOf(st.Blacklisted)
 	b.lastClear = st.LastClear
 	b.epoch++
 	return nil
 }
 
-// FRFCFSCapState is the capped FR-FCFS scheduler's mutable state.
-type FRFCFSCapState struct {
+// frfcfsCapState is the capped FR-FCFS scheduler's mutable state.
+type frfcfsCapState struct {
 	Streak detmap.Map[int, int]
 }
 
-// Snapshot captures the scheduler's mutable state.
-func (c *FRFCFSCap) Snapshot() FRFCFSCapState {
-	return FRFCFSCapState{Streak: detmap.Copy(c.streak)}
+// Snapshot implements memctrl.Scheduler.
+func (c *FRFCFSCap) Snapshot() ([]byte, error) {
+	return detmap.Marshal(frfcfsCapState{c.streak})
 }
 
-// Restore installs a previously captured state.
-func (c *FRFCFSCap) Restore(st FRFCFSCapState) error {
-	c.streak = make(map[int]int, len(st.Streak))
-	for k, v := range st.Streak {
-		c.streak[k] = v
+// Restore implements memctrl.Scheduler.
+func (c *FRFCFSCap) Restore(b []byte) error {
+	var st frfcfsCapState
+	if err := decodeState("FR-FCFS-cap", b, &st); err != nil {
+		return err
 	}
+	c.streak = mapOf(st.Streak)
 	c.epoch++
 	return nil
 }
 
-// PriorityState is the ThreadPriority wrapper's mutable state (the inner
-// scheduler's state is captured separately).
-type PriorityState struct {
+// priorityState is the ThreadPriority wrapper's levels plus its inner
+// scheduler's own snapshot bytes.
+type priorityState struct {
 	Levels []int
+	Inner  []byte
 }
 
-// Snapshot captures the wrapper's mutable state.
-func (t *ThreadPriority) Snapshot() PriorityState {
-	return PriorityState{Levels: append([]int(nil), t.levels...)}
+// Snapshot implements memctrl.Scheduler.
+func (t *ThreadPriority) Snapshot() ([]byte, error) {
+	inner, err := t.inner.Snapshot()
+	if err != nil {
+		return nil, err
+	}
+	return detmap.Marshal(priorityState{t.levels, inner})
 }
 
-// Restore installs a previously captured state.
-func (t *ThreadPriority) Restore(st PriorityState) error {
+// Restore implements memctrl.Scheduler.
+func (t *ThreadPriority) Restore(b []byte) error {
+	var st priorityState
+	if err := decodeState("priority", b, &st); err != nil {
+		return err
+	}
 	if len(st.Levels) != len(t.levels) {
 		return fmt.Errorf("sched: priority snapshot has %d threads, wrapper has %d", len(st.Levels), len(t.levels))
+	}
+	if err := t.inner.Restore(st.Inner); err != nil {
+		return err
 	}
 	copy(t.levels, st.Levels)
 	t.epoch++

@@ -96,7 +96,7 @@ type Config struct {
 	// Scheduler picks the request scheduler.
 	Scheduler SchedulerKind
 	// TCMClusterThresh, TCMShuffleInterval, TCMShuffleRotate and
-	// TCMRankOverRowHit parameterise TCM (see sched.TCMConfig).
+	// TCMRankOverRowHit parameterise TCM (see TCMConfig in package sched).
 	TCMClusterThresh   float64
 	TCMShuffleInterval uint64
 	TCMShuffleRotate   bool

@@ -4,30 +4,27 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
 
 	"dbpsim/internal/cache"
-	"dbpsim/internal/core"
 	"dbpsim/internal/cpu"
-	"dbpsim/internal/mcp"
+	"dbpsim/internal/detmap"
 	"dbpsim/internal/memctrl"
 	"dbpsim/internal/obs"
 	"dbpsim/internal/paging"
 	"dbpsim/internal/profile"
-	"dbpsim/internal/sched"
 	"dbpsim/internal/stats"
 )
 
-// SnapshotVersion is the current snapshot blob format version. Readers
-// accept blobs of their own version or older; newer blobs are rejected with
-// a structured error. Format changes within a version must be additive.
+// SnapshotVersion is the snapshot blob format version. A reader accepts
+// exactly its own version and refuses every other with a *RestoreError, on
+// which callers rerun from cycle 0; any payload change bumps it.
 //
 // Version 2 made every map-shaped state field encode deterministically
 // (sorted keys via detmap.Map), so blobs of identical machine state are
-// byte-identical. Version-1 blobs used gob's randomised map encoding and
-// cannot be decoded by version-2 readers.
-const SnapshotVersion uint32 = 2
+// byte-identical. Version 3 stores the scheduler's and the partition
+// policy's state as the bytes their own Snapshot methods return.
+const SnapshotVersion uint32 = 3
 
 // snapshotMagic opens every snapshot blob.
 var snapshotMagic = [8]byte{'D', 'B', 'P', 'S', 'N', 'A', 'P', 0}
@@ -65,18 +62,10 @@ type systemState struct {
 	Tables []paging.PageTableState
 	LLC    *cache.SharedState
 
-	// Scheduler state: exactly one pointer is set for stateful schedulers;
-	// all nil for the stateless FCFS/FR-FCFS baselines.
-	TCM   *sched.TCMState
-	ATLAS *sched.ATLASState
-	PARBS *sched.PARBSState
-	BLISS *sched.BLISSState
-	FRCap *sched.FRFCFSCapState
-	Prio  *sched.PriorityState
-
-	// Partition-policy state (static policies are stateless).
-	DBP *core.DBPState
-	MCP *mcp.State
+	// Sched and Policy are the scheduler's and the partition policy's own
+	// snapshot bytes (empty for stateless ones).
+	Sched  []byte
+	Policy []byte
 
 	Rec *obs.RecorderState
 
@@ -92,8 +81,6 @@ type systemState struct {
 
 	// ScnState is the scenario runtime's serialised state (applied timeline
 	// events and per-thread generator switch logs); nil for stationary runs.
-	// Gob field additions are backwards-compatible, so SnapshotVersion stays
-	// unchanged: old blobs decode with ScnState nil.
 	ScnState []byte
 }
 
@@ -149,35 +136,12 @@ func (s *System) Snapshot(progress RunProgress) ([]byte, error) {
 		llc := s.llc.Snapshot()
 		st.LLC = &llc
 	}
-	switch impl := s.schedImpl.(type) {
-	case *sched.TCM:
-		v := impl.Snapshot()
-		st.TCM = &v
-	case *sched.ATLAS:
-		v := impl.Snapshot()
-		st.ATLAS = &v
-	case *sched.PARBS:
-		refOf := s.requestRefs()
-		v := impl.Snapshot(func(r *memctrl.Request) sched.RequestRef { return refOf[r] })
-		st.PARBS = &v
-	case *sched.BLISS:
-		v := impl.Snapshot()
-		st.BLISS = &v
-	case *sched.FRFCFSCap:
-		v := impl.Snapshot()
-		st.FRCap = &v
+	var err error
+	if st.Sched, err = s.scheduler.Snapshot(); err != nil {
+		return nil, fmt.Errorf("sim: snapshot scheduler state: %w", err)
 	}
-	if s.prio != nil {
-		v := s.prio.Snapshot()
-		st.Prio = &v
-	}
-	if s.dbp != nil {
-		v := s.dbp.Snapshot()
-		st.DBP = &v
-	}
-	if s.mcpPolicy != nil {
-		v := s.mcpPolicy.Snapshot()
-		st.MCP = &v
+	if st.Policy, err = s.policy.Snapshot(); err != nil {
+		return nil, fmt.Errorf("sim: snapshot partition-policy state: %w", err)
 	}
 	if s.timeline != nil {
 		st.Timeline = append([]TimelinePoint(nil), s.timeline...)
@@ -203,15 +167,14 @@ func (s *System) Snapshot(progress RunProgress) ([]byte, error) {
 		st.ScnState = b
 	}
 
-	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(&st); err != nil {
+	body, err := detmap.Marshal(&st)
+	if err != nil {
 		return nil, fmt.Errorf("sim: snapshot encode: %w", err)
 	}
 	cfgHash, err := configFingerprint(s.cfg)
 	if err != nil {
 		return nil, fmt.Errorf("sim: snapshot config fingerprint: %w", err)
 	}
-	body := payload.Bytes()
 	bodyHash := sha256.Sum256(body)
 
 	blob := make([]byte, 0, snapshotHeaderLen+len(body))
@@ -236,13 +199,8 @@ func decodeSnapshot(blob []byte, wantCfg [32]byte) (st *systemState, err error) 
 		return fail(fmt.Errorf("bad magic %q", blob[:8]))
 	}
 	version := binary.BigEndian.Uint32(blob[8:12])
-	if version == 0 || version > SnapshotVersion {
-		return fail(fmt.Errorf("snapshot version %d not supported (reader supports up to %d)", version, SnapshotVersion))
-	}
-	if version < 2 {
-		// Version 1 serialised maps in gob's randomised order; its payloads
-		// do not decode into the deterministic map types used since v2.
-		return fail(fmt.Errorf("snapshot version %d predates deterministic encoding and cannot be restored", version))
+	if version != SnapshotVersion {
+		return fail(fmt.Errorf("snapshot version %d not supported (reader accepts only version %d)", version, SnapshotVersion))
 	}
 	var cfgHash [32]byte
 	copy(cfgHash[:], blob[12:44])
@@ -267,22 +225,10 @@ func decodeSnapshot(blob []byte, wantCfg [32]byte) (st *systemState, err error) 
 		}
 	}()
 	st = new(systemState)
-	if derr := gob.NewDecoder(bytes.NewReader(body)).Decode(st); derr != nil {
+	if derr := detmap.Unmarshal(body, st); derr != nil {
 		return fail(fmt.Errorf("payload decode: %w", derr))
 	}
 	return st, nil
-}
-
-// requestRefs maps every live queued/in-flight request to its
-// cross-snapshot (channel, ID) reference.
-func (s *System) requestRefs() map[*memctrl.Request]sched.RequestRef {
-	refs := make(map[*memctrl.Request]sched.RequestRef)
-	for ch, ctrl := range s.ctrls {
-		ctrl.ForEachRequest(func(r *memctrl.Request) {
-			refs[r] = sched.RequestRef{Channel: ch, ID: r.ID}
-		})
-	}
-	return refs
 }
 
 // RestoreSnapshot installs a snapshot blob into a freshly built System with
@@ -313,41 +259,6 @@ func (s *System) RestoreSnapshot(blob []byte) error {
 	if (st.LLC == nil) != (s.llc == nil) {
 		return fail(fmt.Errorf("snapshot LLC presence does not match configuration"))
 	}
-	var schedErr error
-	switch s.schedImpl.(type) {
-	case *sched.TCM:
-		if st.TCM == nil {
-			schedErr = fmt.Errorf("snapshot lacks TCM scheduler state")
-		}
-	case *sched.ATLAS:
-		if st.ATLAS == nil {
-			schedErr = fmt.Errorf("snapshot lacks ATLAS scheduler state")
-		}
-	case *sched.PARBS:
-		if st.PARBS == nil {
-			schedErr = fmt.Errorf("snapshot lacks PAR-BS scheduler state")
-		}
-	case *sched.BLISS:
-		if st.BLISS == nil {
-			schedErr = fmt.Errorf("snapshot lacks BLISS scheduler state")
-		}
-	case *sched.FRFCFSCap:
-		if st.FRCap == nil {
-			schedErr = fmt.Errorf("snapshot lacks FR-FCFS-cap scheduler state")
-		}
-	}
-	if schedErr != nil {
-		return fail(schedErr)
-	}
-	if s.prio != nil && st.Prio == nil {
-		return fail(fmt.Errorf("snapshot lacks thread-priority state"))
-	}
-	if s.dbp != nil && st.DBP == nil {
-		return fail(fmt.Errorf("snapshot lacks DBP partitioner state"))
-	}
-	if s.mcpPolicy != nil && st.MCP == nil {
-		return fail(fmt.Errorf("snapshot lacks MCP policy state"))
-	}
 	if s.rec != nil && st.Rec == nil {
 		return fail(fmt.Errorf("snapshot was taken without a recorder attached; attach none or rerun"))
 	}
@@ -361,23 +272,12 @@ func (s *System) RestoreSnapshot(blob []byte) error {
 		return fail(fmt.Errorf("snapshot latency histograms cover %d threads, system has %d", len(st.LatHist), len(s.latHist)))
 	}
 
-	// Controllers first: they rebuild the request objects everything else
-	// relinks against.
+	// Controllers first: the profiler's restore walks their queues.
 	for i, ctrl := range s.ctrls {
 		if err := ctrl.Restore(st.Ctrls[i]); err != nil {
 			return fail(err)
 		}
 	}
-	// Index restored requests for scheduler-state rebinding. Demand
-	// completions need no relinking: the controllers' demand completer
-	// (wired at construction) routes them back to the cores by tag.
-	byRef := make(map[sched.RequestRef]*memctrl.Request)
-	for ch, ctrl := range s.ctrls {
-		ctrl.ForEachRequest(func(r *memctrl.Request) {
-			byRef[sched.RequestRef{Channel: ch, ID: r.ID}] = r
-		})
-	}
-
 	// Scenario state installs before the cores: core restore fast-forwards
 	// each fresh generator by its recorded Next() count, and the switch logs
 	// set here replay every phase change at its original call index during
@@ -408,42 +308,11 @@ func (s *System) RestoreSnapshot(blob []byte) error {
 	if err := s.prof.Restore(st.Prof); err != nil {
 		return fail(err)
 	}
-	switch impl := s.schedImpl.(type) {
-	case *sched.TCM:
-		if err := impl.Restore(*st.TCM); err != nil {
-			return fail(err)
-		}
-	case *sched.ATLAS:
-		if err := impl.Restore(*st.ATLAS); err != nil {
-			return fail(err)
-		}
-	case *sched.PARBS:
-		if err := impl.Restore(*st.PARBS, func(ref sched.RequestRef) *memctrl.Request { return byRef[ref] }); err != nil {
-			return fail(err)
-		}
-	case *sched.BLISS:
-		if err := impl.Restore(*st.BLISS); err != nil {
-			return fail(err)
-		}
-	case *sched.FRFCFSCap:
-		if err := impl.Restore(*st.FRCap); err != nil {
-			return fail(err)
-		}
+	if err := s.scheduler.Restore(st.Sched); err != nil {
+		return fail(err)
 	}
-	if s.prio != nil {
-		if err := s.prio.Restore(*st.Prio); err != nil {
-			return fail(err)
-		}
-	}
-	if s.dbp != nil {
-		if err := s.dbp.Restore(*st.DBP); err != nil {
-			return fail(err)
-		}
-	}
-	if s.mcpPolicy != nil {
-		if err := s.mcpPolicy.Restore(*st.MCP); err != nil {
-			return fail(err)
-		}
+	if err := s.policy.Restore(st.Policy); err != nil {
+		return fail(err)
 	}
 	if s.rec != nil {
 		if err := s.rec.Restore(*st.Rec); err != nil {

@@ -3,7 +3,9 @@ package sim
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
+	"strings"
 	"testing"
 
 	"dbpsim/internal/obs"
@@ -171,7 +173,7 @@ func TestRestoreStructuredErrors(t *testing.T) {
 	cfg := snapshotTestConfig()
 	blob := makeSnapshotBlob(t, cfg)
 
-	requireRestoreError := func(t *testing.T, data []byte) {
+	requireRestoreError := func(t *testing.T, data []byte) error {
 		t.Helper()
 		sys := freshSnapshotSystem(t, cfg)
 		err := sys.RestoreSnapshot(data)
@@ -182,6 +184,7 @@ func TestRestoreStructuredErrors(t *testing.T) {
 		if !errors.As(err, &rerr) {
 			t.Fatalf("want *RestoreError, got %T: %v", err, err)
 		}
+		return err
 	}
 
 	t.Run("truncated-header", func(t *testing.T) { requireRestoreError(t, blob[:10]) })
@@ -196,6 +199,13 @@ func TestRestoreStructuredErrors(t *testing.T) {
 		bad := append([]byte(nil), blob...)
 		bad[11]++ // version is big-endian at [8:12]
 		requireRestoreError(t, bad)
+	})
+	t.Run("version-2", func(t *testing.T) {
+		old := append([]byte(nil), blob...)
+		binary.BigEndian.PutUint32(old[8:12], 2)
+		if err := requireRestoreError(t, old); !strings.Contains(err.Error(), "version 2") {
+			t.Fatalf("error does not name the blob's version: %v", err)
+		}
 	})
 	t.Run("corrupt-payload", func(t *testing.T) {
 		bad := append([]byte(nil), blob...)

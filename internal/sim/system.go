@@ -44,17 +44,13 @@ type System struct {
 	ctrls  []*memctrl.Controller
 	prof   *profile.Profiler
 
-	policy  bankpart.Policy
-	dbp     *core.DBP
-	updater quantumUpdater
-	prio    *sched.ThreadPriority
-	llc     *cache.Shared
-
-	// schedImpl is the concrete scheduler (before any priority wrap) and
-	// mcpPolicy the concrete MCP instance; both are retained so the snapshot
-	// subsystem can capture their state by type.
-	schedImpl memctrl.Scheduler
-	mcpPolicy *mcp.MCP
+	// scheduler is the one every controller consults (a test wrapper
+	// aside); it and policy snapshot their own state.
+	scheduler memctrl.Scheduler
+	policy    bankpart.Policy
+	dbp       *core.DBP
+	updater   quantumUpdater
+	llc       *cache.Shared
 
 	// pendingProgress carries restored run-loop progress from
 	// RestoreSnapshot to RunCheckpointed.
@@ -178,17 +174,13 @@ func newSystem(cfg Config, benches []Bench, wrap func(memctrl.Scheduler) memctrl
 	case SchedFRFCFS:
 		scheduler = sched.NewFRFCFS()
 	case SchedTCM:
-		mode := sched.ShuffleInsertion
+		tc := sched.DefaultTCMConfig(cfg.Cores)
+		tc.ClusterThresh, tc.ShuffleInterval = cfg.TCMClusterThresh, cfg.TCMShuffleInterval
+		tc.RankOverRowHit = cfg.TCMRankOverRowHit
 		if cfg.TCMShuffleRotate {
-			mode = sched.ShuffleRotate
+			tc.Shuffle = sched.ShuffleRotate
 		}
-		t, err := sched.NewTCM(sched.TCMConfig{
-			NumThreads:      cfg.Cores,
-			ClusterThresh:   cfg.TCMClusterThresh,
-			ShuffleInterval: cfg.TCMShuffleInterval,
-			Shuffle:         mode,
-			RankOverRowHit:  cfg.TCMRankOverRowHit,
-		})
+		t, err := sched.NewTCM(tc)
 		if err != nil {
 			return nil, err
 		}
@@ -218,15 +210,6 @@ func newSystem(cfg Config, benches []Bench, wrap func(memctrl.Scheduler) memctrl
 		}
 		scheduler = bl
 	}
-	s.schedImpl = scheduler
-	if cfg.Partition == PartMCP {
-		s.prio = sched.NewThreadPriority(scheduler, cfg.Cores)
-		scheduler = s.prio
-	}
-	if wrap != nil {
-		scheduler = wrap(scheduler)
-	}
-
 	// Partition policy.
 	switch cfg.Partition {
 	case PartNone:
@@ -244,17 +227,24 @@ func newSystem(cfg Config, benches []Bench, wrap func(memctrl.Scheduler) memctrl
 		}
 		s.policy, s.dbp = p, p
 	case PartMCP:
-		p, err := mcp.New(cfg.MCP, cfg.Cores, cfg.Geometry, s.prio)
+		// MCP boosts very-low-intensity threads through a priority layer
+		// over the scheduler.
+		prio := sched.NewThreadPriority(scheduler, cfg.Cores)
+		p, err := mcp.New(cfg.MCP, cfg.Cores, cfg.Geometry, prio)
 		if err != nil {
 			return nil, err
 		}
-		s.policy, s.mcpPolicy = p, p
+		scheduler, s.policy = prio, p
 	case PartFixed:
 		p, err := bankpart.NewFixed(cfg.FixedMasks, cfg.Geometry)
 		if err != nil {
 			return nil, err
 		}
 		s.policy = p
+	}
+	s.scheduler = scheduler
+	if wrap != nil {
+		scheduler = wrap(scheduler)
 	}
 
 	// Channels and controllers.
