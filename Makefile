@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test test-short test-race bench sweep sweep-quick vet fmt lint ci serve smoke chaos-smoke scenario-smoke fleet-smoke fleet-chaos-smoke tenant-smoke
+.PHONY: build test test-short test-race bench sweep sweep-quick vet fmt lint ci serve chaos-smoke scenario-smoke fleet-smoke fleet-chaos-smoke
 
 build:
 	$(GO) build ./...
@@ -64,49 +64,30 @@ bench:
 serve:
 	$(GO) run ./cmd/dbpserved -addr :8080
 
-# The daemon drills below (smoke, scenario-smoke, chaos-smoke, tenant-smoke,
-# fleet-smoke, fleet-chaos-smoke) share one harness, scripts/internal/drill.
+# The drills below build the real binaries and keep to what only a real
+# process can show; the in-process suites (go test) pin the service's other
+# contracts. The daemon drills share one harness, scripts/internal/drill.
 # Set DRILL_ARTIFACTS=<dir> to keep every drill's journals, checkpoint blobs,
 # and per-daemon logs there for post-mortem (CI uploads them on failure).
 
-# End-to-end smoke test: build the real dbpserved binary, start it, POST a
-# quick run (assert 200 + schema v1 + a cache hit on the repeat), SIGTERM,
-# and require a clean drain (exit 0).
-smoke:
-	$(GO) build -o /tmp/dbpserved-smoke ./cmd/dbpserved
-	$(GO) run ./scripts/smoke /tmp/dbpserved-smoke
-	rm -f /tmp/dbpserved-smoke
-
-# Scenario smoke: run every committed scenarios/*.json through the real
-# dbpsim binary and the real dbpserved daemon at a short budget, asserting
-# the ledgers parse, carry the scenario identity, and that the scenario
-# content hash keys the service cache (identical request hits, same-name
-# different-content request misses).
+# Scenario smoke: run every committed scenarios/*.json through the built
+# dbpsim binary at a short budget, asserting it exits 0 and writes a ledger
+# that parses and carries the scenario's name and content hash.
 scenario-smoke:
 	$(GO) build -o /tmp/dbpsim-scenario ./cmd/dbpsim
-	$(GO) build -o /tmp/dbpserved-scenario ./cmd/dbpserved
-	$(GO) run ./scripts/scenariosmoke /tmp/dbpsim-scenario /tmp/dbpserved-scenario
-	rm -f /tmp/dbpsim-scenario /tmp/dbpserved-scenario
+	$(GO) run ./scripts/scenariosmoke /tmp/dbpsim-scenario
+	rm -f /tmp/dbpsim-scenario
 
-# Chaos drill: drive the real binary through injected panics, abandoned
-# runs, and SIGKILL-plus-restart over a journal — including a kill mid-run
-# that must resume from its checkpoint (and a corrupt-checkpoint variant
-# that must fall back to a clean rerun), always with ledgers byte-identical
-# to uninterrupted runs — plus the multi-tenant drill (see tenant-smoke).
+# Chaos drill: the built binary refuses -chaos without -chaos-allow; a
+# daemon SIGKILLed mid-run and restarted over its journal serves a finished
+# job's pre-kill bytes (and a cache hit for it) and resumes the killed run
+# from its on-disk checkpoint; with every checkpoint blob corrupted it
+# falls back to a clean rerun. Both resumed ledgers are byte-identical to
+# an uninterrupted run.
 chaos-smoke:
 	$(GO) build -o /tmp/dbpserved-chaos ./cmd/dbpserved
 	$(GO) run ./scripts/chaossmoke /tmp/dbpserved-chaos
 	rm -f /tmp/dbpserved-chaos
-
-# Multi-tenant drill only (a filtered chaos-smoke; CI's chaos-smoke step
-# already includes it): a greedy batch tenant flooding a 1-worker daemon
-# must not starve an interactive tenant, its over-budget submission is
-# refused with the billed estimate plus a Retry-After refill hint, and
-# SIGKILL + restart preserves per-tenant attribution and spent quota.
-tenant-smoke:
-	$(GO) build -o /tmp/dbpserved-tenant ./cmd/dbpserved
-	$(GO) run ./scripts/chaossmoke -run tenants /tmp/dbpserved-tenant
-	rm -f /tmp/dbpserved-tenant
 
 # Fleet drill: boot a real coordinator + 3 real workers, run a batch sweep
 # (NDJSON stream, one simulation per unique cell fleet-wide), SIGKILL the
@@ -131,11 +112,11 @@ fleet-chaos-smoke:
 
 # The gate CI runs: lint, build, vet (both modules), the full test suite
 # (including TestBenchmarkWorkCounts, the allocation and work-count gate),
-# the short race pass, and the dbpserved smoke, scenario, chaos, fleet and
-# fleet-resilience drills against the real binary. The stages are
-# prerequisites, so `make -k ci` (what CI runs) runs and reports every
-# stage even when an earlier one fails, and still fails overall.
-ci: lint build vet test test-race smoke scenario-smoke chaos-smoke fleet-smoke fleet-chaos-smoke
+# the short race pass, and the scenario, chaos, fleet and fleet-resilience
+# drills against the real binaries. The stages are prerequisites, so
+# `make -k ci` (what CI runs) runs and reports every stage even when an
+# earlier one fails, and still fails overall.
+ci: lint build vet test test-race scenario-smoke chaos-smoke fleet-smoke fleet-chaos-smoke
 
 # Regenerate every paper table/figure (full budgets; ~15 min).
 sweep:

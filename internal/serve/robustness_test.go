@@ -244,9 +244,17 @@ func TestClientDisconnectCancelsRun(t *testing.T) {
 
 // TestExecutionCapCancelsRunaway pins the server-side execution cap: a run
 // exceeding Options.RunTimeout is canceled on the worker — no waiter
-// involved — and lands as a canceled job with code "timeout".
+// involved — lands as a canceled job with code "timeout", and frees the
+// sole worker for the next run.
 func TestExecutionCapCancelsRunaway(t *testing.T) {
-	_, ts := newTestServer(t, Options{Workers: 1, QueueDepth: 4, RunTimeout: 300 * time.Millisecond})
+	s, ts := newTestServer(t, Options{Workers: 1, QueueDepth: 4, RunTimeout: 300 * time.Millisecond})
+	secondPop := make(chan struct{})
+	var pops atomic.Int64
+	s.testHookBeforeRun = func() {
+		if pops.Add(1) == 2 {
+			close(secondPop)
+		}
+	}
 
 	resp, data := postAsync(t, ts.URL, bigBody)
 	if resp.StatusCode != http.StatusAccepted {
@@ -280,29 +288,68 @@ func TestExecutionCapCancelsRunaway(t *testing.T) {
 	if doc.Error == nil || doc.Error.Code != CodeTimeout || !doc.Error.Retryable {
 		t.Errorf("execution-cap doc = %s", body)
 	}
-	// The quick run fits comfortably inside the cap: the slot is usable.
-	resp, data = postPath(t, ts.URL+"/v1/runs?timeout=250ms", quickBody)
-	if resp.StatusCode != http.StatusOK {
+	// The freed slot serves the next run: the sole worker pops it and
+	// carries it to a terminal state. Whether the quick run beats the 300ms
+	// cap depends on the machine's load, so either verdict of a run that
+	// executed passes; a slot the runaway still held would leave it queued.
+	resp, data = postAsync(t, ts.URL, quickBody)
+	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("quick run after cap: status %d: %s", resp.StatusCode, data)
+	}
+	if err := json.Unmarshal(data, &acc); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-secondPop:
+	case <-time.After(15 * time.Second):
+		t.Fatal("worker slot never freed after the execution cap")
+	}
+	deadline = time.Now().Add(30 * time.Second)
+	for {
+		code, status := pollStatus(t, ts.URL, acc.ID)
+		if code == http.StatusOK || (code == http.StatusGatewayTimeout && status == "canceled") {
+			break
+		}
+		if code != http.StatusAccepted {
+			t.Fatalf("quick run after cap: status %d %q", code, status)
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("quick run after cap never finished (status %d %q)", code, status)
+		}
+		time.Sleep(20 * time.Millisecond)
 	}
 }
 
 // TestPanicIsolation pins panic containment: an injected worker panic
 // becomes a failed job with the structured "panic" error, increments
 // runs_panicked_total, and leaves the daemon fully serviceable — /healthz
-// stays 200 and the next simulation succeeds on the same worker.
+// stays 200 and the next simulation succeeds on the same worker — and the
+// runs the injector spares serve the same ledger bytes as an uninjected
+// server.
 func TestPanicIsolation(t *testing.T) {
 	inj, err := chaos.Parse("panic=2")
 	if err != nil {
 		t.Fatal(err)
 	}
 	_, ts := newTestServer(t, Options{Workers: 1, QueueDepth: 4, Chaos: inj})
+	_, clean := newTestServer(t, Options{Workers: 1, QueueDepth: 4})
+	requireCleanLedger := func(body string, got []byte) {
+		t.Helper()
+		resp, want := postRun(t, clean.URL, body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("uninjected run: status %d: %s", resp.StatusCode, want)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("ledger under injection differs from the uninjected server's (%d vs %d bytes)", len(got), len(want))
+		}
+	}
 
 	// Visit 1: no panic.
 	resp, data := postRun(t, ts.URL, seededBody(7201))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("run 1: status %d: %s", resp.StatusCode, data)
 	}
+	requireCleanLedger(seededBody(7201), data)
 	// Visit 2: the injected panic. The sync waiter gets the failure doc.
 	resp, data = postRun(t, ts.URL, seededBody(7202))
 	if resp.StatusCode != http.StatusInternalServerError {
@@ -320,6 +367,7 @@ func TestPanicIsolation(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("resubmitted panicked run: status %d: %s", resp.StatusCode, data)
 	}
+	requireCleanLedger(seededBody(7202), data)
 
 	hresp, err := http.Get(ts.URL + "/healthz")
 	if err != nil {

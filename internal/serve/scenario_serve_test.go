@@ -4,9 +4,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"dbpsim/internal/obs"
+	"dbpsim/internal/scenario"
 )
 
 // scenarioBody returns a quick two-thread scenario request with the given
@@ -89,6 +92,62 @@ func TestScenarioRun(t *testing.T) {
 	}
 	if resp3.Header.Get("X-Cache") == "hit" {
 		t.Error("scenario with different content hit the cache under the same name")
+	}
+}
+
+// TestCommittedScenariosServe submits every committed scenarios/*.json
+// document at a short budget: the served ledger parses and carries the
+// document's name and content hash, an identical request hits the cache,
+// and the same document with its seed bumped (same name, new content)
+// misses it.
+func TestCommittedScenariosServe(t *testing.T) {
+	files, err := filepath.Glob("../../scenarios/*.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) == 0 {
+		t.Fatal("no committed scenario files under scenarios/")
+	}
+	_, ts := newTestServer(t, Options{})
+	post := func(doc []byte) (*http.Response, []byte) {
+		t.Helper()
+		return postRun(t, ts.URL, fmt.Sprintf(`{"scenario": %s, "partition": "dbp", "warmup": 1000, "measure": 5000}`, doc))
+	}
+	for _, f := range files {
+		doc, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sc, err := scenario.Decode(doc)
+		if err != nil {
+			t.Fatalf("%s: %v", f, err)
+		}
+		resp, served := post(doc)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", f, resp.StatusCode, served)
+		}
+		led, err := obs.UnmarshalLedger(served)
+		if err != nil {
+			t.Fatalf("%s: served ledger does not parse: %v", f, err)
+		}
+		if led.Scenario != sc.Name || led.ScenarioHash != sc.Hash() {
+			t.Errorf("%s: ledger identity %q/%q, want %q/%q", f, led.Scenario, led.ScenarioHash, sc.Name, sc.Hash())
+		}
+		if resp, _ := post(doc); resp.Header.Get("X-Cache") != "hit" {
+			t.Errorf("%s: identical request: X-Cache %q, want hit", f, resp.Header.Get("X-Cache"))
+		}
+		sc.Seed++
+		bumped, err := json.Marshal(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, data := post(bumped)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s with its seed bumped: status %d: %s", f, resp.StatusCode, data)
+		}
+		if resp.Header.Get("X-Cache") == "hit" {
+			t.Errorf("%s: different content hit the cache under the same name", f)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
@@ -10,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -303,27 +305,17 @@ func TestLegacyJournalReplaysAsDefaultTenant(t *testing.T) {
 }
 
 // TestQuotaSurvivesRestart: a drained bucket stays drained across a
-// restart — the journal's tenancy stamps re-debit at startup, so a crash
-// (or SIGKILL) never refunds spent budget.
+// crash — the journal's tenancy stamps re-debit at startup, so a SIGKILL
+// never refunds spent budget. The first server is never closed before the
+// second starts, so nothing a clean shutdown writes can help.
 func TestQuotaSurvivesRestart(t *testing.T) {
 	dir := t.TempDir()
 	path, reg := writeTenants(t, testTenants)
-	quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
 
-	s1, err := New(Options{Workers: 1, QueueDepth: 8, JournalDir: dir, Tenants: reg, Logger: quiet})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts1 := httptest.NewServer(s1)
+	_, ts1 := newTestServer(t, Options{Workers: 1, QueueDepth: 8, JournalDir: dir, Tenants: reg})
 	resp, data := authedPost(t, ts1.URL+"/v1/runs", "k-greedy", quickBody)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("drain run status %d: %s", resp.StatusCode, data)
-	}
-	ts1.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := s1.Close(ctx); err != nil {
-		t.Fatal(err)
 	}
 
 	// Fresh process: a fresh registry from the same config starts with full
@@ -337,8 +329,217 @@ func TestQuotaSurvivesRestart(t *testing.T) {
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("post-restart over-budget status %d: %s", resp.StatusCode, data)
 	}
-	if e := decodeAPIError(t, data); e.Code != CodeQuotaExceeded {
+	if ra := resp.Header.Get("Retry-After"); ra == "" || ra == "0" {
+		t.Errorf("post-restart Retry-After = %q, want a positive refill hint", ra)
+	}
+	e := decodeAPIError(t, data)
+	if e.Code != CodeQuotaExceeded {
 		t.Errorf("code %q, want quota_exceeded", e.Code)
+	}
+	if e.Estimate == nil || e.Estimate.SimCycles != 12000 {
+		t.Errorf("post-restart estimate = %+v, want 12000 simcycles", e.Estimate)
+	}
+}
+
+// TestInteractiveJobOvertakesGreedyFlood: a batch tenant floods a
+// one-worker server with four jobs, and an interactive tenant submits one
+// job of the same size behind them. Weighted-fair queueing runs it next, so
+// it finishes while at least two greedy jobs are still pending, and its
+// slowdown — (queue wait + service) / service — stays below 4, where FIFO
+// behind the flood would be about 5.
+func TestInteractiveJobOvertakesGreedyFlood(t *testing.T) {
+	_, reg := writeTenants(t, `{
+  "schema_version": 1,
+  "tenants": [
+    {"name": "vip", "key": "k-vip", "weight": 8, "lane": "interactive"},
+    {"name": "greedy", "key": "k-greedy"}
+  ]
+}`)
+	s, ts := newTestServer(t, Options{Workers: 1, QueueDepth: 32, Tenants: reg})
+	// The worker holds the first greedy job until the whole flood and the
+	// interactive job are queued, and holds the job it pops after the
+	// interactive one until the pending greedy jobs are counted, so the
+	// order the queue picks is all the test sees.
+	flooded, counted := make(chan struct{}), make(chan struct{})
+	var pops atomic.Int64
+	s.testHookBeforeRun = func() {
+		switch pops.Add(1) {
+		case 1:
+			<-flooded
+		case 3:
+			<-counted
+		}
+	}
+	defer func() {
+		select {
+		case <-flooded:
+		default:
+			close(flooded)
+		}
+		close(counted)
+	}()
+
+	submit := func(path, key, body string) string {
+		t.Helper()
+		resp, data := authedPost(t, ts.URL+path, key, body)
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("%s submit: status %d: %s", key, resp.StatusCode, data)
+		}
+		var acc struct {
+			ID string `json:"id"`
+		}
+		if err := json.Unmarshal(data, &acc); err != nil {
+			t.Fatal(err)
+		}
+		return acc.ID
+	}
+	const greedyJobs = 4
+	var greedyIDs []string
+	for i := 0; i < greedyJobs; i++ {
+		greedyIDs = append(greedyIDs, submit("/v1/runs?async=1", "k-greedy", floodBody(100+i)))
+	}
+	vipID := submit("/v1/runs?lane=interactive&async=1", "k-vip", floodBody(555))
+	close(flooded)
+
+	deadline := time.Now().Add(60 * time.Second)
+	for {
+		// A third pop starts only after the second job's end, so once it
+		// has happened the interactive job is done if it ran second.
+		popped := pops.Load()
+		code, status := pollStatus(t, ts.URL, vipID)
+		if code == http.StatusOK {
+			break
+		}
+		if code != http.StatusAccepted {
+			t.Fatalf("interactive job: status %d %q", code, status)
+		}
+		if popped >= 3 {
+			t.Fatal("two greedy jobs ran before the interactive job: the queue drained FIFO")
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("interactive job never finished under the greedy flood")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	pending := 0
+	for _, id := range greedyIDs {
+		if code, _ := pollStatus(t, ts.URL, id); code == http.StatusAccepted {
+			pending++
+		}
+	}
+	if pending < 2 {
+		t.Errorf("only %d of %d greedy jobs pending when the interactive job finished: it drained FIFO", pending, greedyJobs)
+	}
+	slow, ok := scrapeMetrics(t, ts.URL)[`dbpserved_tenant_slowdown{tenant="vip"}`]
+	if !ok {
+		t.Fatal("no dbpserved_tenant_slowdown series for vip")
+	}
+	if slow >= 4 {
+		t.Errorf("interactive slowdown %.2f, want < 4 (starved behind batch work?)", slow)
+	}
+}
+
+// floodBody is the same-sized run every tenant submits in the flood test,
+// long enough that the interactive job's service time dwarfs the
+// scheduling noise in its queue wait.
+func floodBody(seed int) string {
+	return fmt.Sprintf(`{"benchmarks": ["mcf-like", "gcc-like"], "seed": %d, "warmup": 1000, "measure": 20000}`, seed)
+}
+
+// TestRequeuedJobKeepsTenant: a job interrupted by a crash is requeued at
+// the next startup under the tenant that submitted it, not the default
+// tenant, and its fresh end record carries that tenancy.
+func TestRequeuedJobKeepsTenant(t *testing.T) {
+	dir := t.TempDir()
+	path, reg := writeTenants(t, testTenants)
+	quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
+
+	a, err := New(Options{Workers: 1, JournalDir: dir, Tenants: reg, Logger: quiet})
+	if err != nil {
+		t.Fatal(err)
+	}
+	entered, crash := make(chan struct{}), make(chan struct{})
+	a.testHookBeforeRun = func() {
+		close(entered)
+		<-crash // the process "dies" here: submit journaled, no end record
+	}
+	tsA := httptest.NewServer(a)
+	defer func() {
+		close(crash)
+		tsA.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		_ = a.Close(ctx)
+	}()
+	resp, data := authedPost(t, tsA.URL+"/v1/runs?async=1", "k-greedy", quickBody)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("greedy submit: status %d: %s", resp.StatusCode, data)
+	}
+	var acc struct {
+		ID string `json:"id"`
+	}
+	if err := json.Unmarshal(data, &acc); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-entered:
+	case <-time.After(30 * time.Second):
+		t.Fatal("the greedy job never reached the worker")
+	}
+
+	// "Restart" over the same journal, with a fresh registry as a new
+	// process would load.
+	reg2, err := tenant.NewRegistry(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, tsB := newTestServer(t, Options{Workers: 1, JournalDir: dir, Tenants: reg2})
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		resp, err := http.Get(tsB.URL + "/v1/runs/" + acc.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode == http.StatusOK {
+			break
+		}
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("requeued job: status %d: %s", resp.StatusCode, data)
+		}
+		var doc map[string]string
+		if err := json.Unmarshal(data, &doc); err == nil && doc["tenant"] != "greedy" {
+			t.Fatalf("requeued job attributed to %q, want greedy", doc["tenant"])
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("requeued job never finished")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if _, ok := scrapeMetrics(t, tsB.URL)[`dbpserved_tenant_slowdown{tenant="greedy"}`]; !ok {
+		t.Error("the requeued run fed no slowdown sample for greedy")
+	}
+	journal, err := os.ReadFile(filepath.Join(dir, "journal.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var endTenant string
+	for _, line := range strings.Split(strings.TrimSpace(string(journal)), "\n") {
+		var rec struct {
+			Op     string `json:"op"`
+			ID     string `json:"id"`
+			Tenant string `json:"tenant"`
+		}
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatalf("bad journal line %q: %v", line, err)
+		}
+		if rec.Op == "end" && rec.ID == acc.ID {
+			endTenant = rec.Tenant
+		}
+	}
+	if endTenant != "greedy" {
+		t.Errorf("requeued job's end record names tenant %q, want greedy", endTenant)
 	}
 }
 

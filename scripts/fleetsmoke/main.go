@@ -1,6 +1,9 @@
 // Command fleetsmoke is the CI drill for dbpserved's fleet mode: it boots a
 // real coordinator plus three real worker daemons and asserts the fleet
-// contracts hold end to end:
+// contracts that need real processes — the worker-mode wiring in
+// cmd/dbpserved, which no in-process test builds, and workers and a
+// coordinator SIGKILLed under a live fleet (internal/fleet's tests pin the
+// rest in process):
 //
 //   - a batch sweep POSTed to the coordinator streams one NDJSON line per
 //     cell plus a summary, every cell lands "done", and each cell's
@@ -187,7 +190,10 @@ func scenarioReference(bin string) (map[string][]byte, error) {
 }
 
 // scenarioSweep drives the batch sweep and checks completeness, byte
-// identity against the reference, and the one-simulation-per-cell economy.
+// identity against the reference, and the one-simulation-per-cell economy
+// on the fleet dbpserved's -coordinator and -join modes assemble; its
+// cached cells and reference ledgers are what the SIGKILL steps after it
+// build on.
 func scenarioSweep(f *fleetHarness, refs map[string][]byte) error {
 	results, summary, err := f.sweep(sweepBody)
 	if err != nil {
@@ -232,7 +238,9 @@ func scenarioSweep(f *fleetHarness, refs map[string][]byte) error {
 
 // scenarioSingleflight POSTs one already-swept cell directly to every
 // worker: each answer must come from the fleet's caches, never from a new
-// simulation.
+// simulation. Only the real binary shows that dbpserved's worker mode hands
+// the fleet consult hook to its server; the in-process fleet tests wire
+// that hook themselves.
 func scenarioSingleflight(f *fleetHarness) error {
 	before, err := f.totalExecuted()
 	if err != nil {
@@ -457,7 +465,9 @@ func scenarioCoordinatorKillRestart(bin string, f *fleetHarness, journal string,
 // scenarioPartitionedWorker boots a fourth worker behind an injected
 // network partition from the coordinator: it must come up degraded, serve
 // direct runs standalone, and never appear in the coordinator's live-worker
-// count.
+// count. Only the real binary shows that -chaos reaches the worker's
+// transport and that a worker whose first join fails starts degraded;
+// TestWorkerDegradedMode covers the outage of a worker that has joined.
 func scenarioPartitionedWorker(bin string, f *fleetHarness) error {
 	coordHost := strings.TrimPrefix(f.coord.Base, "http://")
 	d, err := drill.Start(bin, "w4-partitioned",

@@ -167,17 +167,9 @@ func (d *Daemon) Drain(within time.Duration) error {
 	}
 }
 
-// Post POSTs a JSON body to path. header holds extra name, value pairs.
-func (d *Daemon) Post(path, body string, header ...string) (status int, data []byte, hdr http.Header, err error) {
-	req, err := http.NewRequest(http.MethodPost, d.Base+path, strings.NewReader(body))
-	if err != nil {
-		return 0, nil, nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	for i := 0; i+1 < len(header); i += 2 {
-		req.Header.Set(header[i], header[i+1])
-	}
-	resp, err := http.DefaultClient.Do(req)
+// Post POSTs a JSON body to path.
+func (d *Daemon) Post(path, body string) (status int, data []byte, hdr http.Header, err error) {
+	resp, err := http.Post(d.Base+path, "application/json", strings.NewReader(body))
 	if err != nil {
 		return 0, nil, nil, err
 	}
@@ -199,7 +191,7 @@ func (d *Daemon) Get(path string) (status int, data []byte, err error) {
 
 // Metrics scrapes /metrics into series → value, where a series is the
 // metric name with its label set verbatim, e.g.
-// dbpserved_tenant_slowdown{tenant="vip"}.
+// dbpfleet_worker_up{worker="w1"}.
 func (d *Daemon) Metrics() (map[string]float64, error) {
 	status, data, err := d.Get("/metrics")
 	if err != nil {

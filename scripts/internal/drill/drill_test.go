@@ -3,6 +3,7 @@ package drill
 import (
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -49,11 +50,11 @@ func fakeDaemon(args []string) int {
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, _ *http.Request) {
 		fmt.Fprint(w, "# HELP dbpserved_runs_executed_total runs\n"+
 			"dbpserved_runs_executed_total 3\n"+
-			"dbpserved_tenant_slowdown{tenant=\"vip\"} 1.5\n")
+			"dbpfleet_worker_up{worker=\"w1\"} 1.5\n")
 	})
 	mux.HandleFunc("POST /echo", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("X-Cache", "hit")
-		fmt.Fprint(w, r.Header.Get("X-API-Key"))
+		io.Copy(w, r.Body)
 	})
 	go http.Serve(ln, mux)
 	sig := make(chan os.Signal, 1)
@@ -86,8 +87,8 @@ func TestBootServeDrain(t *testing.T) {
 	if status, _, err := d.Get("/healthz"); err != nil || status != http.StatusOK {
 		t.Fatalf("healthz: %d, %v", status, err)
 	}
-	status, body, hdr, err := d.Post("/echo", "{}", "X-API-Key", "k-vip")
-	if err != nil || status != http.StatusOK || string(body) != "k-vip" || hdr.Get("X-Cache") != "hit" {
+	status, body, hdr, err := d.Post("/echo", `{"k": 1}`)
+	if err != nil || status != http.StatusOK || string(body) != `{"k": 1}` || hdr.Get("X-Cache") != "hit" {
 		t.Fatalf("post: %d %q %v, %v", status, body, hdr, err)
 	}
 	if err := d.Drain(10 * time.Second); err != nil {
@@ -133,7 +134,7 @@ func TestMetricsParsesLabelledSeries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(m) != 2 || m["dbpserved_runs_executed_total"] != 3 || m[`dbpserved_tenant_slowdown{tenant="vip"}`] != 1.5 {
+	if len(m) != 2 || m["dbpserved_runs_executed_total"] != 3 || m[`dbpfleet_worker_up{worker="w1"}`] != 1.5 {
 		t.Fatalf("metrics = %v", m)
 	}
 }
