@@ -1,19 +1,26 @@
 package main
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"syscall"
 	"testing"
 	"time"
 
 	"dbpsim"
+	"dbpsim/internal/fleet"
 	"dbpsim/internal/obs"
+	"dbpsim/internal/serve"
 )
 
 func TestRunBadFlags(t *testing.T) {
@@ -51,20 +58,22 @@ func startRun(t *testing.T, flags ...string) (string, <-chan error) {
 	}
 }
 
-// drainRun SIGTERMs the test process, which the running daemon has claimed,
-// and requires run to return nil: the exit-0 drain path.
-func drainRun(t *testing.T, done <-chan error) {
+// drainRun SIGTERMs the test process, which every running daemon has
+// claimed, and requires each run to return nil: the exit-0 drain path.
+func drainRun(t *testing.T, dones ...<-chan error) {
 	t.Helper()
 	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("drain returned error: %v", err)
+	for _, done := range dones {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("drain returned error: %v", err)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatal("daemon did not drain after SIGTERM")
 		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("daemon did not drain after SIGTERM")
 	}
 }
 
@@ -149,4 +158,138 @@ func TestRunWiresTenantsAndChaos(t *testing.T) {
 	}
 
 	drainRun(t, done)
+}
+
+// TestRunWorkerMode boots dbpserved's worker mode in-process against an
+// in-process coordinator and pins the wiring only run() does:
+//   - the worker hands its fleet consult hook to its server, so a run
+//     posted to the non-owner is forwarded to its ring owner, and posting
+//     it to both workers costs one simulation fleet-wide;
+//   - -chaos reaches the worker's fleet transport: a worker partitioned
+//     from the coordinator never joins the ring;
+//   - a worker whose first join fails starts degraded and serves direct
+//     runs standalone instead of exiting.
+func TestRunWorkerMode(t *testing.T) {
+	coord, err := fleet.NewCoordinator(fleet.CoordinatorOptions{Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(coord)
+	defer hs.Close()
+
+	body, err := json.Marshal(quickRun())
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, _, apiErr := serve.ResolveRequest(body, 0)
+	if apiErr != nil {
+		t.Fatal(apiErr)
+	}
+	owner := fleet.NewRing("w1", "w2").Owner(key)
+	other := map[string]string{"w1": "w2", "w2": "w1"}[owner]
+
+	// The owner joins first, so the other's join response already names it.
+	bases := make(map[string]string)
+	var dones []<-chan error
+	for i, id := range []string{owner, other} {
+		base, done := startRun(t, "-workers", "1", "-join", hs.URL, "-worker-id", id, "-heartbeat", "100ms")
+		bases[id] = base
+		dones = append(dones, done)
+		awaitRunning(t, done, func() (bool, error) { return liveWorkers(hs.URL) == i+1, nil })
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	for _, id := range []string{other, owner} {
+		client := &dbpsim.Client{BaseURL: bases[id], MaxAttempts: 1}
+		if _, err := client.Run(ctx, quickRun()); err != nil {
+			t.Fatalf("POST /v1/runs to %s: %v", id, err)
+		}
+	}
+	executed := scrapeMetric(t, bases[owner], "dbpserved_runs_executed_total") +
+		scrapeMetric(t, bases[other], "dbpserved_runs_executed_total")
+	if executed != 1 {
+		t.Errorf("one run posted to both workers cost %g simulations, want 1 (the non-owner forwards)", executed)
+	}
+
+	host := strings.TrimPrefix(hs.URL, "http://")
+	base, done := startRun(t, "-workers", "1", "-join", hs.URL, "-worker-id", "w3", "-heartbeat", "100ms",
+		"-chaos", "partition="+host, "-chaos-allow")
+	dones = append(dones, done)
+	awaitRunning(t, done, func() (bool, error) {
+		if n := liveWorkers(hs.URL); n != 2 {
+			return false, fmt.Errorf("coordinator sees %d live workers: the partitioned worker joined", n)
+		}
+		return scrapeMetric(t, base, "dbpfleet_degraded") == 1, nil
+	})
+	client := &dbpsim.Client{BaseURL: base, MaxAttempts: 1}
+	if _, err := client.Run(ctx, quickRun()); err != nil {
+		t.Fatalf("degraded worker refused a direct run: %v", err)
+	}
+	if n := liveWorkers(hs.URL); n != 2 {
+		t.Errorf("coordinator sees %d live workers after the partitioned worker served, want 2", n)
+	}
+
+	drainRun(t, dones...)
+}
+
+// awaitRunning polls check until it reports done, failing the test when
+// check errs, when the daemon behind done exits, or after 20 s.
+func awaitRunning(t *testing.T, done <-chan error, check func() (bool, error)) {
+	t.Helper()
+	deadline := time.Now().Add(20 * time.Second)
+	for {
+		ok, err := check()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok {
+			return
+		}
+		select {
+		case err := <-done:
+			t.Fatalf("daemon exited: %v", err)
+		default:
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("condition not reached within 20s")
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// liveWorkers reads the coordinator's live-worker count (-1 on error).
+func liveWorkers(coordURL string) int {
+	resp, err := http.Get(coordURL + "/healthz")
+	if err != nil {
+		return -1
+	}
+	defer resp.Body.Close()
+	var h struct {
+		Live int `json:"workers_live"`
+	}
+	if json.NewDecoder(resp.Body).Decode(&h) != nil {
+		return -1
+	}
+	return h.Live
+}
+
+// scrapeMetric reads one unlabelled series off a /metrics page (0 when
+// absent).
+func scrapeMetric(t *testing.T, base, name string) float64 {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatalf("scrape %s: %v", base, err)
+	}
+	defer resp.Body.Close()
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		if v, ok := strings.CutPrefix(sc.Text(), name+" "); ok {
+			var f float64
+			fmt.Sscanf(v, "%g", &f)
+			return f
+		}
+	}
+	return 0
 }

@@ -481,9 +481,6 @@ func (c *Coordinator) markDown(id string, cause error) {
 	c.rebuildRingLocked()
 	c.mu.Unlock()
 	c.met.setWorker(id, false)
-	if err := c.jr.appendDown(id); err != nil {
-		c.log.Warn("journal append failed", "op", "down", "worker", id, "err", err)
-	}
 	c.log.Warn("worker marked down", "id", id, "err", cause)
 }
 
@@ -497,11 +494,6 @@ func (c *Coordinator) reapStaleLocked(now time.Time) {
 			ws.up = false
 			changed = true
 			c.met.setWorker(ws.id, false)
-			// Journaled under mu: a down transition is rare (one per real
-			// worker death), so the held-lock fsync is noise.
-			if err := c.jr.appendDown(ws.id); err != nil {
-				c.log.Warn("journal append failed", "op", "down", "worker", ws.id, "err", err)
-			}
 			c.log.Warn("worker heartbeat overdue; marked down", "id", ws.id, "last_seen", ws.lastSeen)
 		}
 	}

@@ -39,7 +39,6 @@ type coordJournal struct {
 // coordRecord is one line of the coordinator's journal.jsonl.
 //
 //	op "join"        a worker registered (or re-advertised a new address)
-//	op "down"        a worker departed: marked down by dispatch or the reaper
 //	op "sweep"       a sweep was accepted; carries the verbatim request body
 //	op "cell"        one sweep cell reached a terminal state
 //	op "sweep-end"   a sweep streamed its summary line (Done/Failed totals)
@@ -47,7 +46,7 @@ type coordJournal struct {
 //	op "mirror-drop" a mirrored blob was discarded (run finished / evicted)
 type coordRecord struct {
 	Op     string `json:"op"`
-	Worker string `json:"worker,omitempty"` // join/down id; cell: who served it
+	Worker string `json:"worker,omitempty"` // join: id; cell: who served it
 	Addr   string `json:"addr,omitempty"`   // join: advertised base URL
 
 	// Sweep is the sweep's identity: the sha256 of its request body, so a
@@ -199,16 +198,14 @@ func openCoordJournal(dir string, inj *chaos.Injector) (*coordJournal, *coordRep
 // counted, but without a body the sweep cannot be resumed); duplicate cell
 // records for one run key keep the first verdict; "sweep-end" wins over
 // any order of arrival — an ended sweep is never resumed, whatever else
-// replays.
+// replays. Unknown ops are skipped, among them the "down" records older
+// coordinators wrote.
 func (r *coordReplay) fold(rec coordRecord) {
 	switch rec.Op {
 	case "join":
 		if rec.Worker != "" && rec.Addr != "" {
 			r.workers[rec.Worker] = rec.Addr
 		}
-	case "down":
-		// Departure is advisory: the worker stays known (resync probes it),
-		// only liveness is decided fresh at restart.
 	case "sweep":
 		if rec.Sweep == "" {
 			return
@@ -307,10 +304,6 @@ func sortedKeys[V any](m map[string]V) []string {
 
 func (j *coordJournal) appendJoin(id, addr string) error {
 	return j.append(coordRecord{Op: "join", Worker: id, Addr: addr})
-}
-
-func (j *coordJournal) appendDown(id string) error {
-	return j.append(coordRecord{Op: "down", Worker: id})
 }
 
 func (j *coordJournal) appendSweep(id, tenantName string, request []byte) error {

@@ -45,6 +45,7 @@ func TestCoordJournalReplayTolerances(t *testing.T) {
 	path := writeJournal(t,
 		`{"op":"join","worker":"w1","addr":"http://a"}`,
 		`{"op":"join","worker":"w1","addr":"http://b"}`, // re-advertise: last addr wins
+		`{"op":"down","worker":"w1"}`,                   // older journals: ignored, w1 stays known
 		// Out of order: this cell's sweep record never made it to disk.
 		`{"op":"cell","sweep":"orphan","key":"k-lost","status":"done","ledger_sha256":"aa"}`,
 		`{"op":"sweep","sweep":"s1","tenant":"acme","request":{"mixes":["W4-M1"]}}`,

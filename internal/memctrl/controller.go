@@ -5,7 +5,6 @@ import (
 
 	"dbpsim/internal/addr"
 	"dbpsim/internal/dram"
-	"dbpsim/internal/obs"
 )
 
 // Config sets controller queue geometry and the write-drain policy.
@@ -212,29 +211,16 @@ type Controller struct {
 	// readEpoch is the scheduler's PriorityEpoch the read heads were ranked
 	// under.
 	readEpoch uint64
-	// readObs, when set, is told about every read joining and leaving the
-	// outstanding set (see SetReadObserver).
-	readObs ReadObserver
+	// events, when non-nil, receives every enqueue, DRAM command and read
+	// completion (see Events). Every call site is nil-checked, so a
+	// controller without a sink does no observer work at all.
+	events Events
 
 	// free is the request pool: pool-owned requests are recycled here after
 	// service so the steady-state enqueue path allocates nothing.
 	free []*Request
 
 	perThread []ThreadStats
-	// demandDone, when set, is called with (thread, tag) when a demand read
-	// completes — the flattened completion path (no per-request closures).
-	demandDone func(thread int, tag uint64)
-	// completionHook, when set, receives (thread, latency in memory cycles)
-	// for every completed read.
-	completionHook func(thread int, latency uint64)
-	// rec, when non-nil, receives request-lifecycle events (enqueue, row
-	// activate, column access, completion). Every call site is guarded by
-	// a nil check so the disabled path does no work at all.
-	rec *obs.Recorder
-
-	// BusyReadCycles counts cycles with at least one queued or in-flight
-	// read (used for utilisation reporting).
-	BusyReadCycles uint64
 }
 
 // NewController builds a controller for one channel.
@@ -295,13 +281,6 @@ func (c *Controller) PerThread() []ThreadStats {
 	return out
 }
 
-// ResetPerThread zeroes the per-thread counters (quantum boundaries).
-func (c *Controller) ResetPerThread() {
-	for i := range c.perThread {
-		c.perThread[i] = ThreadStats{}
-	}
-}
-
 // PerThreadCounters returns one thread's counters since the last reset; it
 // implements the profiler's ControllerSource.
 func (c *Controller) PerThreadCounters(thread int) (arrivals, reads, writes, rowHits, queueCycles uint64) {
@@ -312,26 +291,16 @@ func (c *Controller) PerThreadCounters(thread int) (arrivals, reads, writes, row
 	return ts.Arrivals, ts.ReadsServed, ts.WritesServed, ts.RowHits, ts.QueueCycles
 }
 
-// ResetPerThreadCounters implements the profiler's ControllerSource.
-func (c *Controller) ResetPerThreadCounters() { c.ResetPerThread() }
+// ResetPerThreadCounters zeroes the per-thread counters at a quantum
+// boundary; it implements the profiler's ControllerSource.
+func (c *Controller) ResetPerThreadCounters() {
+	for i := range c.perThread {
+		c.perThread[i] = ThreadStats{}
+	}
+}
 
 // DRAMStats returns the channel's command counters.
 func (c *Controller) DRAMStats() dram.Stats { return c.ch.Stats() }
-
-// SetCompletionHook installs a callback invoked with (thread, latency) for
-// every completed read — used for latency-distribution reporting.
-func (c *Controller) SetCompletionHook(fn func(thread int, latency uint64)) {
-	c.completionHook = fn
-}
-
-// SetDemandCompleter installs the demand-read completion callback: fn is
-// invoked with (thread, tag) when a demand read's data transfer finishes.
-// One controller-level callback replaces a per-request closure, so the
-// steady-state miss path allocates nothing and snapshot restore needs no
-// relinking.
-func (c *Controller) SetDemandCompleter(fn func(thread int, tag uint64)) {
-	c.demandDone = fn
-}
 
 // HasOutstandingReads reports whether any read is queued or in flight (the
 // profiler's cheap gate for BLP sampling).
@@ -339,32 +308,37 @@ func (c *Controller) HasOutstandingReads() bool {
 	return len(c.reads.q) > 0 || len(c.inflight) > 0
 }
 
-// ReadObserver follows the set of outstanding reads (what
-// ForEachOutstandingRead visits) incrementally: ReadArrived when Enqueue
-// accepts a read, ReadDeparted when its data transfer completes, with the
-// same (thread, globalBank, pageKey) the walk reports. Restore reports
-// nothing; an observer rebuilds from ForEachOutstandingRead after one.
-type ReadObserver interface {
-	ReadArrived(thread, globalBank int, pageKey uint64)
-	ReadDeparted(thread, globalBank int, pageKey uint64)
+// Events is the controller's one observer contract: everything it does
+// that anyone outside may follow leaves through these three calls, in the
+// order it happens. The requests passed in stay the controller's, and
+// pooled ones are reused once served: read them during the call, never
+// keep them.
+type Events interface {
+	// Enqueued reports a request accepted into a queue, with its Loc, ID
+	// and Arrival filled in.
+	Enqueued(r *Request)
+	// Command reports one DRAM command issued to the channel at memory
+	// cycle now. r is the request the command advances; it is nil for REF,
+	// for the precharges that clear a rank for refresh, and for the
+	// row-timeout precharges of idle rows. row is the row an ACT opens or
+	// a RD/WR accesses (0 for PRE and REF). autoPrecharge marks a RD/WR
+	// that closes its row itself (RDA/WRA), which the channel counts as a
+	// precharge too.
+	Command(cmd dram.Command, rank, bank, row int, r *Request, autoPrecharge bool, now uint64)
+	// Completed reports a read whose data transfer finished at memory
+	// cycle now; it has left the outstanding set. Writes complete on issue
+	// and are not reported here.
+	Completed(r *Request, now uint64)
 }
 
-// SetReadObserver installs the outstanding-read observer (nil detaches).
-func (c *Controller) SetReadObserver(o ReadObserver) { c.readObs = o }
+// SetEvents installs the controller's event sink (nil detaches).
+func (c *Controller) SetEvents(e Events) { c.events = e }
 
-// readKey is a read's (global bank, page) identity as ForEachOutstandingRead
-// and the read observer report it.
-func (c *Controller) readKey(r *Request) (globalBank int, pageKey uint64) {
-	return c.globalBank(r), r.Addr >> c.mapper.PageShift()
-}
-
-// SetRecorder attaches (or, with nil, detaches) the observability recorder.
-func (c *Controller) SetRecorder(r *obs.Recorder) { c.rec = r }
-
-// globalBank flattens a request's (channel, rank, bank) into the global
-// bank index the recorder keys occupancy on.
-func (c *Controller) globalBank(r *Request) int {
-	return c.mapper.Geometry().BankID(r.Loc.Channel, r.Loc.Rank, r.Loc.Bank)
+// ReadKey is a request's (global bank, page) identity: the one
+// ForEachOutstandingRead reports, and the one an event sink must derive to
+// follow the outstanding set incrementally.
+func ReadKey(m *addr.Mapper, r *Request) (globalBank int, pageKey uint64) {
+	return m.Geometry().BankID(r.Loc.Channel, r.Loc.Rank, r.Loc.Bank), r.Addr >> m.PageShift()
 }
 
 // Submit accepts a request by value, backing it with a pooled object so the
@@ -418,14 +392,10 @@ func (c *Controller) Enqueue(r *Request) bool {
 		c.writes.push(r)
 	} else {
 		c.reads.push(r)
-		if c.readObs != nil {
-			bank, page := c.readKey(r)
-			c.readObs.ReadArrived(r.Thread, bank, page)
-		}
 		c.sched.OnEnqueue(r)
 	}
-	if c.rec != nil {
-		c.rec.OnEnqueue(r.Thread, r.IsWrite)
+	if c.events != nil {
+		c.events.Enqueued(r)
 	}
 	return true
 }
@@ -436,11 +406,11 @@ func (c *Controller) Enqueue(r *Request) bool {
 // independent of how many banks it currently owns).
 func (c *Controller) ForEachOutstandingRead(fn func(thread, globalBank int, pageKey uint64)) {
 	for _, r := range c.reads.q {
-		bank, page := c.readKey(r)
+		bank, page := ReadKey(c.mapper, r)
 		fn(r.Thread, bank, page)
 	}
 	for _, f := range c.inflight {
-		bank, page := c.readKey(f.req)
+		bank, page := ReadKey(c.mapper, f.req)
 		fn(f.req.Thread, bank, page)
 	}
 }
@@ -450,9 +420,6 @@ func (c *Controller) ForEachOutstandingRead(fn func(thread, globalBank int, page
 func (c *Controller) Tick() {
 	c.nextEvOK = false
 	c.completeTransfers()
-	if len(c.reads.q) > 0 || len(c.inflight) > 0 {
-		c.BusyReadCycles++
-	}
 	c.sched.OnTick(c.now)
 
 	issued := c.serviceRefresh()
@@ -491,7 +458,7 @@ func (c *Controller) closeIdleRows() {
 				continue
 			}
 			if c.ch.CanIssue(dram.CmdPrecharge, rank, bank, 0, c.now) {
-				c.ch.Issue(dram.CmdPrecharge, rank, bank, 0, c.now)
+				c.issue(dram.CmdPrecharge, rank, bank, 0, nil, false)
 				c.bankChanged(rank, bank)
 				return
 			}
@@ -512,25 +479,12 @@ func (c *Controller) completeTransfers() {
 				}
 				ts.QueueCycles += c.now - r.Arrival
 			}
-			if c.completionHook != nil {
-				c.completionHook(r.Thread, c.now-r.Arrival)
-			}
-			if c.rec != nil {
-				c.rec.OnComplete(r.Thread, c.channelID, r.Arrival, c.now, r.RowHit())
-			}
-			if c.demandDone != nil && r.Demand && r.Tag != 0 {
-				c.demandDone(r.Thread, r.Tag)
-			}
-			if r.OnComplete != nil {
-				r.OnComplete()
-			}
 			last := len(c.inflight) - 1
 			c.inflight[i] = c.inflight[last]
 			c.inflight[last] = inflight{} // drop the stale alias
 			c.inflight = c.inflight[:last]
-			if c.readObs != nil {
-				bank, page := c.readKey(r)
-				c.readObs.ReadDeparted(r.Thread, bank, page)
+			if c.events != nil {
+				c.events.Completed(r, c.now)
 			}
 			c.recycle(r)
 			continue
@@ -557,7 +511,7 @@ func (c *Controller) serviceRefresh() bool {
 			continue
 		}
 		if c.ch.CanIssue(dram.CmdRefresh, rank, 0, 0, c.now) {
-			c.ch.Issue(dram.CmdRefresh, rank, 0, 0, c.now)
+			c.issue(dram.CmdRefresh, rank, 0, 0, nil, false)
 			for bank := 0; bank < c.ch.NumBanksPerRank(); bank++ {
 				c.bankChanged(rank, bank)
 			}
@@ -567,7 +521,7 @@ func (c *Controller) serviceRefresh() bool {
 		for bank := 0; bank < c.ch.NumBanksPerRank(); bank++ {
 			if _, open := c.ch.OpenRow(rank, bank); open &&
 				c.ch.CanIssue(dram.CmdPrecharge, rank, bank, 0, c.now) {
-				c.ch.Issue(dram.CmdPrecharge, rank, bank, 0, c.now)
+				c.issue(dram.CmdPrecharge, rank, bank, 0, nil, false)
 				c.bankChanged(rank, bank)
 				return true
 			}
@@ -607,58 +561,55 @@ func (c *Controller) bankChanged(rank, bank int) {
 	c.writes.invalidate(b)
 }
 
+// issue performs one command on the channel at the current cycle and
+// reports it to the event sink: the one place the controller issues DRAM
+// commands. r is the request the command advances (nil for refresh work
+// and idle-row precharges).
+func (c *Controller) issue(cmd dram.Command, rank, bank, row int, r *Request, autoPrecharge bool) (dataEnd uint64) {
+	if autoPrecharge {
+		dataEnd = c.ch.IssueAutoPrecharge(cmd, rank, bank, row, c.now)
+	} else {
+		dataEnd = c.ch.Issue(cmd, rank, bank, row, c.now)
+	}
+	if c.events != nil {
+		c.events.Command(cmd, rank, bank, row, r, autoPrecharge, c.now)
+	}
+	return dataEnd
+}
+
 // issueFor advances the given request by one command; returns true if a
 // command was issued, and served=true when the data command went out.
 func (c *Controller) issueFor(r *Request) (issued, served bool) {
 	cmd := c.nextCommand(r)
-	if !c.ch.CanIssue(cmd, r.Loc.Rank, r.Loc.Bank, r.Loc.Row, c.now) {
+	rank, bank, row := r.Loc.Rank, r.Loc.Bank, r.Loc.Row
+	if !c.ch.CanIssue(cmd, rank, bank, row, c.now) {
 		return false, false
 	}
-	c.bankChanged(r.Loc.Rank, r.Loc.Bank)
+	c.bankChanged(rank, bank)
 	switch cmd {
 	case dram.CmdActivate:
-		c.ch.Issue(cmd, r.Loc.Rank, r.Loc.Bank, r.Loc.Row, c.now)
 		r.MarkActivated()
-		if c.rec != nil {
-			c.rec.OnActivate(r.Thread, c.globalBank(r))
-		}
+		c.issue(cmd, rank, bank, row, r, false)
 		return true, false
 	case dram.CmdPrecharge:
-		c.ch.Issue(cmd, r.Loc.Rank, r.Loc.Bank, 0, c.now)
+		c.issue(cmd, rank, bank, 0, r, false)
 		return true, false
-	case dram.CmdRead:
-		c.lastColCmd[r.Loc.Rank*c.ch.NumBanksPerRank()+r.Loc.Bank] = c.now
-		if c.rec != nil {
-			c.rec.OnColumn(r.Thread, c.globalBank(r), false)
-		}
-		var dataEnd uint64
-		if c.cfg.ClosedPage && !c.pendingSameRow(r.Loc.Rank, r.Loc.Bank, r.Loc.Row, r) {
-			dataEnd = c.ch.IssueAutoPrecharge(cmd, r.Loc.Rank, r.Loc.Bank, r.Loc.Row, c.now)
-		} else {
-			dataEnd = c.ch.Issue(cmd, r.Loc.Rank, r.Loc.Bank, r.Loc.Row, c.now)
-		}
-		c.inflight = append(c.inflight, inflight{dataEnd: dataEnd, req: r})
-		return true, true
-	case dram.CmdWrite:
-		c.lastColCmd[r.Loc.Rank*c.ch.NumBanksPerRank()+r.Loc.Bank] = c.now
-		if c.rec != nil {
-			c.rec.OnColumn(r.Thread, c.globalBank(r), true)
-		}
-		if c.cfg.ClosedPage && !c.pendingSameRow(r.Loc.Rank, r.Loc.Bank, r.Loc.Row, r) {
-			c.ch.IssueAutoPrecharge(cmd, r.Loc.Rank, r.Loc.Bank, r.Loc.Row, c.now)
-		} else {
-			c.ch.Issue(cmd, r.Loc.Rank, r.Loc.Bank, r.Loc.Row, c.now)
-		}
-		if r.Thread >= 0 && r.Thread < len(c.perThread) {
-			ts := &c.perThread[r.Thread]
-			ts.WritesServed++
-			if r.RowHit() {
-				ts.RowHits++
-			}
-		}
-		return true, true
 	}
-	return false, false
+	// A data command: closed-page issues it with auto-precharge unless
+	// another queued request still wants the row.
+	c.lastColCmd[rank*c.ch.NumBanksPerRank()+bank] = c.now
+	auto := c.cfg.ClosedPage && !c.pendingSameRow(rank, bank, row, r)
+	dataEnd := c.issue(cmd, rank, bank, row, r, auto)
+	if !r.IsWrite {
+		c.inflight = append(c.inflight, inflight{dataEnd: dataEnd, req: r})
+	} else if r.Thread >= 0 && r.Thread < len(c.perThread) {
+		ts := &c.perThread[r.Thread]
+		ts.WritesServed++
+		if r.RowHit() {
+			ts.RowHits++
+		}
+	}
+	return true, true
 }
 
 // pendingSameRow reports whether any queued request other than except
@@ -771,8 +722,8 @@ func (c *Controller) earliestIssue(r *Request) uint64 {
 
 // NextEvent returns a conservative lower bound on the next memory cycle at
 // which ticking this controller could do anything beyond the no-op
-// bookkeeping that Skip replicates (cycle count, busy accounting, idempotent
-// drain-mode check). Returning now means "active this cycle — do not skip".
+// bookkeeping that Skip replicates (cycle count, idempotent drain-mode
+// check). Returning now means "active this cycle — do not skip".
 // The bound only has to be a lower bound: waking early lands on ordinary
 // no-op ticks, so early wake-ups cost time but never correctness.
 func (c *Controller) NextEvent() uint64 {
@@ -859,9 +810,6 @@ func (c *Controller) nextOwnEvent() uint64 {
 // invoke it after NextEvent reported no activity anywhere in the skipped
 // range.
 func (c *Controller) Skip(m uint64) {
-	if len(c.reads.q) > 0 || len(c.inflight) > 0 {
-		c.BusyReadCycles += m
-	}
 	// Every no-op tick runs the drain-mode check; it is idempotent while the
 	// queues are untouched, so one call replicates all m of them.
 	c.updateDrainMode()

@@ -49,6 +49,25 @@ func addrFor(m *addr.Mapper, bank, row, col int) uint64 {
 	return m.Encode(addr.Location{Channel: 0, Rank: 0, Bank: bank, Row: row, Column: col})
 }
 
+// sink is a test event sink: it keeps a copy of every completed read in
+// completion order (the controller recycles pooled requests after the
+// call).
+type sink struct{ done []Request }
+
+func (*sink) Enqueued(*Request)                                           {}
+func (*sink) Command(dram.Command, int, int, int, *Request, bool, uint64) {}
+func (s *sink) Completed(r *Request, _ uint64)                            { s.done = append(s.done, *r) }
+
+// watch installs a fresh test sink on c.
+func watch(c *Controller) *sink {
+	s := &sink{}
+	c.SetEvents(s)
+	return s
+}
+
+// completed returns a runUntil condition: n reads have completed.
+func (s *sink) completed(n int) func() bool { return func() bool { return len(s.done) >= n } }
+
 func runUntil(c *Controller, maxCycles int, done func() bool) int {
 	for i := 0; i < maxCycles; i++ {
 		if done() {
@@ -101,12 +120,12 @@ func TestNewControllerErrors(t *testing.T) {
 func TestSingleReadLatency(t *testing.T) {
 	c, m := testSetup(t, false)
 	tm := dram.DDR3_1600()
-	done := false
-	r := &Request{Thread: 0, Addr: addrFor(m, 0, 5, 0), Demand: true, OnComplete: func() { done = true }}
+	ev := watch(c)
+	r := &Request{Thread: 0, Addr: addrFor(m, 0, 5, 0), Demand: true}
 	if !c.Enqueue(r) {
 		t.Fatal("enqueue failed")
 	}
-	cycles := runUntil(c, 1000, func() bool { return done })
+	cycles := runUntil(c, 1000, ev.completed(1))
 	// Idle-bank read: ACT at 0, RD at tRCD, data at tRCD+CL+TBL, completion
 	// observed on the following tick.
 	want := tm.TRCD + tm.CL + tm.TBL + 1
@@ -124,13 +143,13 @@ func TestSingleReadLatency(t *testing.T) {
 
 func TestRowHitFasterAndCounted(t *testing.T) {
 	c, m := testSetup(t, false)
-	var completed int
+	ev := watch(c)
 	mk := func(row, col int) *Request {
-		return &Request{Thread: 0, Addr: addrFor(m, 0, row, col), OnComplete: func() { completed++ }}
+		return &Request{Thread: 0, Addr: addrFor(m, 0, row, col)}
 	}
 	c.Enqueue(mk(5, 0))
 	c.Enqueue(mk(5, 1)) // same row: row hit
-	runUntil(c, 2000, func() bool { return completed == 2 })
+	runUntil(c, 2000, ev.completed(2))
 	st := c.PerThread()[0]
 	if st.ReadsServed != 2 {
 		t.Fatalf("ReadsServed = %d", st.ReadsServed)
@@ -142,13 +161,12 @@ func TestRowHitFasterAndCounted(t *testing.T) {
 
 func TestRowConflictPrecharges(t *testing.T) {
 	c, m := testSetup(t, false)
-	var completed int
-	on := func() { completed++ }
-	c.Enqueue(&Request{Thread: 0, Addr: addrFor(m, 0, 5, 0), OnComplete: on})
-	runUntil(c, 2000, func() bool { return completed == 1 })
+	ev := watch(c)
+	c.Enqueue(&Request{Thread: 0, Addr: addrFor(m, 0, 5, 0)})
+	runUntil(c, 2000, ev.completed(1))
 	// New request to a different row of the same bank: needs PRE+ACT.
-	c.Enqueue(&Request{Thread: 1, Addr: addrFor(m, 0, 9, 0), OnComplete: on})
-	runUntil(c, 2000, func() bool { return completed == 2 })
+	c.Enqueue(&Request{Thread: 1, Addr: addrFor(m, 0, 9, 0)})
+	runUntil(c, 2000, ev.completed(2))
 	ds := c.DRAMStats()
 	if ds.Precharges != 1 || ds.Activates != 2 {
 		t.Errorf("dram stats = %+v", ds)
@@ -160,18 +178,23 @@ func TestRowConflictPrecharges(t *testing.T) {
 
 func TestFRFCFSPrefersRowHit(t *testing.T) {
 	c, m := testSetup(t, false)
-	var order []int
+	ev := watch(c)
+	// Each request's column is its id.
 	mk := func(id, bank, row int) *Request {
-		return &Request{Thread: 0, Addr: addrFor(m, bank, row, id), OnComplete: func() { order = append(order, id) }}
+		return &Request{Thread: 0, Addr: addrFor(m, bank, row, id)}
 	}
 	// Open row 5 on bank 0.
 	c.Enqueue(mk(0, 0, 5))
-	runUntil(c, 2000, func() bool { return len(order) == 1 })
+	runUntil(c, 2000, ev.completed(1))
 	// Older conflict on bank 0 vs newer row hit on bank 0.
 	c.Enqueue(mk(1, 0, 9))
 	c.Enqueue(mk(2, 0, 5))
-	runUntil(c, 4000, func() bool { return len(order) == 3 })
-	if order[1] != 2 || order[2] != 1 {
+	runUntil(c, 4000, ev.completed(3))
+	var order []int
+	for _, r := range ev.done {
+		order = append(order, r.Loc.Column)
+	}
+	if len(order) != 3 || order[1] != 2 || order[2] != 1 {
 		t.Errorf("service order = %v, want row hit (2) before conflict (1)", order)
 	}
 }
@@ -187,9 +210,9 @@ func TestReadsPriorityOverQueuedWrites(t *testing.T) {
 			t.Fatal("write enqueue failed")
 		}
 	}
-	done := false
-	c.Enqueue(&Request{Thread: 0, Addr: addrFor(m, 0, 3, 0), OnComplete: func() { done = true }})
-	cycles := runUntil(c, 2000, func() bool { return done })
+	ev := watch(c)
+	c.Enqueue(&Request{Thread: 0, Addr: addrFor(m, 0, 3, 0)})
+	cycles := runUntil(c, 2000, ev.completed(1))
 	want := tm.TRCD + tm.CL + tm.TBL + 1
 	if cycles != want {
 		t.Errorf("read latency with queued writes = %d, want unloaded %d", cycles, want)
@@ -206,11 +229,10 @@ func TestWritesDrainAtWatermark(t *testing.T) {
 	}
 	// At the high watermark the drain must run down to the low watermark
 	// even while new reads keep arriving.
-	var readsDone int
 	row := 0
 	for cycle := 0; cycle < 50000 && c.QueuedWrites() > cfg.WriteLowWatermark; cycle++ {
 		if cycle%100 == 0 {
-			c.Enqueue(&Request{Thread: 1, Addr: addrFor(m, 1, row%64, 0), OnComplete: func() { readsDone++ }})
+			c.Enqueue(&Request{Thread: 1, Addr: addrFor(m, 1, row%64, 0)})
 			row++
 		}
 		c.Tick()
@@ -249,12 +271,12 @@ func TestQueueCapacityBackpressure(t *testing.T) {
 func TestRefreshMakesProgressUnderLoad(t *testing.T) {
 	c, m := testSetup(t, true)
 	tm := dram.DDR3_1600()
-	var completed int
+	ev := watch(c)
 	// Keep the controller busy well past several tREFI periods.
 	total := 0
 	for cycle := 0; cycle < 4*tm.TREFI; cycle++ {
 		if cycle%50 == 0 && total < 400 {
-			if c.Enqueue(&Request{Thread: 0, Addr: addrFor(m, total%8, total%64, 0), OnComplete: func() { completed++ }}) {
+			if c.Enqueue(&Request{Thread: 0, Addr: addrFor(m, total%8, total%64, 0)}) {
 				total++
 			}
 		}
@@ -263,7 +285,7 @@ func TestRefreshMakesProgressUnderLoad(t *testing.T) {
 	if ds := c.DRAMStats(); ds.Refreshes < 3 {
 		t.Errorf("refreshes = %d, want ≥3 over 4×tREFI", ds.Refreshes)
 	}
-	if completed < total-8 {
+	if completed := len(ev.done); completed < total-8 {
 		t.Errorf("only %d/%d reads completed under refresh", completed, total)
 	}
 }
@@ -283,30 +305,38 @@ func TestStarvationGuard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	victimDone := false
-	// The victim wants row 9 of bank 0; a stream of row-5 hits would starve
-	// it under pure FR-FCFS.
+	ev := watch(c)
+	victimDone := func() bool {
+		for _, r := range ev.done {
+			if r.Thread == 1 {
+				return true
+			}
+		}
+		return false
+	}
+	// The victim (thread 1) wants row 9 of bank 0; a stream of row-5 hits
+	// would starve it under pure FR-FCFS.
 	c.Enqueue(&Request{Thread: 0, Addr: addrFor(m, 0, 5, 0)})
-	c.Enqueue(&Request{Thread: 1, Addr: addrFor(m, 0, 9, 0), OnComplete: func() { victimDone = true }})
+	c.Enqueue(&Request{Thread: 1, Addr: addrFor(m, 0, 9, 0)})
 	col := 1
-	for cycle := 0; cycle < 3000 && !victimDone; cycle++ {
+	for cycle := 0; cycle < 3000 && !victimDone(); cycle++ {
 		if c.QueuedReads() < 8 {
 			c.Enqueue(&Request{Thread: 0, Addr: addrFor(m, 0, 5, col%64)})
 			col++
 		}
 		c.Tick()
 	}
-	if !victimDone {
+	if !victimDone() {
 		t.Error("starvation guard never let the conflict request through")
 	}
 }
 
 func TestPerThreadAccounting(t *testing.T) {
 	c, m := testSetup(t, false)
-	var done int
-	c.Enqueue(&Request{Thread: 2, Addr: addrFor(m, 1, 4, 0), OnComplete: func() { done++ }})
-	c.Enqueue(&Request{Thread: 3, Addr: addrFor(m, 2, 4, 0), OnComplete: func() { done++ }})
-	runUntil(c, 2000, func() bool { return done == 2 })
+	ev := watch(c)
+	c.Enqueue(&Request{Thread: 2, Addr: addrFor(m, 1, 4, 0)})
+	c.Enqueue(&Request{Thread: 3, Addr: addrFor(m, 2, 4, 0)})
+	runUntil(c, 2000, ev.completed(2))
 	pt := c.PerThread()
 	if pt[2].ReadsServed != 1 || pt[3].ReadsServed != 1 || pt[0].ReadsServed != 0 {
 		t.Errorf("per-thread reads: %+v", pt)
@@ -314,9 +344,9 @@ func TestPerThreadAccounting(t *testing.T) {
 	if pt[2].QueueCycles == 0 {
 		t.Error("queue cycles not accumulated")
 	}
-	c.ResetPerThread()
+	c.ResetPerThreadCounters()
 	if c.PerThread()[2].ReadsServed != 0 {
-		t.Error("ResetPerThread failed")
+		t.Error("ResetPerThreadCounters failed")
 	}
 }
 
@@ -344,16 +374,10 @@ func TestForEachOutstandingRead(t *testing.T) {
 	}
 }
 
-func TestAccessorsAndBusyCycles(t *testing.T) {
-	c, m := testSetup(t, false)
+func TestAccessors(t *testing.T) {
+	c, _ := testSetup(t, false)
 	if c.ChannelID() != 0 || c.Scheduler().Name() != "frfcfs" {
 		t.Error("accessors wrong")
-	}
-	done := false
-	c.Enqueue(&Request{Thread: 0, Addr: addrFor(m, 0, 1, 0), OnComplete: func() { done = true }})
-	runUntil(c, 1000, func() bool { return done })
-	if c.BusyReadCycles == 0 {
-		t.Error("busy cycles not counted")
 	}
 }
 
@@ -372,14 +396,13 @@ func TestClosedPagePolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	done := 0
-	on := func() { done++ }
+	ev := watch(c)
 	// Two same-row requests queued together: the first must keep the row
 	// open (a hit is pending), the second closes it.
-	c.Enqueue(&Request{Thread: 0, Addr: addrFor(m, 0, 5, 0), OnComplete: on})
-	c.Enqueue(&Request{Thread: 0, Addr: addrFor(m, 0, 5, 1), OnComplete: on})
-	runUntil(c, 3000, func() bool { return done == 2 })
-	if done != 2 {
+	c.Enqueue(&Request{Thread: 0, Addr: addrFor(m, 0, 5, 0)})
+	c.Enqueue(&Request{Thread: 0, Addr: addrFor(m, 0, 5, 1)})
+	runUntil(c, 3000, ev.completed(2))
+	if len(ev.done) != 2 {
 		t.Fatal("requests did not complete")
 	}
 	if _, open := ch.OpenRow(0, 0); open {
@@ -400,9 +423,9 @@ func TestClosedPagePolicy(t *testing.T) {
 
 func TestOpenPageKeepsRow(t *testing.T) {
 	c, m := testSetup(t, false)
-	done := false
-	c.Enqueue(&Request{Thread: 0, Addr: addrFor(m, 0, 5, 0), OnComplete: func() { done = true }})
-	runUntil(c, 2000, func() bool { return done })
+	ev := watch(c)
+	c.Enqueue(&Request{Thread: 0, Addr: addrFor(m, 0, 5, 0)})
+	runUntil(c, 2000, ev.completed(1))
 	row, open := c.ch.OpenRow(0, 0)
 	if !open || row != 5 {
 		t.Error("open-page controller closed the row")
@@ -424,9 +447,9 @@ func TestRowTimeoutClosesIdleRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	done := false
-	c.Enqueue(&Request{Thread: 0, Addr: addrFor(m, 0, 5, 0), OnComplete: func() { done = true }})
-	runUntil(c, 2000, func() bool { return done })
+	ev := watch(c)
+	c.Enqueue(&Request{Thread: 0, Addr: addrFor(m, 0, 5, 0)})
+	runUntil(c, 2000, ev.completed(1))
 	if _, open := ch.OpenRow(0, 0); !open {
 		t.Fatal("row closed immediately (timeout too eager)")
 	}
@@ -458,14 +481,14 @@ func TestRowTimeoutRespectsPendingHits(t *testing.T) {
 	// Open row 5, then hold a same-row request that can't be served yet by
 	// filling... simpler: enqueue a same-row request and tick only a little
 	// so it is served as a row hit, proving the timeout didn't close it.
-	done := 0
-	c.Enqueue(&Request{Thread: 0, Addr: addrFor(m, 0, 5, 0), OnComplete: func() { done++ }})
-	runUntil(c, 2000, func() bool { return done == 1 })
+	ev := watch(c)
+	c.Enqueue(&Request{Thread: 0, Addr: addrFor(m, 0, 5, 0)})
+	runUntil(c, 2000, ev.completed(1))
 	for i := 0; i < 60; i++ { // idle just past the timeout window
 		c.Tick()
 	}
-	c.Enqueue(&Request{Thread: 0, Addr: addrFor(m, 0, 5, 1), OnComplete: func() { done++ }})
-	runUntil(c, 2000, func() bool { return done == 2 })
+	c.Enqueue(&Request{Thread: 0, Addr: addrFor(m, 0, 5, 1)})
+	runUntil(c, 2000, ev.completed(2))
 	// The second request arrived after the close: it must be a conflict
 	// (activate), proving the timeout fired; row-hit accounting confirms.
 	if got := c.PerThread()[0].RowHits; got != 0 {

@@ -9,9 +9,6 @@ package memctrl
 // which request to advance is re-derived.
 func (c *Controller) TickReference() {
 	c.completeTransfers()
-	if len(c.reads.q) > 0 || len(c.inflight) > 0 {
-		c.BusyReadCycles++
-	}
 	c.sched.OnTick(c.now)
 
 	issued := c.serviceRefresh()

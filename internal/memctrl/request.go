@@ -1,8 +1,9 @@
 // Package memctrl implements the per-channel memory controller: read/write
 // queues, open-page command generation on top of the dram timing model, a
-// pluggable request scheduler, and the per-thread profiling hooks (served
+// pluggable request scheduler, the per-thread profiling counters (served
 // requests, row hits, outstanding-bank sampling) that Dynamic Bank
-// Partitioning and TCM consume.
+// Partitioning and TCM consume, and one event sink (Events) that sees every
+// enqueue, DRAM command and read completion.
 package memctrl
 
 import (
@@ -27,16 +28,10 @@ type Request struct {
 	Demand bool
 	// Arrival is the memory-cycle the request entered the controller.
 	Arrival uint64
-	// OnComplete, if non-nil, fires when the request's data transfer
-	// completes (reads only; writes complete on issue). The simulation
-	// kernel routes demand completions through the controller-level
-	// demand completer instead (see SetDemandCompleter); this per-request
-	// hook remains for tests and external callers.
-	OnComplete func()
 	// Tag is an opaque requester-assigned identifier. Demand reads carry
-	// the issuing core's miss tag; the controller's demand completer hands
-	// it back on completion, which also survives snapshot restore without
-	// any relinking.
+	// the issuing core's miss tag, which the event sink's Completed hands
+	// back to the core; being plain data, it survives snapshot restore
+	// without any relinking.
 	Tag uint64
 
 	// activated records that the controller opened a row specifically for

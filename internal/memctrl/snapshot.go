@@ -8,8 +8,7 @@ import (
 )
 
 // RequestState is one queued or in-flight request, flattened for
-// serialisation. OnComplete closures are not serialisable; after Restore
-// demand reads reach their cores through the demand completer, by Tag.
+// serialisation. Demand reads reach their cores after Restore by Tag.
 type RequestState struct {
 	ID        uint64
 	Thread    int
@@ -31,16 +30,15 @@ type InflightState struct {
 // ControllerState is the controller's complete mutable state, including its
 // DRAM channel. Queue order is significant and preserved exactly.
 type ControllerState struct {
-	ReadQ          []RequestState
-	WriteQ         []RequestState
-	Inflight       []InflightState
-	NextID         uint64
-	Now            uint64
-	Draining       bool
-	LastColCmd     []uint64
-	PerThread      []ThreadStats
-	BusyReadCycles uint64
-	Channel        dram.ChannelState
+	ReadQ      []RequestState
+	WriteQ     []RequestState
+	Inflight   []InflightState
+	NextID     uint64
+	Now        uint64
+	Draining   bool
+	LastColCmd []uint64
+	PerThread  []ThreadStats
+	Channel    dram.ChannelState
 }
 
 func snapRequest(r *Request) RequestState {
@@ -76,16 +74,15 @@ func unsnapRequest(st RequestState) *Request {
 // kernel.
 func (c *Controller) Snapshot() ControllerState {
 	st := ControllerState{
-		ReadQ:          make([]RequestState, len(c.reads.q)),
-		WriteQ:         make([]RequestState, len(c.writes.q)),
-		Inflight:       make([]InflightState, len(c.inflight)),
-		NextID:         c.nextID,
-		Now:            c.now,
-		Draining:       c.draining,
-		LastColCmd:     append([]uint64(nil), c.lastColCmd...),
-		PerThread:      append([]ThreadStats(nil), c.perThread...),
-		BusyReadCycles: c.BusyReadCycles,
-		Channel:        c.ch.Snapshot(),
+		ReadQ:      make([]RequestState, len(c.reads.q)),
+		WriteQ:     make([]RequestState, len(c.writes.q)),
+		Inflight:   make([]InflightState, len(c.inflight)),
+		NextID:     c.nextID,
+		Now:        c.now,
+		Draining:   c.draining,
+		LastColCmd: append([]uint64(nil), c.lastColCmd...),
+		PerThread:  append([]ThreadStats(nil), c.perThread...),
+		Channel:    c.ch.Snapshot(),
 	}
 	for i, r := range c.reads.q {
 		st.ReadQ[i] = snapRequest(r)
@@ -100,9 +97,9 @@ func (c *Controller) Snapshot() ControllerState {
 }
 
 // Restore installs a previously captured state, rebuilding the request
-// queues in their exact order and re-ranking every bank. Restored requests
-// carry nil OnComplete hooks; demand reads reach their cores through the
-// demand completer by Tag.
+// queues in their exact order and re-ranking every bank. Restore reports
+// nothing to the event sink; a sink that follows the outstanding set
+// rebuilds it from ForEachOutstandingRead.
 func (c *Controller) Restore(st ControllerState) error {
 	if len(st.LastColCmd) != len(c.lastColCmd) {
 		return fmt.Errorf("memctrl: snapshot has %d bank slots, controller has %d", len(st.LastColCmd), len(c.lastColCmd))
@@ -133,6 +130,5 @@ func (c *Controller) Restore(st ControllerState) error {
 	c.draining = st.Draining
 	copy(c.lastColCmd, st.LastColCmd)
 	copy(c.perThread, st.PerThread)
-	c.BusyReadCycles = st.BusyReadCycles
 	return nil
 }

@@ -32,9 +32,9 @@
 //     checkpoint — bit-identical to an uninterrupted run — falling back to
 //     a clean cycle-0 rerun when the checkpoint is corrupt or missing.
 //   - Fault injection: an optional chaos.Injector fires faults at named
-//     points (run delay, worker panic, journal/result-store I/O) so tests
-//     and the chaos-smoke harness can exercise all of the above against
-//     the real binary.
+//     points (run delay, worker panic, journal/result-store I/O) so the
+//     in-process tests can exercise all of the above; dbpserved's -chaos
+//     flag (refused without -chaos-allow) installs one in the binary.
 //
 // Every non-2xx response carries the structured error schema from
 // errors.go: {"error": {"code", "message", "retryable"}}.

@@ -116,8 +116,8 @@ type System struct {
 	// onSchedQuantum) and its next-event cycle bounds cycle skipping.
 	scn *scenario.Runtime
 
-	// rec, when non-nil, receives epoch samples and repartition events (the
-	// controllers hold their own pointer for request-lifecycle hooks).
+	// rec, when non-nil, receives epoch samples and repartition events, and
+	// through memEvents the controllers' request-lifecycle events.
 	rec *obs.Recorder
 	// epochScratch and partScratch are reused across quanta so the
 	// steady-state loop does not allocate.
@@ -258,7 +258,7 @@ func newSystem(cfg Config, benches []Bench, wrap func(memctrl.Scheduler) memctrl
 		if err != nil {
 			return nil, err
 		}
-		ctrl.SetDemandCompleter(s.demandDone)
+		ctrl.SetEvents((*memEvents)(s))
 		s.ctrls[ch] = ctrl
 	}
 
@@ -325,22 +325,12 @@ func newSystem(cfg Config, benches []Bench, wrap func(memctrl.Scheduler) memctrl
 		ctrlSrcs[i] = c
 	}
 	s.prof = profile.New(coreSrcs, ctrlSrcs, cfg.Geometry.NumColors())
-	for _, ctrl := range s.ctrls {
-		ctrl.SetReadObserver(s.prof)
-	}
 
 	if cfg.RecordLatencyHistograms {
 		s.latHist = make([]*stats.Histogram, cfg.Cores)
 		bounds := []float64{25, 50, 75, 100, 150, 200, 300, 500, 1000}
 		for i := range s.latHist {
 			s.latHist[i] = stats.NewHistogram(bounds)
-		}
-		for _, ctrl := range s.ctrls {
-			ctrl.SetCompletionHook(func(thread int, latency uint64) {
-				if thread >= 0 && thread < len(s.latHist) {
-					s.latHist[thread].Observe(float64(latency))
-				}
-			})
 		}
 	}
 	return s, nil
@@ -364,30 +354,73 @@ func (p *memoryPort) Submit(thread int, paddr uint64, isWrite, demand bool, tag 
 	})
 }
 
-// demandDone is the controllers' flattened demand-completion path: it hands
-// a finished demand read back to the issuing core by tag (replacing the old
-// per-request OnComplete closures) and wakes the core.
-func (s *System) demandDone(thread int, tag uint64) {
-	if thread >= 0 && thread < len(s.cores) {
+// memEvents adapts System to memctrl.Events without exporting the sink's
+// methods on System: it fans each controller event out to the profiler's
+// outstanding-read counts, the cores, the latency histograms and the
+// recorder.
+type memEvents System
+
+// Enqueued implements memctrl.Events: a read joins the profiler's
+// outstanding set.
+func (e *memEvents) Enqueued(r *memctrl.Request) {
+	s := (*System)(e)
+	if !r.IsWrite {
+		bank, page := memctrl.ReadKey(s.mapper, r)
+		s.prof.ReadArrived(r.Thread, bank, page)
+	}
+	if s.rec != nil {
+		s.rec.OnEnqueue(r.Thread, r.IsWrite)
+	}
+}
+
+// Command implements memctrl.Events: the recorder counts the activations
+// and column commands issued for a request on its bank.
+func (e *memEvents) Command(cmd dram.Command, rank, bank, row int, r *memctrl.Request, autoPrecharge bool, now uint64) {
+	s := (*System)(e)
+	if s.rec == nil || r == nil || cmd == dram.CmdPrecharge {
+		return
+	}
+	globalBank, _ := memctrl.ReadKey(s.mapper, r)
+	if cmd == dram.CmdActivate {
+		s.rec.OnActivate(r.Thread, globalBank)
+	} else {
+		s.rec.OnColumn(r.Thread, globalBank, cmd == dram.CmdWrite)
+	}
+}
+
+// Completed implements memctrl.Events: a finished read feeds the latency
+// histograms and the recorder, a demand read goes back to its core by tag
+// (waking it), and the read leaves the profiler's outstanding set.
+func (e *memEvents) Completed(r *memctrl.Request, now uint64) {
+	s := (*System)(e)
+	thread := r.Thread
+	inRange := thread >= 0 && thread < len(s.cores)
+	if s.latHist != nil && inRange {
+		s.latHist[thread].Observe(float64(now - r.Arrival))
+	}
+	if s.rec != nil {
+		s.rec.OnComplete(thread, r.Loc.Channel, r.Arrival, now, r.RowHit())
+	}
+	if r.Demand && r.Tag != 0 && inRange {
 		if s.coreWake[thread] != 0 {
 			// The controllers tick after the cores, so per-cycle execution
 			// has already stalled the core through this cycle: catch it up
 			// to cycle+1 before the completion changes its state.
 			s.wake(thread, s.cycle+1)
 		}
-		s.cores[thread].DemandDone(tag)
+		s.cores[thread].DemandDone(r.Tag)
 	}
+	bank, page := memctrl.ReadKey(s.mapper, r)
+	s.prof.ReadDeparted(thread, bank, page)
 }
 
 // AttachRecorder wires an observability recorder into the system: the
-// controllers report request-lifecycle events and the kernel reports epoch
-// samples and repartition decisions. Attaching nil detaches. Safe to call
-// any time before Run; recording never alters simulated timing.
+// controllers' events reach it through the system's event sink, and the
+// kernel reports epoch samples and repartition decisions. Attaching nil
+// detaches. Safe to call any time before Run; recording never alters
+// simulated timing.
 func (s *System) AttachRecorder(r *obs.Recorder) {
 	s.rec = r
-	for _, ctrl := range s.ctrls {
-		ctrl.SetRecorder(r)
-	}
 	if r != nil && s.bestIPC == nil {
 		s.bestIPC = make([]float64, s.cfg.Cores)
 	}

@@ -1,9 +1,9 @@
 // Command fleetsmoke is the CI drill for dbpserved's fleet mode: it boots a
 // real coordinator plus three real worker daemons and asserts the fleet
-// contracts that need real processes — the worker-mode wiring in
-// cmd/dbpserved, which no in-process test builds, and workers and a
-// coordinator SIGKILLed under a live fleet (internal/fleet's tests pin the
-// rest in process):
+// contracts that need real processes — workers and a coordinator
+// SIGKILLed under a live fleet — on the worker-mode wiring that
+// cmd/dbpserved's TestRunWorkerMode also pins in process (internal/fleet's
+// tests pin the rest):
 //
 //   - a batch sweep POSTed to the coordinator streams one NDJSON line per
 //     cell plus a summary, every cell lands "done", and each cell's
@@ -163,30 +163,49 @@ func scenarioReference(bin string) (map[string][]byte, error) {
 		return nil, err
 	}
 	defer d.Kill()
-	refs := make(map[string][]byte)
+	bodies := map[string]string{"migrate": migrateBody}
 	for _, part := range sweepPartitions {
-		status, ledger, _, err := d.Post("/v1/runs", fmt.Sprintf(cellBodyT, part))
-		if err != nil {
-			return nil, err
-		}
-		if status != http.StatusOK {
-			return nil, fmt.Errorf("cell %s: status %d: %s", part, status, ledger)
-		}
-		refs[part] = ledger
+		bodies[part] = fmt.Sprintf(cellBodyT, part)
 	}
-	status, ledger, _, err := d.Post("/v1/runs?timeout=120s", migrateBody)
+	refs, err := postAll(d, bodies)
 	if err != nil {
 		return nil, err
 	}
-	if status != http.StatusOK {
-		return nil, fmt.Errorf("migration reference: status %d: %s", status, ledger)
-	}
-	refs["migrate"] = ledger
 	if err := d.Drain(60 * time.Second); err != nil {
 		return nil, err
 	}
 	fmt.Println("fleet-smoke: reference: single-node ledgers captured")
 	return refs, nil
+}
+
+// postAll posts every named run body to d at once, so the daemon's worker
+// pool runs them side by side, and returns each ledger under its name.
+func postAll(d *drill.Daemon, bodies map[string]string) (map[string][]byte, error) {
+	type answer struct {
+		name   string
+		ledger []byte
+		err    error
+	}
+	answers := make(chan answer, len(bodies))
+	for name, body := range bodies {
+		go func() {
+			status, ledger, _, err := d.Post("/v1/runs?timeout=120s", body)
+			if err == nil && status != http.StatusOK {
+				err = fmt.Errorf("run %s: status %d: %s", name, status, ledger)
+			}
+			answers <- answer{name, ledger, err}
+		}()
+	}
+	refs := make(map[string][]byte, len(bodies))
+	var firstErr error
+	for range bodies {
+		a := <-answers
+		if a.err != nil && firstErr == nil {
+			firstErr = a.err
+		}
+		refs[a.name] = a.ledger
+	}
+	return refs, firstErr
 }
 
 // scenarioSweep drives the batch sweep and checks completeness, byte
@@ -238,9 +257,8 @@ func scenarioSweep(f *fleetHarness, refs map[string][]byte) error {
 
 // scenarioSingleflight POSTs one already-swept cell directly to every
 // worker: each answer must come from the fleet's caches, never from a new
-// simulation. Only the real binary shows that dbpserved's worker mode hands
-// the fleet consult hook to its server; the in-process fleet tests wire
-// that hook themselves.
+// simulation. It is the fleet-wide view, across three real workers, of the
+// consult-hook wiring that TestRunWorkerMode checks on two in-process ones.
 func scenarioSingleflight(f *fleetHarness) error {
 	before, err := f.totalExecuted()
 	if err != nil {
@@ -362,16 +380,13 @@ func chaosReference(bin string) (map[string][]byte, error) {
 		return nil, err
 	}
 	defer d.Kill()
-	refs := make(map[string][]byte)
+	bodies := make(map[string]string)
 	for _, part := range sweepPartitions {
-		status, ledger, _, err := d.Post("/v1/runs?timeout=120s", fmt.Sprintf(chaosCellT, part))
-		if err != nil {
-			return nil, err
-		}
-		if status != http.StatusOK {
-			return nil, fmt.Errorf("cell %s: status %d: %s", part, status, ledger)
-		}
-		refs[part] = ledger
+		bodies[part] = fmt.Sprintf(chaosCellT, part)
+	}
+	refs, err := postAll(d, bodies)
+	if err != nil {
+		return nil, err
 	}
 	if err := d.Drain(60 * time.Second); err != nil {
 		return nil, err
@@ -465,9 +480,10 @@ func scenarioCoordinatorKillRestart(bin string, f *fleetHarness, journal string,
 // scenarioPartitionedWorker boots a fourth worker behind an injected
 // network partition from the coordinator: it must come up degraded, serve
 // direct runs standalone, and never appear in the coordinator's live-worker
-// count. Only the real binary shows that -chaos reaches the worker's
-// transport and that a worker whose first join fails starts degraded;
-// TestWorkerDegradedMode covers the outage of a worker that has joined.
+// count: the same -chaos wiring and degraded start TestRunWorkerMode checks
+// in process, here against the journaled coordinator the kill-restart step
+// left running. TestWorkerDegradedMode covers the outage of a worker that
+// has joined.
 func scenarioPartitionedWorker(bin string, f *fleetHarness) error {
 	coordHost := strings.TrimPrefix(f.coord.Base, "http://")
 	d, err := drill.Start(bin, "w4-partitioned",
