@@ -51,14 +51,15 @@ test-race:
 
 # --- Benchmarks (see docs/LEDGER.md) ----------------------------------------
 #
-# Every benchmark: the paper tables/figures and the simulator-cost set, for
-# reading and profiling. -run='^$' keeps unit tests out. Nothing here gates:
-# TestBenchmarkWorkCounts (go test) pins allocs/op and coreticks/simcycle,
+# Every benchmark: the paper tables/figures, the simulator-cost set and the
+# service's cache-hit path, for reading and profiling. -run='^$' keeps unit
+# tests out. Nothing here gates: TestBenchmarkWorkCounts and
+# TestSubmitCacheHitAllocs (go test) pin allocs/op and coreticks/simcycle,
 # and scripts/abbench gates wall time.
 BENCH_COUNT ?= 6
 
 bench:
-	$(GO) test -run='^$$' -bench=. -benchmem -count=$(BENCH_COUNT) . ./internal/sim
+	$(GO) test -run='^$$' -bench=. -benchmem -count=$(BENCH_COUNT) . ./internal/sim ./internal/serve
 
 # Run the simulation service in the foreground (ctrl-C drains).
 serve:

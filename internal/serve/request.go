@@ -1,10 +1,13 @@
 package serve
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"math"
 	"strings"
+	"sync"
 
 	"dbpsim/internal/obs"
 	"dbpsim/internal/scenario"
@@ -62,8 +65,7 @@ type resolvedRun struct {
 	sched   sim.SchedulerKind
 	part    sim.PartitionKind
 	base    sim.Config // experiment template; per-run fields reapplied by RunMix
-	cfgJSON []byte     // canonical effective config (what the ledger records)
-	cfgHash string
+	cfgHash string     // sha256 of the effective config the ledger records
 	warmup  uint64
 	measure uint64
 	key     string
@@ -165,10 +167,106 @@ func resolve(req RunRequest, maxInstructions uint64) (resolvedRun, error) {
 		return rr, err
 	}
 	rr.base = base
-	rr.cfgJSON = cfgJSON
 	rr.cfgHash = obs.HashConfig(cfgJSON)
 	rr.key = runKey(rr.cfgHash, rr.mix, rr.warmup, rr.measure)
 	return rr, nil
+}
+
+// decodeRunRequest parses a POST /v1/runs body with unknown fields
+// rejected. Split out (and fuzzed) so every malformed body maps to a
+// structured bad_request error, never a panic.
+func decodeRunRequest(body []byte) (RunRequest, *APIError) {
+	var req RunRequest
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		return RunRequest{}, &APIError{Code: CodeBadRequest, Message: fmt.Sprintf("decode request: %v", err)}
+	}
+	// A second JSON document in the body is a client bug; reject rather
+	// than silently ignoring it.
+	if dec.More() {
+		return RunRequest{}, &APIError{Code: CodeBadRequest, Message: "decode request: trailing data after JSON body"}
+	}
+	return req, nil
+}
+
+// resolveBody decodes a raw POST /v1/runs body and resolves it: the one
+// path from request bytes to a bound run. Every failure is a structured
+// bad_request.
+func resolveBody(body []byte, maxInstructions uint64) (resolvedRun, *APIError) {
+	req, apiErr := decodeRunRequest(body)
+	if apiErr != nil {
+		return resolvedRun{}, apiErr
+	}
+	rr, err := resolve(req, maxInstructions)
+	if err != nil {
+		return resolvedRun{}, &APIError{Code: CodeBadRequest, Message: err.Error()}
+	}
+	return rr, nil
+}
+
+// The resolve memo's bounds: at most maxMemoRuns entries, and only runs
+// whose key is at most maxMemoKeyBytes long (a scenario's name and thread
+// names are part of its key). Every entry is therefore small and bounded;
+// docs/SERVICE.md gives the memo's resident bytes at the bound.
+const (
+	maxMemoRuns     = 1024
+	maxMemoKeyBytes = 512
+)
+
+// memoRun is what the memo keeps of a resolved body: enough for a cache
+// hit, a coalesced join and quota admission. A run that must execute is
+// resolved afresh, so no resolvedRun is shared between requests.
+type memoRun struct {
+	key string // run key (see runKey)
+	est tenant.Estimate
+}
+
+// resolveMemo maps the sha256 of recently seen request bodies to their run
+// keys and cost estimates, so a repeated body skips decoding and resolving.
+// With maxInstructions fixed for the memo's life, resolveBody is a pure
+// function of the body, so a memoised entry is exactly what a fresh resolve
+// would yield. Errors are never stored; when full, an arbitrary entry makes
+// room.
+type resolveMemo struct {
+	maxInstructions uint64
+
+	mu   sync.Mutex
+	runs map[[sha256.Size]byte]memoRun
+}
+
+// resolve returns the memoised entry for body, or resolves it and stores
+// the entry when it succeeds. fresh is the full run when this call resolved
+// it, nil on a memo hit.
+func (m *resolveMemo) resolve(body []byte) (mr memoRun, fresh *resolvedRun, apiErr *APIError) {
+	sum := sha256.Sum256(body)
+	m.mu.Lock()
+	mr, ok := m.runs[sum]
+	m.mu.Unlock()
+	if ok {
+		return mr, nil, nil
+	}
+	rr, apiErr := resolveBody(body, m.maxInstructions)
+	if apiErr != nil {
+		return memoRun{}, nil, apiErr
+	}
+	mr = memoRun{key: rr.key, est: tenant.EstimateRun(rr.warmup + rr.measure)}
+	if len(mr.key) > maxMemoKeyBytes {
+		return mr, &rr, nil
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.runs == nil {
+		m.runs = make(map[[sha256.Size]byte]memoRun)
+	}
+	for evict := range m.runs {
+		if len(m.runs) < maxMemoRuns {
+			break
+		}
+		delete(m.runs, evict)
+	}
+	m.runs[sum] = mr
+	return mr, &rr, nil
 }
 
 // ResolveRequest validates a raw POST /v1/runs body exactly as handleSubmit
@@ -179,15 +277,11 @@ func resolve(req RunRequest, maxInstructions uint64) (resolvedRun, error) {
 // a worker would answer with, so the coordinator can reject bad sweep cells
 // before dispatching anything.
 func ResolveRequest(body []byte, maxInstructions uint64) (runKey, expKey string, apiErr *APIError) {
-	req, derr := decodeRunRequest(body)
-	if derr != nil {
-		return "", "", derr
+	rr, apiErr := resolveBody(body, maxInstructions)
+	if apiErr != nil {
+		return "", "", apiErr
 	}
-	rr, err := resolve(req, maxInstructions)
-	if err != nil {
-		return "", "", &APIError{Code: CodeBadRequest, Message: err.Error()}
-	}
-	expKey, err = rr.experimentKey()
+	expKey, err := rr.experimentKey()
 	if err != nil {
 		return "", "", &APIError{Code: CodeBadRequest, Message: err.Error()}
 	}
@@ -199,13 +293,9 @@ func ResolveRequest(body []byte, maxInstructions uint64) (runKey, expKey string,
 // entry-node quotas with this, so a run costs the same wherever it enters
 // the fleet.
 func ResolveCost(body []byte, maxInstructions uint64) (runKey string, est tenant.Estimate, apiErr *APIError) {
-	req, derr := decodeRunRequest(body)
-	if derr != nil {
-		return "", tenant.Estimate{}, derr
-	}
-	rr, err := resolve(req, maxInstructions)
-	if err != nil {
-		return "", tenant.Estimate{}, &APIError{Code: CodeBadRequest, Message: err.Error()}
+	rr, apiErr := resolveBody(body, maxInstructions)
+	if apiErr != nil {
+		return "", tenant.Estimate{}, apiErr
 	}
 	return rr.key, tenant.EstimateRun(rr.warmup + rr.measure), nil
 }

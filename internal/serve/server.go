@@ -41,7 +41,6 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -175,8 +174,7 @@ func (o Options) withDefaults() Options {
 // at the next scheduler quantum. Both fields are guarded by Server.mu.
 type job struct {
 	id      string
-	key     string
-	run     resolvedRun
+	run     resolvedRun // run.key is the job's run key
 	ctx     context.Context
 	cancel  context.CancelCauseFunc
 	done    chan struct{}
@@ -222,6 +220,25 @@ type job struct {
 	queueWait  time.Duration
 }
 
+// newJob builds an admitted job that runs rr for the given tenancy; the
+// caller queues it.
+func newJob(id string, rr resolvedRun, body []byte, tenantName, lane string, admitted time.Time) *job {
+	ctx, cancel := context.WithCancelCause(context.Background())
+	return &job{
+		id:         id,
+		run:        rr,
+		ctx:        ctx,
+		cancel:     cancel,
+		done:       make(chan struct{}),
+		started:    make(chan struct{}),
+		body:       body,
+		tenantName: tenantName,
+		lane:       lane,
+		est:        tenant.EstimateRun(rr.warmup + rr.measure),
+		admitted:   admitted,
+	}
+}
+
 // state reports the job's lifecycle phase: queued/running while live,
 // done/failed/canceled once terminal.
 func (j *job) state() string {
@@ -257,6 +274,9 @@ type Server struct {
 	// job is dequeued and before it executes; tests use it to hold a worker
 	// busy deterministically.
 	testHookBeforeRun func()
+
+	// memo maps request-body digests to run keys (see resolveMemo).
+	memo resolveMemo
 
 	mu        sync.Mutex
 	closed    bool
@@ -304,6 +324,7 @@ func New(opt Options) (*Server, error) {
 		exps:      make(map[string]*sim.Experiment),
 		seeded:    make(map[string][]byte),
 	}
+	s.memo.maxInstructions = opt.MaxInstructions
 	if opt.JournalDir != "" {
 		jnl, restored, maxSeq, err := openJournal(opt.JournalDir, opt.Chaos)
 		if err != nil {
@@ -396,16 +417,10 @@ func (s *Server) replayQuotaDebits(restored map[string]*restoredJob) {
 func (s *Server) requeueInterrupted(resume []*restoredJob) {
 	sort.Slice(resume, func(a, b int) bool { return resume[a].id < resume[b].id })
 	for _, r := range resume {
-		req, derr := decodeRunRequest(r.request)
-		if derr != nil {
-			s.log.Warn("interrupted job body no longer decodes; leaving it failed",
-				"id", r.id, "err", derr.Message)
-			continue
-		}
-		rr, err := resolve(req, s.opt.MaxInstructions)
-		if err != nil {
+		rr, apiErr := resolveBody(r.request, s.opt.MaxInstructions)
+		if apiErr != nil {
 			s.log.Warn("interrupted job no longer resolves; leaving it failed",
-				"id", r.id, "err", err)
+				"id", r.id, "err", apiErr.Message)
 			continue
 		}
 		s.mu.Lock()
@@ -424,22 +439,8 @@ func (s *Server) requeueInterrupted(resume []*restoredJob) {
 		if lane == "" {
 			lane = ten.Lane()
 		}
-		ctx, cancel := context.WithCancelCause(context.Background())
-		j := &job{
-			id:         r.id,
-			key:        rr.key,
-			run:        rr,
-			ctx:        ctx,
-			cancel:     cancel,
-			done:       make(chan struct{}),
-			started:    make(chan struct{}),
-			async:      true,
-			body:       append([]byte(nil), r.request...),
-			tenantName: ten.Name(),
-			lane:       lane,
-			est:        tenant.EstimateRun(rr.warmup + rr.measure),
-			admitted:   time.Now(),
-		}
+		j := newJob(r.id, rr, append([]byte(nil), r.request...), ten.Name(), lane, time.Now())
+		j.async = true
 		if r.checkpoint != "" {
 			blob, err := s.journal.ckpts.Get(r.checkpoint)
 			if err != nil {
@@ -450,7 +451,7 @@ func (s *Server) requeueInterrupted(resume []*restoredJob) {
 			}
 		}
 		if err := s.queue.Push(j, j.tenantName, j.lane, ten.Weight(), float64(j.est.SimCycles)); err != nil {
-			cancel(nil)
+			j.cancel(nil)
 			s.mu.Unlock()
 			s.log.Warn("queue full; interrupted job not requeued", "id", r.id)
 			continue
@@ -535,15 +536,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			&APIError{Code: CodeTooLarge, Message: fmt.Sprintf("body exceeds %d bytes", MaxBodyBytes)})
 		return
 	}
-	req, derr := decodeRunRequest(body)
-	if derr != nil {
-		writeError(w, http.StatusBadRequest, derr)
-		return
-	}
-	rr, err := resolve(req, s.opt.MaxInstructions)
-	if err != nil {
-		writeError(w, http.StatusBadRequest,
-			&APIError{Code: CodeBadRequest, Message: err.Error()})
+	mr, run, apiErr := s.memo.resolve(body)
+	if apiErr != nil {
+		writeError(w, http.StatusBadRequest, apiErr)
 		return
 	}
 	// Fleet-internal hops carry the X-Fleet-Forwarded latch: the entry node
@@ -589,14 +584,14 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	async := r.URL.Query().Get("async") != ""
 
 	s.mu.Lock()
-	if data, ok := s.cacheLookupLocked(rr.key); ok {
+	if data, ok := s.cacheLookupLocked(mr.key); ok {
 		s.mu.Unlock()
 		s.met.cacheHits.Add(1)
 		w.Header().Set("X-Cache", "hit")
 		obs.WriteLedgerBytes(w, http.StatusOK, data)
 		return
 	}
-	j, coalesced := s.inflight[rr.key]
+	j, coalesced := s.inflight[mr.key]
 	if coalesced {
 		s.met.coalesced.Add(1)
 		if forwarded {
@@ -616,13 +611,26 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 				&APIError{Code: CodeDraining, Message: "server is draining", Retryable: true})
 			return
 		}
+		if run == nil {
+			// A memoised body whose run is neither cached nor in flight (it
+			// failed, was canceled or was turned away) is resolved again for
+			// its job. resolveBody is pure, so this repeats the memoised
+			// success; the error branch only keeps that assumption checked.
+			rr, apiErr := resolveBody(body, s.opt.MaxInstructions)
+			if apiErr != nil {
+				s.mu.Unlock()
+				writeError(w, http.StatusBadRequest, apiErr)
+				return
+			}
+			run = &rr
+		}
 		// Admission control: charge the run's simcycles against the tenant's
 		// buckets before a queue slot is taken. Cache hits and coalesced
 		// requests above are free — they consume no simulation capacity.
 		// Fleet-forwarded requests were already charged at the entry node
 		// (the coordinator stamps X-Fleet-Forwarded), so the worker skips the
 		// debit rather than double-charging one run.
-		est := tenant.EstimateRun(rr.warmup + rr.measure)
+		est := mr.est
 		now := time.Now()
 		charged := !forwarded
 		if charged {
@@ -635,21 +643,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		s.nextID++
-		ctx, cancel := context.WithCancelCause(context.Background())
-		j = &job{
-			id:         fmt.Sprintf("run-%08d", s.nextID),
-			key:        rr.key,
-			run:        rr,
-			ctx:        ctx,
-			cancel:     cancel,
-			done:       make(chan struct{}),
-			started:    make(chan struct{}),
-			body:       body,
-			tenantName: ten.Name(),
-			lane:       lane,
-			est:        est,
-			admitted:   now,
-		}
+		j = newJob(fmt.Sprintf("run-%08d", s.nextID), *run, body, ten.Name(), lane, now)
 		j.forwarded.Store(forwarded)
 		// A migrated run resumes from a blob the fleet layer staged moments
 		// ago (PUT /v1/checkpoints/{hash} → SeedCheckpoint). An unknown hash
@@ -664,7 +658,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 		if err := s.queue.Push(j, j.tenantName, j.lane, ten.Weight(), float64(est.SimCycles)); err != nil {
 			s.mu.Unlock()
-			cancel(nil)
+			j.cancel(nil)
 			if charged {
 				// The run never queued, so the admission charge is reversed —
 				// backpressure must not eat quota.
@@ -684,13 +678,13 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		s.met.cacheMisses.Add(1)
-		s.inflight[rr.key] = j
+		s.inflight[mr.key] = j
 		s.registerJobLocked(j)
 		s.registerInterestLocked(j, async)
 		s.mu.Unlock()
 		w.Header().Set("X-Cache", "miss")
 		st := tenancyStamp{tenant: j.tenantName, lane: j.lane, cost: float64(est.SimCycles), ts: now.UnixNano()}
-		if err := s.journal.appendSubmit(j.id, j.key, j.body, st); err != nil {
+		if err := s.journal.appendSubmit(j.id, j.run.key, j.body, st); err != nil {
 			s.journalTrouble("journal submit record failed", j.id, err)
 		}
 	}
@@ -724,24 +718,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusGatewayTimeout,
 			&APIError{Code: CodeTimeout, Message: msg, Retryable: true})
 	}
-}
-
-// decodeRunRequest parses a POST /v1/runs body with unknown fields
-// rejected. Split out (and fuzzed) so every malformed body maps to a
-// structured bad_request error, never a panic.
-func decodeRunRequest(body []byte) (RunRequest, *APIError) {
-	var req RunRequest
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		return RunRequest{}, &APIError{Code: CodeBadRequest, Message: fmt.Sprintf("decode request: %v", err)}
-	}
-	// A second JSON document in the body is a client bug; reject rather
-	// than silently ignoring it.
-	if dec.More() {
-		return RunRequest{}, &APIError{Code: CodeBadRequest, Message: "decode request: trailing data after JSON body"}
-	}
-	return req, nil
 }
 
 // cacheLookupLocked checks the in-memory cache, then the journal-restored
@@ -798,8 +774,8 @@ func (s *Server) dropWaiter(j *job) bool {
 	j.cancel(errAbandoned)
 	// Un-map the key so an identical resubmission starts fresh instead of
 	// coalescing onto a corpse.
-	if s.inflight[j.key] == j {
-		delete(s.inflight, j.key)
+	if s.inflight[j.run.key] == j {
+		delete(s.inflight, j.run.key)
 	}
 	return true
 }
@@ -1004,10 +980,10 @@ func (s *Server) finishJob(j *job, data []byte, apiErr *APIError, dur time.Durat
 	}
 	s.mu.Lock()
 	if apiErr == nil {
-		s.cache[j.key] = data
+		s.cache[j.run.key] = data
 	}
-	if s.inflight[j.key] == j {
-		delete(s.inflight, j.key)
+	if s.inflight[j.run.key] == j {
+		delete(s.inflight, j.run.key)
 	}
 	s.mu.Unlock()
 	// Checkpoint-then-release: a drain-canceled run already journaled its
@@ -1047,7 +1023,7 @@ func (s *Server) finishJob(j *job, data []byte, apiErr *APIError, dur time.Durat
 	close(j.done)
 	if !drainCheckpointed {
 		st := tenancyStamp{tenant: j.tenantName, lane: j.lane, cost: float64(j.est.SimCycles), ts: j.admitted.UnixNano()}
-		if err := s.journal.appendEnd(j.id, j.key, state, apiErr, resultHash, st); err != nil {
+		if err := s.journal.appendEnd(j.id, j.run.key, state, apiErr, resultHash, st); err != nil {
 			s.journalTrouble("journal end record failed", j.id, err)
 		}
 		// A terminal job will never resume; its last checkpoint blob is
@@ -1106,7 +1082,7 @@ func (s *Server) execute(ctx context.Context, j *job) ([]byte, error) {
 		// Stamp the run's tenancy so an owner delegation (forwardToOwner)
 		// asserts the original tenant on the next hop instead of defaulting.
 		ctx := WithForwardedTenancy(ctx, ForwardedTenancy{Tenant: j.tenantName, Lane: j.lane})
-		if data, ok := s.opt.Peers.Lookup(ctx, j.key, j.body); ok {
+		if data, ok := s.opt.Peers.Lookup(ctx, j.run.key, j.body); ok {
 			j.peerServed = true
 			return data, nil
 		}
@@ -1173,7 +1149,7 @@ func (s *Server) checkpointer(j *job) *sim.Checkpointer {
 					s.checkpointTrouble("checkpoint write failed", j.id, err)
 					return
 				}
-				if err := s.journal.appendCheckpoint(j.id, j.key, hash, cycle); err != nil {
+				if err := s.journal.appendCheckpoint(j.id, j.run.key, hash, cycle); err != nil {
 					s.checkpointTrouble("checkpoint journal record failed", j.id, err)
 					return
 				}
@@ -1193,7 +1169,7 @@ func (s *Server) checkpointer(j *job) *sim.Checkpointer {
 			s.met.ckptBytes.Observe(float64(len(blob)))
 			s.met.ckptSeconds.Observe(time.Since(start).Seconds())
 			if s.opt.OnCheckpoint != nil {
-				s.opt.OnCheckpoint(j.key, blob, cycle)
+				s.opt.OnCheckpoint(j.run.key, blob, cycle)
 			}
 		},
 		OnError: func(err error) {

@@ -44,87 +44,113 @@ func (m Mix) HeavyCount() int {
 	return n
 }
 
-// Mixes8 returns the default evaluation set: twelve 8-core mixes spanning
-// the L/M/H categories (the paper evaluates category-balanced mix sets).
-func Mixes8() []Mix {
-	return []Mix{
-		// L: 2 of 8 heavy.
-		{Name: "W8-L1", Category: "L", Members: []string{
-			"libquantum-like", "mcf-like", "gcc-like", "h264-like",
-			"gobmk-like", "calculix-like", "astar-like", "povray-like"}},
-		{Name: "W8-L2", Category: "L", Members: []string{
-			"lbm-like", "omnetpp-like", "zeusmp-like", "cactus-like",
-			"gobmk-like", "povray-like", "h264-like", "calculix-like"}},
-		{Name: "W8-L3", Category: "L", Members: []string{
-			"milc-like", "leslie3d-like", "gcc-like", "astar-like",
-			"calculix-like", "povray-like", "gobmk-like", "h264-like"}},
-		{Name: "W8-L4", Category: "L", Members: []string{
-			"gems-like", "soplex-like", "cactus-like", "zeusmp-like",
-			"povray-like", "gobmk-like", "calculix-like", "gcc-like"}},
-		// M: 4 of 8 heavy.
-		{Name: "W8-M1", Category: "M", Members: []string{
-			"mcf-like", "libquantum-like", "lbm-like", "milc-like",
-			"gcc-like", "h264-like", "gobmk-like", "calculix-like"}},
-		{Name: "W8-M2", Category: "M", Members: []string{
-			"soplex-like", "gems-like", "omnetpp-like", "leslie3d-like",
-			"astar-like", "zeusmp-like", "povray-like", "gobmk-like"}},
-		{Name: "W8-M3", Category: "M", Members: []string{
-			"bwaves-like", "sphinx3-like", "mcf-like", "lbm-like",
-			"cactus-like", "gcc-like", "calculix-like", "povray-like"}},
-		{Name: "W8-M4", Category: "M", Members: []string{
-			"libquantum-like", "milc-like", "leslie3d-like", "omnetpp-like",
-			"h264-like", "astar-like", "gobmk-like", "zeusmp-like"}},
-		// H: 6 of 8 heavy.
-		{Name: "W8-H1", Category: "H", Members: []string{
-			"mcf-like", "libquantum-like", "lbm-like", "milc-like",
-			"soplex-like", "gems-like", "gcc-like", "gobmk-like"}},
-		{Name: "W8-H2", Category: "H", Members: []string{
-			"omnetpp-like", "leslie3d-like", "bwaves-like", "sphinx3-like",
-			"mcf-like", "lbm-like", "h264-like", "calculix-like"}},
-		{Name: "W8-H3", Category: "H", Members: []string{
-			"libquantum-like", "soplex-like", "milc-like", "gems-like",
-			"omnetpp-like", "bwaves-like", "astar-like", "povray-like"}},
-		{Name: "W8-H4", Category: "H", Members: []string{
-			"lbm-like", "mcf-like", "leslie3d-like", "sphinx3-like",
-			"gems-like", "milc-like", "zeusmp-like", "cactus-like"}},
-	}
+// mixes8 is the default evaluation set: twelve 8-core mixes spanning the
+// L/M/H categories (the paper evaluates category-balanced mix sets).
+var mixes8 = []Mix{
+	// L: 2 of 8 heavy.
+	{Name: "W8-L1", Category: "L", Members: []string{
+		"libquantum-like", "mcf-like", "gcc-like", "h264-like",
+		"gobmk-like", "calculix-like", "astar-like", "povray-like"}},
+	{Name: "W8-L2", Category: "L", Members: []string{
+		"lbm-like", "omnetpp-like", "zeusmp-like", "cactus-like",
+		"gobmk-like", "povray-like", "h264-like", "calculix-like"}},
+	{Name: "W8-L3", Category: "L", Members: []string{
+		"milc-like", "leslie3d-like", "gcc-like", "astar-like",
+		"calculix-like", "povray-like", "gobmk-like", "h264-like"}},
+	{Name: "W8-L4", Category: "L", Members: []string{
+		"gems-like", "soplex-like", "cactus-like", "zeusmp-like",
+		"povray-like", "gobmk-like", "calculix-like", "gcc-like"}},
+	// M: 4 of 8 heavy.
+	{Name: "W8-M1", Category: "M", Members: []string{
+		"mcf-like", "libquantum-like", "lbm-like", "milc-like",
+		"gcc-like", "h264-like", "gobmk-like", "calculix-like"}},
+	{Name: "W8-M2", Category: "M", Members: []string{
+		"soplex-like", "gems-like", "omnetpp-like", "leslie3d-like",
+		"astar-like", "zeusmp-like", "povray-like", "gobmk-like"}},
+	{Name: "W8-M3", Category: "M", Members: []string{
+		"bwaves-like", "sphinx3-like", "mcf-like", "lbm-like",
+		"cactus-like", "gcc-like", "calculix-like", "povray-like"}},
+	{Name: "W8-M4", Category: "M", Members: []string{
+		"libquantum-like", "milc-like", "leslie3d-like", "omnetpp-like",
+		"h264-like", "astar-like", "gobmk-like", "zeusmp-like"}},
+	// H: 6 of 8 heavy.
+	{Name: "W8-H1", Category: "H", Members: []string{
+		"mcf-like", "libquantum-like", "lbm-like", "milc-like",
+		"soplex-like", "gems-like", "gcc-like", "gobmk-like"}},
+	{Name: "W8-H2", Category: "H", Members: []string{
+		"omnetpp-like", "leslie3d-like", "bwaves-like", "sphinx3-like",
+		"mcf-like", "lbm-like", "h264-like", "calculix-like"}},
+	{Name: "W8-H3", Category: "H", Members: []string{
+		"libquantum-like", "soplex-like", "milc-like", "gems-like",
+		"omnetpp-like", "bwaves-like", "astar-like", "povray-like"}},
+	{Name: "W8-H4", Category: "H", Members: []string{
+		"lbm-like", "mcf-like", "leslie3d-like", "sphinx3-like",
+		"gems-like", "milc-like", "zeusmp-like", "cactus-like"}},
 }
+
+// mixes4 are 4-core mixes for the core-count sensitivity study.
+var mixes4 = []Mix{
+	{Name: "W4-L1", Category: "L", Members: []string{
+		"libquantum-like", "gcc-like", "gobmk-like", "calculix-like"}},
+	{Name: "W4-M1", Category: "M", Members: []string{
+		"mcf-like", "lbm-like", "h264-like", "povray-like"}},
+	{Name: "W4-M2", Category: "M", Members: []string{
+		"milc-like", "gems-like", "astar-like", "gobmk-like"}},
+	{Name: "W4-H1", Category: "H", Members: []string{
+		"libquantum-like", "mcf-like", "soplex-like", "calculix-like"}},
+}
+
+// mixes16 are 16-core mixes (W8-M1 and W8-H1 doubled) for the core-count
+// sensitivity study.
+var mixes16 = []Mix{
+	{Name: "W16-M1", Category: "M", Members: doubled(mixes8[4].Members)},
+	{Name: "W16-H1", Category: "H", Members: doubled(mixes8[8].Members)},
+}
+
+// doubled returns members followed by members again.
+func doubled(members []string) []string {
+	return append(append([]string(nil), members...), members...)
+}
+
+// The mix tables are built once. The exported accessors hand out deep
+// copies, so no caller can alias (or mutate) a table.
+
+// Mixes8 returns the default evaluation set: twelve 8-core mixes spanning
+// the L/M/H categories.
+func Mixes8() []Mix { return copyMixes(mixes8) }
 
 // Mixes4 returns 4-core mixes for the core-count sensitivity study.
-func Mixes4() []Mix {
-	return []Mix{
-		{Name: "W4-L1", Category: "L", Members: []string{
-			"libquantum-like", "gcc-like", "gobmk-like", "calculix-like"}},
-		{Name: "W4-M1", Category: "M", Members: []string{
-			"mcf-like", "lbm-like", "h264-like", "povray-like"}},
-		{Name: "W4-M2", Category: "M", Members: []string{
-			"milc-like", "gems-like", "astar-like", "gobmk-like"}},
-		{Name: "W4-H1", Category: "H", Members: []string{
-			"libquantum-like", "mcf-like", "soplex-like", "calculix-like"}},
-	}
-}
+func Mixes4() []Mix { return copyMixes(mixes4) }
 
-// Mixes16 returns 16-core mixes (two 8-core mixes doubled) for the
-// core-count sensitivity study.
-func Mixes16() []Mix {
-	m1 := Mixes8()[4] // W8-M1
-	m2 := Mixes8()[8] // W8-H1
-	return []Mix{
-		{Name: "W16-M1", Category: "M", Members: append(append([]string{}, m1.Members...), m1.Members...)},
-		{Name: "W16-H1", Category: "H", Members: append(append([]string{}, m2.Members...), m2.Members...)},
-	}
-}
+// Mixes16 returns 16-core mixes for the core-count sensitivity study.
+func Mixes16() []Mix { return copyMixes(mixes16) }
 
-// MixByName looks a mix up across all defined mix sets.
+// MixByName looks a mix up across all defined mix sets. The returned mix
+// owns its Members slice.
 func MixByName(name string) (Mix, bool) {
-	for _, set := range [][]Mix{Mixes8(), Mixes4(), Mixes16()} {
+	for _, set := range [...][]Mix{mixes8, mixes4, mixes16} {
 		for _, m := range set {
 			if m.Name == name {
-				return m, true
+				return m.clone(), true
 			}
 		}
 	}
 	return Mix{}, false
+}
+
+// clone returns m with its own copy of Members.
+func (m Mix) clone() Mix {
+	m.Members = append([]string(nil), m.Members...)
+	return m
+}
+
+// copyMixes deep-copies a mix table.
+func copyMixes(set []Mix) []Mix {
+	out := make([]Mix, len(set))
+	for i, m := range set {
+		out[i] = m.clone()
+	}
+	return out
 }
 
 // categoryHeavyFraction maps mix categories to their heavy-member share.
@@ -144,7 +170,7 @@ func RandomMix(name string, cores int, category string, seed int64) (Mix, error)
 		return Mix{}, fmt.Errorf("workload: cores must be positive, got %d", cores)
 	}
 	var heavy, medium, light []string
-	for _, s := range Suite() {
+	for _, s := range suite {
 		switch s.Class {
 		case Heavy:
 			heavy = append(heavy, s.Name)

@@ -143,57 +143,63 @@ func maxInt(a, b int) int {
 	return b
 }
 
-// Suite returns the 18-benchmark evaluation suite, ordered heavy → light.
-func Suite() []Spec {
-	const MB = 1 << 20
-	return []Spec{
-		// Heavy: MPKI ≳ 10.
-		{Name: "mcf-like", Class: Heavy, Pattern: PatternChase, Burst: 1, TargetMPKI: 35, WriteFrac: 0.05, ColdBytes: 32 * MB,
-			Description: "dependent pointer chasing; intense, BLP≈1, poor locality"},
-		{Name: "libquantum-like", Class: Heavy, Pattern: PatternStream, Streams: 1, Burst: 24, TargetMPKI: 28, WriteFrac: 0.15, ColdBytes: 16 * MB,
-			Description: "single hot stream; intense, extreme row locality, BLP≈1-2"},
-		{Name: "lbm-like", Class: Heavy, Pattern: PatternStream, Streams: 8, Burst: 16, TargetMPKI: 30, WriteFrac: 0.45, ColdBytes: 32 * MB,
-			Description: "eight wide stencil streams with heavy stores; high BLP, high RBL"},
-		{Name: "milc-like", Class: Heavy, Pattern: PatternRandom, Burst: 6, TargetMPKI: 25, WriteFrac: 0.20, ColdBytes: 32 * MB,
-			Description: "lattice-QCD-style scattered accesses; high BLP, poor locality"},
-		{Name: "soplex-like", Class: Heavy, Pattern: PatternMixed, Streams: 2, Burst: 4, TargetMPKI: 27, WriteFrac: 0.10, ColdBytes: 24 * MB,
-			Description: "sparse LP solve: streaming sweeps plus scattered pivots"},
-		{Name: "gems-like", Class: Heavy, Pattern: PatternStream, Streams: 6, Burst: 12, TargetMPKI: 22, WriteFrac: 0.30, ColdBytes: 32 * MB,
-			Description: "FDTD sweeps over six arrays; high BLP, high RBL"},
-		{Name: "omnetpp-like", Class: Heavy, Pattern: PatternRandom, Burst: 4, TargetMPKI: 20, WriteFrac: 0.25, ColdBytes: 24 * MB,
-			Description: "event-queue pointer soup; scattered, moderate BLP"},
-		{Name: "leslie3d-like", Class: Heavy, Pattern: PatternStream, Streams: 4, Burst: 8, TargetMPKI: 18, WriteFrac: 0.25, ColdBytes: 24 * MB,
-			Description: "four fluid-dynamics streams; balanced BLP and RBL"},
-		{Name: "bwaves-like", Class: Heavy, Pattern: PatternStream, Streams: 2, Burst: 8, TargetMPKI: 15, WriteFrac: 0.20, ColdBytes: 24 * MB,
-			Description: "two wide blast-wave streams"},
-		{Name: "sphinx3-like", Class: Heavy, Pattern: PatternMixed, Streams: 1, Burst: 2, TargetMPKI: 12, WriteFrac: 0.05, ColdBytes: 16 * MB,
-			Description: "acoustic scoring: stream plus dictionary lookups"},
-		// Medium: 1 ≲ MPKI ≲ 10.
-		{Name: "astar-like", Class: Medium, Pattern: PatternRandom, Burst: 2, TargetMPKI: 7, WriteFrac: 0.15, ColdBytes: 16 * MB,
-			Description: "path-finding over a grid; scattered pointer walks"},
-		{Name: "zeusmp-like", Class: Medium, Pattern: PatternStream, Streams: 4, Burst: 4, TargetMPKI: 5, WriteFrac: 0.25, ColdBytes: 16 * MB,
-			Description: "astrophysics stencil at moderate intensity"},
-		{Name: "cactus-like", Class: Medium, Pattern: PatternStream, Streams: 2, Burst: 2, TargetMPKI: 4, WriteFrac: 0.30, ColdBytes: 16 * MB,
-			Description: "relativity kernel; two streams, store-heavy"},
-		{Name: "gcc-like", Class: Medium, Pattern: PatternRandom, Burst: 2, TargetMPKI: 2.5, WriteFrac: 0.20, ColdBytes: 8 * MB,
-			Description: "compiler IR walks; scattered, mild intensity"},
-		{Name: "h264-like", Class: Medium, Pattern: PatternStream, Streams: 1, Burst: 1, TargetMPKI: 1.5, WriteFrac: 0.15, ColdBytes: 8 * MB,
-			Description: "motion estimation: frame-buffer streaming, mild"},
-		// Light: MPKI ≲ 1.
-		{Name: "gobmk-like", Class: Light, Pattern: PatternRandom, Burst: 1, TargetMPKI: 0.6, WriteFrac: 0.10, ColdBytes: 4 * MB,
-			Description: "game-tree search; mostly cache-resident"},
-		{Name: "calculix-like", Class: Light, Pattern: PatternStream, Streams: 1, Burst: 1, TargetMPKI: 0.25, WriteFrac: 0.10, ColdBytes: 4 * MB,
-			Description: "FEM solve with small footprint"},
-		{Name: "povray-like", Class: Light, Pattern: PatternRandom, Burst: 1, TargetMPKI: 0.05, WriteFrac: 0.05, ColdBytes: 2 * MB,
-			Description: "ray tracing; essentially cache-resident"},
-	}
+// mb is one mebibyte, the unit of the suite's cold footprints.
+const mb = 1 << 20
+
+// suite is the 18-benchmark evaluation suite, ordered heavy → light. It is
+// built once; the exported accessors hand out copies.
+var suite = []Spec{
+	// Heavy: MPKI ≳ 10.
+	{Name: "mcf-like", Class: Heavy, Pattern: PatternChase, Burst: 1, TargetMPKI: 35, WriteFrac: 0.05, ColdBytes: 32 * mb,
+		Description: "dependent pointer chasing; intense, BLP≈1, poor locality"},
+	{Name: "libquantum-like", Class: Heavy, Pattern: PatternStream, Streams: 1, Burst: 24, TargetMPKI: 28, WriteFrac: 0.15, ColdBytes: 16 * mb,
+		Description: "single hot stream; intense, extreme row locality, BLP≈1-2"},
+	{Name: "lbm-like", Class: Heavy, Pattern: PatternStream, Streams: 8, Burst: 16, TargetMPKI: 30, WriteFrac: 0.45, ColdBytes: 32 * mb,
+		Description: "eight wide stencil streams with heavy stores; high BLP, high RBL"},
+	{Name: "milc-like", Class: Heavy, Pattern: PatternRandom, Burst: 6, TargetMPKI: 25, WriteFrac: 0.20, ColdBytes: 32 * mb,
+		Description: "lattice-QCD-style scattered accesses; high BLP, poor locality"},
+	{Name: "soplex-like", Class: Heavy, Pattern: PatternMixed, Streams: 2, Burst: 4, TargetMPKI: 27, WriteFrac: 0.10, ColdBytes: 24 * mb,
+		Description: "sparse LP solve: streaming sweeps plus scattered pivots"},
+	{Name: "gems-like", Class: Heavy, Pattern: PatternStream, Streams: 6, Burst: 12, TargetMPKI: 22, WriteFrac: 0.30, ColdBytes: 32 * mb,
+		Description: "FDTD sweeps over six arrays; high BLP, high RBL"},
+	{Name: "omnetpp-like", Class: Heavy, Pattern: PatternRandom, Burst: 4, TargetMPKI: 20, WriteFrac: 0.25, ColdBytes: 24 * mb,
+		Description: "event-queue pointer soup; scattered, moderate BLP"},
+	{Name: "leslie3d-like", Class: Heavy, Pattern: PatternStream, Streams: 4, Burst: 8, TargetMPKI: 18, WriteFrac: 0.25, ColdBytes: 24 * mb,
+		Description: "four fluid-dynamics streams; balanced BLP and RBL"},
+	{Name: "bwaves-like", Class: Heavy, Pattern: PatternStream, Streams: 2, Burst: 8, TargetMPKI: 15, WriteFrac: 0.20, ColdBytes: 24 * mb,
+		Description: "two wide blast-wave streams"},
+	{Name: "sphinx3-like", Class: Heavy, Pattern: PatternMixed, Streams: 1, Burst: 2, TargetMPKI: 12, WriteFrac: 0.05, ColdBytes: 16 * mb,
+		Description: "acoustic scoring: stream plus dictionary lookups"},
+	// Medium: 1 ≲ MPKI ≲ 10.
+	{Name: "astar-like", Class: Medium, Pattern: PatternRandom, Burst: 2, TargetMPKI: 7, WriteFrac: 0.15, ColdBytes: 16 * mb,
+		Description: "path-finding over a grid; scattered pointer walks"},
+	{Name: "zeusmp-like", Class: Medium, Pattern: PatternStream, Streams: 4, Burst: 4, TargetMPKI: 5, WriteFrac: 0.25, ColdBytes: 16 * mb,
+		Description: "astrophysics stencil at moderate intensity"},
+	{Name: "cactus-like", Class: Medium, Pattern: PatternStream, Streams: 2, Burst: 2, TargetMPKI: 4, WriteFrac: 0.30, ColdBytes: 16 * mb,
+		Description: "relativity kernel; two streams, store-heavy"},
+	{Name: "gcc-like", Class: Medium, Pattern: PatternRandom, Burst: 2, TargetMPKI: 2.5, WriteFrac: 0.20, ColdBytes: 8 * mb,
+		Description: "compiler IR walks; scattered, mild intensity"},
+	{Name: "h264-like", Class: Medium, Pattern: PatternStream, Streams: 1, Burst: 1, TargetMPKI: 1.5, WriteFrac: 0.15, ColdBytes: 8 * mb,
+		Description: "motion estimation: frame-buffer streaming, mild"},
+	// Light: MPKI ≲ 1.
+	{Name: "gobmk-like", Class: Light, Pattern: PatternRandom, Burst: 1, TargetMPKI: 0.6, WriteFrac: 0.10, ColdBytes: 4 * mb,
+		Description: "game-tree search; mostly cache-resident"},
+	{Name: "calculix-like", Class: Light, Pattern: PatternStream, Streams: 1, Burst: 1, TargetMPKI: 0.25, WriteFrac: 0.10, ColdBytes: 4 * mb,
+		Description: "FEM solve with small footprint"},
+	{Name: "povray-like", Class: Light, Pattern: PatternRandom, Burst: 1, TargetMPKI: 0.05, WriteFrac: 0.05, ColdBytes: 2 * mb,
+		Description: "ray tracing; essentially cache-resident"},
 }
 
-// ByName finds a benchmark spec.
+// Suite returns a copy of the 18-benchmark evaluation suite, ordered heavy
+// → light.
+func Suite() []Spec { return append([]Spec(nil), suite...) }
+
+// ByName finds a benchmark spec. It scans the suite table in place and
+// does not allocate.
 func ByName(name string) (Spec, bool) {
-	for _, s := range Suite() {
-		if s.Name == name {
-			return s, true
+	for i := range suite {
+		if suite[i].Name == name {
+			return suite[i], true
 		}
 	}
 	return Spec{}, false
@@ -201,7 +207,6 @@ func ByName(name string) (Spec, bool) {
 
 // Names returns every benchmark name in suite order.
 func Names() []string {
-	suite := Suite()
 	out := make([]string, len(suite))
 	for i, s := range suite {
 		out[i] = s.Name

@@ -209,6 +209,37 @@ func TestMixByName(t *testing.T) {
 	}
 }
 
+// TestTablesDoNotAlias pins the table contract: the suite and mix tables
+// are built once, lookups into them do not allocate (MixByName allocates
+// only the Members copy it hands out), and nothing an accessor returns
+// aliases a table.
+func TestTablesDoNotAlias(t *testing.T) {
+	if n := testing.AllocsPerRun(100, func() { ByName("povray-like") }); n != 0 {
+		t.Errorf("ByName allocates %.0f times per call", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { MixByName("W16-H1") }); n != 1 {
+		t.Errorf("MixByName allocates %.0f times per call, want 1", n)
+	}
+
+	Suite()[0].Name = "scribbled"
+	Names()[0] = "scribbled"
+	m, _ := MixByName("W8-M1")
+	m.Members[0] = "scribbled"
+	for _, set := range [][]Mix{Mixes8(), Mixes4(), Mixes16()} {
+		set[0].Members[0] = "scribbled"
+	}
+	if s, ok := ByName("mcf-like"); !ok || Suite()[0] != s || Names()[0] != "mcf-like" {
+		t.Error("a Suite or Names result aliases the suite table")
+	}
+	for _, set := range [][]Mix{Mixes8(), Mixes4(), Mixes16()} {
+		for _, m := range set {
+			if err := m.Validate(); err != nil {
+				t.Errorf("a returned mix aliases its table: %v", err)
+			}
+		}
+	}
+}
+
 func TestMixNamesUnique(t *testing.T) {
 	seen := map[string]bool{}
 	for _, set := range [][]Mix{Mixes8(), Mixes4(), Mixes16()} {

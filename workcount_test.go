@@ -32,7 +32,8 @@ var workRows = []struct {
 }
 
 // allocLimit is the most allocs/op a row with base allocations passes at:
-// zero stays zero, otherwise 5% plus 8.
+// zero stays zero, otherwise 5% plus 8. internal/serve's memo_test.go holds
+// a copy for its cache-hit gate; change both together.
 func allocLimit(base float64) float64 {
 	if base == 0 {
 		return 0
