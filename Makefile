@@ -119,7 +119,8 @@ fleet-chaos-smoke:
 # earlier one fails, and still fails overall.
 ci: lint build vet test test-race scenario-smoke chaos-smoke fleet-smoke fleet-chaos-smoke
 
-# Regenerate every paper table/figure (full budgets; ~15 min).
+# Regenerate every paper table/figure (full budgets; 4.3 min wall, 8.3 CPU-min
+# on a 2-vCPU host).
 sweep:
 	$(GO) run ./cmd/dbpsweep -exp all -csv results
 

@@ -18,7 +18,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime/pprof"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -47,7 +47,7 @@ func run(args []string, stdout io.Writer) error {
 		quiet      = fs.Bool("q", false, "suppress progress lines")
 		plot       = fs.Bool("plot", false, "render bar charts for sweep experiments")
 		mdPath     = fs.String("md", "", "also append a markdown report to this file")
-		jsonDir    = fs.String("json", "", "directory to write one machine-readable run ledger per (mix, policy) run")
+		jsonDir    = fs.String("json", "", "directory to write one machine-readable run ledger per distinct (config, mix, policy) run")
 		pprofAddr  = fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
 		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
 	)
@@ -80,22 +80,21 @@ func run(args []string, stdout io.Writer) error {
 		opts.Progress = func(line string) { fmt.Fprintln(os.Stderr, "  …", line) }
 	}
 
+	selected := experiments.Registry()
 	if *scenPath != "" {
-		return runScenario(*scenPath, opts, stdout, *csvDir, *mdPath, *plot)
-	}
-
-	reg := experiments.Registry()
-	var ids []string
-	if *expName == "all" {
-		ids = experiments.Names()
-		// Run cheap configuration/characterisation first.
-		sort.SliceStable(ids, func(i, j int) bool { return order(ids[i]) < order(ids[j]) })
-	} else {
-		if reg[*expName] == nil {
+		sc, err := scenario.Load(*scenPath)
+		if err != nil {
+			return err
+		}
+		selected = []experiments.Entry{{ID: "scenario-" + sc.Name, Run: func(o experiments.Options) (experiments.Outcome, error) {
+			return experiments.ScenarioSweep(o, sc)
+		}}}
+	} else if *expName != "all" {
+		selected = slices.DeleteFunc(selected, func(e experiments.Entry) bool { return e.ID != *expName })
+		if len(selected) == 0 {
 			return fmt.Errorf("unknown experiment %q; known: %s",
 				*expName, strings.Join(experiments.Names(), ", "))
 		}
-		ids = []string{*expName}
 	}
 
 	var md *os.File
@@ -107,11 +106,11 @@ func run(args []string, stdout io.Writer) error {
 		}
 		defer md.Close()
 	}
-	for _, id := range ids {
+	for _, e := range selected {
 		start := time.Now()
-		out, err := reg[id](opts)
+		out, err := e.Run(opts)
 		if err != nil {
-			return fmt.Errorf("%s: %w", id, err)
+			return fmt.Errorf("%s: %w", e.ID, err)
 		}
 		if md != nil {
 			if err := out.WriteMarkdown(md); err != nil {
@@ -131,57 +130,10 @@ func run(args []string, stdout io.Writer) error {
 			}
 		}
 		if !*quiet {
-			fmt.Fprintf(os.Stderr, "  %s finished in %.1fs\n", id, time.Since(start).Seconds())
+			fmt.Fprintf(os.Stderr, "  %s finished in %.1fs\n", e.ID, time.Since(start).Seconds())
 		}
 	}
 	return nil
-}
-
-// runScenario loads one scenario file and runs the phase-shifting policy
-// comparison on it, reusing the sweep's output plumbing (-csv, -md, -plot).
-func runScenario(path string, opts experiments.Options, stdout io.Writer, csvDir, mdPath string, plot bool) error {
-	sc, err := scenario.Load(path)
-	if err != nil {
-		return err
-	}
-	out, err := experiments.ScenarioSweep(opts, sc)
-	if err != nil {
-		return err
-	}
-	if mdPath != "" {
-		md, err := os.OpenFile(mdPath, os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
-		if err != nil {
-			return err
-		}
-		defer md.Close()
-		if err := out.WriteMarkdown(md); err != nil {
-			return err
-		}
-	}
-	writeOut := out.Write
-	if plot {
-		writeOut = out.WritePlot
-	}
-	if err := writeOut(stdout); err != nil {
-		return err
-	}
-	if csvDir != "" && out.Table != nil {
-		return writeCSV(csvDir, out.ID, out.Table.CSV())
-	}
-	return nil
-}
-
-// order sorts experiment ids into a sensible presentation sequence.
-func order(id string) int {
-	seq := []string{"table1", "table2", "fig1", "fig2", "main", "dbptcm", "mcp",
-		"banks", "cores", "quantum", "dynamics", "ablation", "tcmthresh",
-		"prefetch", "energy", "parbs", "mapping", "llc", "timing"}
-	for i, s := range seq {
-		if s == id {
-			return i
-		}
-	}
-	return len(seq)
 }
 
 func writeCSV(dir, id, csv string) error {

@@ -5,23 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"dbpsim/internal/experiments"
 )
-
-func TestOrderCoversRegistry(t *testing.T) {
-	seen := map[int]string{}
-	for _, id := range experiments.Names() {
-		pos := order(id)
-		if prev, dup := seen[pos]; dup {
-			t.Errorf("ids %q and %q share order %d", prev, id, pos)
-		}
-		seen[pos] = id
-	}
-	if order("nonexistent") <= order("table1") {
-		t.Error("unknown ids must sort last")
-	}
-}
 
 func TestWriteCSV(t *testing.T) {
 	dir := t.TempDir()

@@ -8,12 +8,8 @@ package experiments
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
-	"runtime"
 	"sync"
 
-	"dbpsim/internal/obs"
 	"dbpsim/internal/sim"
 	"dbpsim/internal/stats"
 	"dbpsim/internal/workload"
@@ -31,15 +27,21 @@ type Options struct {
 	// Progress, if non-nil, receives one line per completed run.
 	Progress func(string)
 	// LedgerDir, when non-empty, writes one machine-readable run ledger
-	// per (mix, policy) run of every policy sweep into this directory
-	// (`<mix>_<scheduler>_<partition>.json`; see internal/obs). The same
-	// run reached from two experiments overwrites its own file — runs are
-	// deterministic, so the content is identical.
+	// per distinct (config, mix, policy) run of the grid experiments into
+	// this directory (see internal/obs): `<mix>_<scheduler>_<partition>.json`
+	// for a run on Base, with `_<first 12 hex of config_hash>` before
+	// `.json` for a run on any other config.
 	LedgerDir string
+
+	// runner keeps every finished grid run and alone baseline for the
+	// life of these Options (see runner); nil runs each experiment afresh.
+	runner *runner
 }
 
 // DefaultOptions returns full-evaluation budgets; quick shrinks both the
-// budgets and the mix list for fast regression runs.
+// budgets and the mix list for fast regression runs. Copies of the result
+// share one runner, so the experiments run on them simulate each distinct
+// run and alone baseline once.
 func DefaultOptions(quick bool) Options {
 	base := sim.DefaultConfig(8)
 	if quick {
@@ -48,6 +50,7 @@ func DefaultOptions(quick bool) Options {
 			Warmup:  100_000,
 			Measure: 200_000,
 			Mixes:   []workload.Mix{workload.Mixes8()[0], workload.Mixes8()[4], workload.Mixes8()[8]},
+			runner:  newRunner(),
 		}
 	}
 	return Options{
@@ -55,6 +58,7 @@ func DefaultOptions(quick bool) Options {
 		Warmup:  200_000,
 		Measure: 400_000,
 		Mixes:   workload.Mixes8(),
+		runner:  newRunner(),
 	}
 }
 
@@ -241,110 +245,15 @@ func Fig2(o Options) (Outcome, error) {
 	}, nil
 }
 
-// policySweep evaluates the given policies over the option's mixes —
-// (mix, policy) runs execute concurrently on a bounded worker pool (every
-// run is deterministic and independent, so results are identical to the
-// serial order) — and returns per-mix rows plus suite means.
-func policySweep(o Options, policies []sim.PolicyPoint) (*stats.TableWriter, []stats.SystemMetrics, error) {
-	t := stats.NewTable(append([]string{"workload"}, policyColumns(policies)...)...)
-	e := sim.NewExperiment(o.Base, o.Warmup, o.Measure)
-
-	type job struct{ mi, pi int }
-	type outcome struct {
-		metrics stats.SystemMetrics
-		err     error
-	}
-	jobs := make(chan job)
-	results := make([][]outcome, len(o.Mixes))
-	for i := range results {
-		results[i] = make([]outcome, len(policies))
-	}
-	workers := runtime.NumCPU()
-	if n := len(o.Mixes) * len(policies); workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range jobs {
-				mix, p := o.Mixes[j.mi], policies[j.pi]
-				run, err := e.RunMix(mix, p.Scheduler, p.Partition)
-				if err != nil {
-					results[j.mi][j.pi] = outcome{err: fmt.Errorf("%s on %s: %w", p.Label, mix.Name, err)}
-					continue
-				}
-				if o.LedgerDir != "" {
-					if err := writeRunLedger(o, run); err != nil {
-						results[j.mi][j.pi] = outcome{err: fmt.Errorf("%s on %s: ledger: %w", p.Label, mix.Name, err)}
-						continue
-					}
-				}
-				results[j.mi][j.pi] = outcome{metrics: run.Metrics}
-				o.log("%s: %s done (WS=%.3f MS=%.3f)", p.Label, mix.Name,
-					run.Metrics.WeightedSpeedup, run.Metrics.MaxSlowdown)
-			}
-		}()
-	}
-	for mi := range o.Mixes {
-		for pi := range policies {
-			jobs <- job{mi, pi}
-		}
-	}
-	close(jobs)
-	wg.Wait()
-
-	perPolicy := make([][]stats.SystemMetrics, len(policies))
-	for mi, mix := range o.Mixes {
-		cells := []string{mix.Name}
-		for pi := range policies {
-			r := results[mi][pi]
-			if r.err != nil {
-				return nil, nil, r.err
-			}
-			perPolicy[pi] = append(perPolicy[pi], r.metrics)
-			cells = append(cells,
-				fmt.Sprintf("%.3f", r.metrics.WeightedSpeedup),
-				fmt.Sprintf("%.3f", r.metrics.MaxSlowdown))
-		}
-		t.AddRow(cells...)
-	}
-	means := make([]stats.SystemMetrics, len(policies))
-	meanCells := []string{"MEAN"}
-	for pi := range policies {
-		means[pi] = stats.MeanAcross(perPolicy[pi])
-		meanCells = append(meanCells,
-			fmt.Sprintf("%.3f", means[pi].WeightedSpeedup),
-			fmt.Sprintf("%.3f", means[pi].MaxSlowdown))
-	}
-	t.AddRow(meanCells...)
-	return t, means, nil
-}
-
-// writeRunLedger persists one run's ledger under Options.LedgerDir.
-func writeRunLedger(o Options, run sim.MixRun) error {
-	if err := os.MkdirAll(o.LedgerDir, 0o755); err != nil {
-		return err
-	}
-	l, err := sim.BuildLedger("dbpsweep", o.Base, o.Warmup, o.Measure, run, nil)
-	if err != nil {
-		return err
-	}
-	name := fmt.Sprintf("%s_%s_%s.json", run.Mix.Name, run.Scheduler, run.Partition)
-	return obs.SaveLedger(filepath.Join(o.LedgerDir, name), l)
-}
-
-func policyColumns(policies []sim.PolicyPoint) []string {
-	var out []string
-	for _, p := range policies {
-		out = append(out, p.Label+".WS", p.Label+".MS")
-	}
-	return out
-}
+// The policy points the paper's comparisons share.
+var (
+	frfcfs  = sim.PolicyPoint{Label: "FRFCFS", Scheduler: sim.SchedFRFCFS, Partition: sim.PartNone}
+	equalBP = sim.PolicyPoint{Label: "EqualBP", Scheduler: sim.SchedFRFCFS, Partition: sim.PartEqual}
+	dbp     = sim.PolicyPoint{Label: "DBP", Scheduler: sim.SchedFRFCFS, Partition: sim.PartDBP}
+	mcp     = sim.PolicyPoint{Label: "MCP", Scheduler: sim.SchedFRFCFS, Partition: sim.PartMCP}
+	tcm     = sim.PolicyPoint{Label: "TCM", Scheduler: sim.SchedTCM, Partition: sim.PartNone}
+	dbpTCM  = sim.PolicyPoint{Label: "DBP-TCM", Scheduler: sim.SchedTCM, Partition: sim.PartDBP}
+)
 
 // claim renders a measured-vs-paper comparison line.
 func claim(what string, cur, base stats.SystemMetrics, paperWS, paperFair float64) string {
@@ -356,12 +265,8 @@ func claim(what string, cur, base stats.SystemMetrics, paperWS, paperFair float6
 // Main reproduces the headline comparison (the paper's Figs. 6–7): FR-FCFS,
 // equal bank partitioning and DBP across the mix set.
 func Main(o Options) (Outcome, error) {
-	policies := []sim.PolicyPoint{
-		{Label: "FRFCFS", Scheduler: sim.SchedFRFCFS, Partition: sim.PartNone},
-		{Label: "EqualBP", Scheduler: sim.SchedFRFCFS, Partition: sim.PartEqual},
-		{Label: "DBP", Scheduler: sim.SchedFRFCFS, Partition: sim.PartDBP},
-	}
-	t, means, err := policySweep(o, policies)
+	policies := []sim.PolicyPoint{frfcfs, equalBP, dbp}
+	t, means, err := policyTable(o, policies)
 	if err != nil {
 		return Outcome{}, err
 	}
@@ -380,12 +285,8 @@ func Main(o Options) (Outcome, error) {
 // DBPTCM reproduces the combination study (the paper's Fig. 8): TCM alone
 // versus DBP-TCM.
 func DBPTCM(o Options) (Outcome, error) {
-	policies := []sim.PolicyPoint{
-		{Label: "TCM", Scheduler: sim.SchedTCM, Partition: sim.PartNone},
-		{Label: "DBP", Scheduler: sim.SchedFRFCFS, Partition: sim.PartDBP},
-		{Label: "DBP-TCM", Scheduler: sim.SchedTCM, Partition: sim.PartDBP},
-	}
-	t, means, err := policySweep(o, policies)
+	policies := []sim.PolicyPoint{tcm, dbp, dbpTCM}
+	t, means, err := policyTable(o, policies)
 	if err != nil {
 		return Outcome{}, err
 	}
@@ -404,11 +305,8 @@ func DBPTCM(o Options) (Outcome, error) {
 // VsMCP reproduces the channel-partitioning comparison (the paper's
 // Fig. 9): MCP versus DBP-TCM.
 func VsMCP(o Options) (Outcome, error) {
-	policies := []sim.PolicyPoint{
-		{Label: "MCP", Scheduler: sim.SchedFRFCFS, Partition: sim.PartMCP},
-		{Label: "DBP-TCM", Scheduler: sim.SchedTCM, Partition: sim.PartDBP},
-	}
-	t, means, err := policySweep(o, policies)
+	policies := []sim.PolicyPoint{mcp, dbpTCM}
+	t, means, err := policyTable(o, policies)
 	if err != nil {
 		return Outcome{}, err
 	}

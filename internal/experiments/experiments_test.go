@@ -19,6 +19,7 @@ func tinyOptions() Options {
 		Warmup:  10_000,
 		Measure: 20_000,
 		Mixes:   []workload.Mix{workload.Mixes4()[1]},
+		runner:  newRunner(),
 	}
 }
 
@@ -34,15 +35,22 @@ func TestDefaultOptions(t *testing.T) {
 }
 
 func TestRegistryComplete(t *testing.T) {
-	reg := Registry()
+	byID := map[string]Runner{}
+	for _, e := range Registry() {
+		if byID[e.ID] != nil {
+			t.Errorf("experiment %q registered twice", e.ID)
+		}
+		byID[e.ID] = e.Run
+	}
 	for _, id := range []string{"table1", "table2", "fig1", "fig2", "main",
-		"dbptcm", "mcp", "banks", "cores", "quantum", "dynamics", "ablation", "tcmthresh"} {
-		if reg[id] == nil {
+		"dbptcm", "mcp", "banks", "cores", "quantum", "dynamics", "ablation", "tcmthresh",
+		"prefetch", "energy", "parbs", "mapping", "llc", "timing"} {
+		if byID[id] == nil {
 			t.Errorf("missing experiment %q", id)
 		}
 	}
-	if len(Names()) != len(reg) {
-		t.Error("Names() incomplete")
+	if names := Names(); len(names) != len(byID) || names[0] != "table1" {
+		t.Errorf("Names() = %v, want every id in Registry order", names)
 	}
 }
 

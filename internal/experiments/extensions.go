@@ -13,30 +13,22 @@ import (
 // prefetch traffic amplifies bank contention, making partitioning matter
 // more).
 func Prefetch(o Options) (Outcome, error) {
-	t := stats.NewTable("config", "FRFCFS.WS", "FRFCFS.MS", "DBP.WS", "DBP.MS")
-	mixes := mixesOfCategory(o, "M")
-	var rows []string
+	var settings []setting
 	for _, degree := range []int{0, 2, 4} {
-		opts := o
-		opts.Base.CPU.PrefetchDegree = degree
-		opts.Mixes = mixes
-		_, means, err := policySweep(opts, []sim.PolicyPoint{
-			{Label: "FRFCFS", Scheduler: sim.SchedFRFCFS, Partition: sim.PartNone},
-			{Label: "DBP", Scheduler: sim.SchedFRFCFS, Partition: sim.PartDBP},
-		})
-		if err != nil {
-			return Outcome{}, fmt.Errorf("prefetch degree=%d: %w", degree, err)
-		}
 		label := "off"
 		if degree > 0 {
 			label = fmt.Sprintf("stride×%d", degree)
 		}
-		t.AddRow(label,
-			fmt.Sprintf("%.3f", means[0].WeightedSpeedup), fmt.Sprintf("%.3f", means[0].MaxSlowdown),
-			fmt.Sprintf("%.3f", means[1].WeightedSpeedup), fmt.Sprintf("%.3f", means[1].MaxSlowdown))
-		ws, fair := means[1].Delta(means[0])
-		rows = append(rows, fmt.Sprintf("prefetch %s: DBP %+.1f%% WS / %+.1f%% fairness vs FRFCFS", label, ws, fair))
-		o.log("prefetch: degree %d done", degree)
+		settings = append(settings, o.at(label, func(c *sim.Config) { c.CPU.PrefetchDegree = degree }, frfcfs, dbp))
+	}
+	t, means, err := settingTable(o, []string{"config", "FRFCFS.WS", "FRFCFS.MS", "DBP.WS", "DBP.MS"}, settings...)
+	if err != nil {
+		return Outcome{}, err
+	}
+	var rows []string
+	for i, m := range means {
+		ws, fair := m[1].Delta(m[0])
+		rows = append(rows, fmt.Sprintf("prefetch %s: DBP %+.1f%% WS / %+.1f%% fairness vs FRFCFS", settings[i].label, ws, fair))
 	}
 	return Outcome{
 		ID:      "prefetch",
@@ -49,60 +41,44 @@ func Prefetch(o Options) (Outcome, error) {
 // Energy compares per-policy DRAM energy (an extension: partitioning that
 // preserves row-buffer locality also saves activate energy).
 func Energy(o Options) (Outcome, error) {
-	policies := []sim.PolicyPoint{
-		{Label: "FRFCFS", Scheduler: sim.SchedFRFCFS, Partition: sim.PartNone},
-		{Label: "EqualBP", Scheduler: sim.SchedFRFCFS, Partition: sim.PartEqual},
-		{Label: "DBP", Scheduler: sim.SchedFRFCFS, Partition: sim.PartDBP},
+	mix := o.Mixes[0]
+	cells := []cell{{o.Base, mix, frfcfs}, {o.Base, mix, equalBP}, {o.Base, mix, dbp}}
+	runs, err := o.run(cells)
+	if err != nil {
+		return Outcome{}, err
 	}
 	t := stats.NewTable("policy", "WS", "MS", "nJ/access", "activates/kAccess")
-	e := sim.NewExperiment(o.Base, o.Warmup, o.Measure)
-	mix := o.Mixes[0]
-	var summary []string
-	for _, p := range policies {
-		run, err := e.RunMix(mix, p.Scheduler, p.Partition)
-		if err != nil {
-			return Outcome{}, fmt.Errorf("energy %s: %w", p.Label, err)
-		}
+	for i, run := range runs {
 		transfers := run.Result.DRAM.Reads + run.Result.DRAM.Writes
 		actsPerK := 0.0
 		if transfers > 0 {
 			actsPerK = 1000 * float64(run.Result.DRAM.Activates) / float64(transfers)
 		}
-		t.AddRow(p.Label,
+		t.AddRow(cells[i].policy.Label,
 			fmt.Sprintf("%.3f", run.Metrics.WeightedSpeedup),
 			fmt.Sprintf("%.3f", run.Metrics.MaxSlowdown),
 			fmt.Sprintf("%.2f", run.Result.EnergyPerAccess),
 			fmt.Sprintf("%.0f", actsPerK))
-		o.log("energy: %s done", p.Label)
-		if p.Label == "DBP" {
-			summary = append(summary, fmt.Sprintf(
-				"DBP on %s: %.2f nJ/access (partitioning preserves row hits, saving activate energy)",
-				mix.Name, run.Result.EnergyPerAccess))
-		}
 	}
 	return Outcome{
-		ID:      "energy",
-		Title:   "Extension: DRAM energy per access by policy",
-		Table:   t,
-		Summary: summary,
+		ID:    "energy",
+		Title: "Extension: DRAM energy per access by policy",
+		Table: t,
+		Summary: []string{fmt.Sprintf(
+			"DBP on %s: %.2f nJ/access (partitioning preserves row hits, saving activate energy)",
+			mix.Name, runs[2].Result.EnergyPerAccess)},
 	}, nil
 }
 
 // PARBSBaseline adds the PAR-BS scheduler to the comparison (an extra
 // baseline beyond the paper's set).
 func PARBSBaseline(o Options) (Outcome, error) {
-	policies := []sim.PolicyPoint{
-		{Label: "FRFCFS", Scheduler: sim.SchedFRFCFS, Partition: sim.PartNone},
+	o.Mixes = mixesOfCategory(o, "M")
+	t, means, err := policyTable(o, []sim.PolicyPoint{
+		frfcfs,
 		{Label: "PARBS", Scheduler: sim.SchedPARBS, Partition: sim.PartNone},
 		{Label: "PARBS-DBP", Scheduler: sim.SchedPARBS, Partition: sim.PartDBP},
-	}
-	t, means, err := policySweep(Options{
-		Base:     o.Base,
-		Warmup:   o.Warmup,
-		Measure:  o.Measure,
-		Mixes:    mixesOfCategory(o, "M"),
-		Progress: o.Progress,
-	}, policies)
+	})
 	if err != nil {
 		return Outcome{}, err
 	}
@@ -120,33 +96,24 @@ func PARBSBaseline(o Options) (Outcome, error) {
 // page interleaving, cache-line channel interleaving, and permutation-based
 // (XOR) bank indexing — and shows that DBP composes with XOR mapping.
 func Mapping(o Options) (Outcome, error) {
-	type point struct {
+	var settings []setting
+	for _, p := range []struct {
 		label  string
 		scheme addr.Scheme
 		part   sim.PartitionKind
-	}
-	points := []point{
+	}{
 		{"page+none", addr.SchemePageInterleave, sim.PartNone},
 		{"line+none", addr.SchemeLineInterleave, sim.PartNone},
 		{"xor+none", addr.SchemeXORBank, sim.PartNone},
 		{"page+dbp", addr.SchemePageInterleave, sim.PartDBP},
 		{"xor+dbp", addr.SchemeXORBank, sim.PartDBP},
+	} {
+		settings = append(settings, o.at(p.label, func(c *sim.Config) { c.Mapping = p.scheme },
+			sim.PolicyPoint{Label: p.label, Scheduler: sim.SchedFRFCFS, Partition: p.part}))
 	}
-	t := stats.NewTable("mapping", "WS", "MS")
-	mixes := mixesOfCategory(o, "M")
-	for _, p := range points {
-		opts := o
-		opts.Base.Mapping = p.scheme
-		opts.Mixes = mixes
-		_, means, err := policySweep(opts, []sim.PolicyPoint{
-			{Label: p.label, Scheduler: sim.SchedFRFCFS, Partition: p.part},
-		})
-		if err != nil {
-			return Outcome{}, fmt.Errorf("mapping %s: %w", p.label, err)
-		}
-		t.AddRow(p.label,
-			fmt.Sprintf("%.3f", means[0].WeightedSpeedup), fmt.Sprintf("%.3f", means[0].MaxSlowdown))
-		o.log("mapping: %s done", p.label)
+	t, _, err := settingTable(o, []string{"mapping", "WS", "MS"}, settings...)
+	if err != nil {
+		return Outcome{}, err
 	}
 	return Outcome{
 		ID:    "mapping",
@@ -162,35 +129,25 @@ func Mapping(o Options) (Outcome, error) {
 // partitioning composes with cache partitioning, the paper's closest
 // sibling mechanism.
 func LLC(o Options) (Outcome, error) {
-	type point struct {
+	var settings []setting
+	for _, p := range []struct {
 		label  string
 		l3     int // KiB, 0 = no L3
 		policy sim.L3PolicyKind
 		part   sim.PartitionKind
-	}
-	points := []point{
+	}{
 		{"private-only", 0, sim.L3Shared, sim.PartNone},
 		{"L3-shared", 4096, sim.L3Shared, sim.PartNone},
 		{"L3-equal", 4096, sim.L3Equal, sim.PartNone},
 		{"L3-ucp", 4096, sim.L3UCP, sim.PartNone},
 		{"L3-ucp+dbp", 4096, sim.L3UCP, sim.PartDBP},
+	} {
+		settings = append(settings, o.at(p.label, func(c *sim.Config) { c.L3.SizeBytes, c.L3Policy = p.l3<<10, p.policy },
+			sim.PolicyPoint{Label: p.label, Scheduler: sim.SchedFRFCFS, Partition: p.part}))
 	}
-	t := stats.NewTable("config", "WS", "MS")
-	mixes := mixesOfCategory(o, "M")
-	for _, p := range points {
-		opts := o
-		opts.Base.L3.SizeBytes = p.l3 << 10
-		opts.Base.L3Policy = p.policy
-		opts.Mixes = mixes
-		_, means, err := policySweep(opts, []sim.PolicyPoint{
-			{Label: p.label, Scheduler: sim.SchedFRFCFS, Partition: p.part},
-		})
-		if err != nil {
-			return Outcome{}, fmt.Errorf("llc %s: %w", p.label, err)
-		}
-		t.AddRow(p.label,
-			fmt.Sprintf("%.3f", means[0].WeightedSpeedup), fmt.Sprintf("%.3f", means[0].MaxSlowdown))
-		o.log("llc: %s done", p.label)
+	t, _, err := settingTable(o, []string{"config", "WS", "MS"}, settings...)
+	if err != nil {
+		return Outcome{}, err
 	}
 	return Outcome{
 		ID:    "llc",
@@ -205,31 +162,12 @@ func LLC(o Options) (Outcome, error) {
 // Timing compares DRAM generations (an extension): the policy story must
 // hold across timing sets, not just DDR3-1600.
 func Timing(o Options) (Outcome, error) {
-	t := stats.NewTable("timing", "FRFCFS.WS", "FRFCFS.MS", "DBP.WS", "DBP.MS")
-	mixes := mixesOfCategory(o, "M")
-	for _, gen := range []struct {
-		label  string
-		timing dram.Timing
-		ratio  int
-	}{
-		{"DDR3-1600", dram.DDR3_1600(), 4},
-		{"DDR4-2400", dram.DDR4_2400(), 3},
-	} {
-		opts := o
-		opts.Base.Timing = gen.timing
-		opts.Base.CPUClockRatio = gen.ratio
-		opts.Mixes = mixes
-		_, means, err := policySweep(opts, []sim.PolicyPoint{
-			{Label: "FRFCFS", Scheduler: sim.SchedFRFCFS, Partition: sim.PartNone},
-			{Label: "DBP", Scheduler: sim.SchedFRFCFS, Partition: sim.PartDBP},
-		})
-		if err != nil {
-			return Outcome{}, fmt.Errorf("timing %s: %w", gen.label, err)
-		}
-		t.AddRow(gen.label,
-			fmt.Sprintf("%.3f", means[0].WeightedSpeedup), fmt.Sprintf("%.3f", means[0].MaxSlowdown),
-			fmt.Sprintf("%.3f", means[1].WeightedSpeedup), fmt.Sprintf("%.3f", means[1].MaxSlowdown))
-		o.log("timing: %s done", gen.label)
+	ddr3 := func(c *sim.Config) { c.Timing, c.CPUClockRatio = dram.DDR3_1600(), 4 }
+	ddr4 := func(c *sim.Config) { c.Timing, c.CPUClockRatio = dram.DDR4_2400(), 3 }
+	t, _, err := settingTable(o, []string{"timing", "FRFCFS.WS", "FRFCFS.MS", "DBP.WS", "DBP.MS"},
+		o.at("DDR3-1600", ddr3, frfcfs, dbp), o.at("DDR4-2400", ddr4, frfcfs, dbp))
+	if err != nil {
+		return Outcome{}, err
 	}
 	return Outcome{
 		ID:    "timing",

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"sort"
 
 	"dbpsim/internal/stats"
 )
@@ -11,39 +10,44 @@ import (
 // Runner executes one experiment.
 type Runner func(Options) (Outcome, error)
 
-// Registry maps experiment IDs (as used by `dbpsweep -exp`) to runners.
-func Registry() map[string]Runner {
-	return map[string]Runner{
-		"table1":    func(o Options) (Outcome, error) { return Table1(o.Base), nil },
-		"table2":    Table2,
-		"fig1":      Fig1,
-		"fig2":      Fig2,
-		"main":      Main,
-		"dbptcm":    DBPTCM,
-		"mcp":       VsMCP,
-		"banks":     SensBanks,
-		"cores":     SensCores,
-		"quantum":   SensQuantum,
-		"dynamics":  Dynamics,
-		"ablation":  Ablation,
-		"tcmthresh": TCMThreshSweep,
-		"prefetch":  Prefetch,
-		"energy":    Energy,
-		"parbs":     PARBSBaseline,
-		"mapping":   Mapping,
-		"llc":       LLC,
-		"timing":    Timing,
+// Entry is one experiment under its `dbpsweep -exp` id.
+type Entry struct {
+	ID  string
+	Run Runner
+}
+
+// Registry lists every experiment in presentation order: configuration and
+// characterisation first, then the paper's figures, then the extensions.
+func Registry() []Entry {
+	return []Entry{
+		{"table1", func(o Options) (Outcome, error) { return Table1(o.Base), nil }},
+		{"table2", Table2},
+		{"fig1", Fig1},
+		{"fig2", Fig2},
+		{"main", Main},
+		{"dbptcm", DBPTCM},
+		{"mcp", VsMCP},
+		{"banks", SensBanks},
+		{"cores", SensCores},
+		{"quantum", SensQuantum},
+		{"dynamics", Dynamics},
+		{"ablation", Ablation},
+		{"tcmthresh", TCMThreshSweep},
+		{"prefetch", Prefetch},
+		{"energy", Energy},
+		{"parbs", PARBSBaseline},
+		{"mapping", Mapping},
+		{"llc", LLC},
+		{"timing", Timing},
 	}
 }
 
-// Names returns the registry keys in a stable order.
+// Names returns the experiment ids in Registry order.
 func Names() []string {
-	reg := Registry()
-	out := make([]string, 0, len(reg))
-	for k := range reg {
-		out = append(out, k)
+	var out []string
+	for _, e := range Registry() {
+		out = append(out, e.ID)
 	}
-	sort.Strings(out)
 	return out
 }
 

@@ -17,12 +17,7 @@ import (
 // scenarios: the unpartitioned baseline, static equal partitioning, MCP,
 // and DBP, all under FR-FCFS so the partition policy is the only variable.
 func ScenarioPolicies() []sim.PolicyPoint {
-	return []sim.PolicyPoint{
-		{Label: "FRFCFS", Scheduler: sim.SchedFRFCFS, Partition: sim.PartNone},
-		{Label: "EqualBP", Scheduler: sim.SchedFRFCFS, Partition: sim.PartEqual},
-		{Label: "MCP", Scheduler: sim.SchedFRFCFS, Partition: sim.PartMCP},
-		{Label: "DBP", Scheduler: sim.SchedFRFCFS, Partition: sim.PartDBP},
-	}
+	return []sim.PolicyPoint{frfcfs, equalBP, mcp, dbp}
 }
 
 // ScenarioSweep evaluates one phase-shifting scenario under the standard

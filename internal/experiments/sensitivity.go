@@ -25,30 +25,31 @@ func mixesOfCategory(o Options, cat string) []workload.Mix {
 	return out
 }
 
+// at returns the setting named label: policies over the option's
+// M-category mixes, on a copy of Base changed by mutate.
+func (o Options) at(label string, mutate func(*sim.Config), policies ...sim.PolicyPoint) setting {
+	cfg := o.Base
+	mutate(&cfg)
+	return setting{label: label, cfg: cfg, mixes: mixesOfCategory(o, "M"), policies: policies}
+}
+
 // SensBanks reproduces the bank-count sensitivity (the paper's Fig. 10):
 // EqualBP vs DBP as the number of banks per rank varies.
 func SensBanks(o Options) (Outcome, error) {
-	t := stats.NewTable("banks", "EqualBP.WS", "EqualBP.MS", "DBP.WS", "DBP.MS")
-	mixes := mixesOfCategory(o, "M")
-	var gaps []string
+	var settings []setting
 	for _, banks := range []int{4, 8, 16} {
-		opts := o
-		opts.Base.Geometry.BanksPerRank = banks
-		opts.Mixes = mixes
-		_, means, err := policySweep(opts, []sim.PolicyPoint{
-			{Label: "EqualBP", Scheduler: sim.SchedFRFCFS, Partition: sim.PartEqual},
-			{Label: "DBP", Scheduler: sim.SchedFRFCFS, Partition: sim.PartDBP},
-		})
-		if err != nil {
-			return Outcome{}, fmt.Errorf("banks=%d: %w", banks, err)
-		}
-		totalBanks := banks * opts.Base.Geometry.Channels * opts.Base.Geometry.RanksPerChannel
-		t.AddRow(fmt.Sprintf("%d", totalBanks),
-			fmt.Sprintf("%.3f", means[0].WeightedSpeedup), fmt.Sprintf("%.3f", means[0].MaxSlowdown),
-			fmt.Sprintf("%.3f", means[1].WeightedSpeedup), fmt.Sprintf("%.3f", means[1].MaxSlowdown))
-		ws, fair := means[1].Delta(means[0])
-		gaps = append(gaps, fmt.Sprintf("%d banks: DBP %+.1f%% WS / %+.1f%% fairness", totalBanks, ws, fair))
-		o.log("sens-banks: %d banks done", totalBanks)
+		g := o.Base.Geometry
+		total := fmt.Sprintf("%d", banks*g.Channels*g.RanksPerChannel)
+		settings = append(settings, o.at(total, func(c *sim.Config) { c.Geometry.BanksPerRank = banks }, equalBP, dbp))
+	}
+	t, means, err := settingTable(o, []string{"banks", "EqualBP.WS", "EqualBP.MS", "DBP.WS", "DBP.MS"}, settings...)
+	if err != nil {
+		return Outcome{}, err
+	}
+	var gaps []string
+	for i, m := range means {
+		ws, fair := m[1].Delta(m[0])
+		gaps = append(gaps, fmt.Sprintf("%s banks: DBP %+.1f%% WS / %+.1f%% fairness", settings[i].label, ws, fair))
 	}
 	return Outcome{
 		ID:    "fig10",
@@ -62,29 +63,13 @@ func SensBanks(o Options) (Outcome, error) {
 
 // SensCores reproduces the core-count sensitivity (the paper's Fig. 11).
 func SensCores(o Options) (Outcome, error) {
-	t := stats.NewTable("cores", "EqualBP.WS", "EqualBP.MS", "DBP.WS", "DBP.MS")
-	sets := []struct {
-		cores int
-		mixes []workload.Mix
-	}{
-		{4, workload.Mixes4()},
-		{8, mixesOfCategory(o, "M")},
-		{16, workload.Mixes16()},
-	}
-	for _, set := range sets {
-		opts := o
-		opts.Mixes = set.mixes
-		_, means, err := policySweep(opts, []sim.PolicyPoint{
-			{Label: "EqualBP", Scheduler: sim.SchedFRFCFS, Partition: sim.PartEqual},
-			{Label: "DBP", Scheduler: sim.SchedFRFCFS, Partition: sim.PartDBP},
-		})
-		if err != nil {
-			return Outcome{}, fmt.Errorf("cores=%d: %w", set.cores, err)
-		}
-		t.AddRow(fmt.Sprintf("%d", set.cores),
-			fmt.Sprintf("%.3f", means[0].WeightedSpeedup), fmt.Sprintf("%.3f", means[0].MaxSlowdown),
-			fmt.Sprintf("%.3f", means[1].WeightedSpeedup), fmt.Sprintf("%.3f", means[1].MaxSlowdown))
-		o.log("sens-cores: %d cores done", set.cores)
+	policies := []sim.PolicyPoint{equalBP, dbp}
+	t, _, err := settingTable(o, []string{"cores", "EqualBP.WS", "EqualBP.MS", "DBP.WS", "DBP.MS"},
+		setting{"4", o.Base, workload.Mixes4(), policies},
+		setting{"8", o.Base, mixesOfCategory(o, "M"), policies},
+		setting{"16", o.Base, workload.Mixes16(), policies})
+	if err != nil {
+		return Outcome{}, err
 	}
 	return Outcome{
 		ID:    "fig11",
@@ -96,21 +81,13 @@ func SensCores(o Options) (Outcome, error) {
 // SensQuantum reproduces the quantum-length sensitivity (the paper's
 // Fig. 12).
 func SensQuantum(o Options) (Outcome, error) {
-	t := stats.NewTable("quantum.cycles", "DBP.WS", "DBP.MS")
-	mixes := mixesOfCategory(o, "M")
+	var settings []setting
 	for _, q := range []uint64{250_000, 500_000, 1_000_000, 2_000_000} {
-		opts := o
-		opts.Base.DBP.QuantumCPUCycles = q
-		opts.Mixes = mixes
-		_, means, err := policySweep(opts, []sim.PolicyPoint{
-			{Label: "DBP", Scheduler: sim.SchedFRFCFS, Partition: sim.PartDBP},
-		})
-		if err != nil {
-			return Outcome{}, fmt.Errorf("quantum=%d: %w", q, err)
-		}
-		t.AddRow(fmt.Sprintf("%d", q),
-			fmt.Sprintf("%.3f", means[0].WeightedSpeedup), fmt.Sprintf("%.3f", means[0].MaxSlowdown))
-		o.log("sens-quantum: %d done", q)
+		settings = append(settings, o.at(fmt.Sprintf("%d", q), func(c *sim.Config) { c.DBP.QuantumCPUCycles = q }, dbp))
+	}
+	t, _, err := settingTable(o, []string{"quantum.cycles", "DBP.WS", "DBP.MS"}, settings...)
+	if err != nil {
+		return Outcome{}, err
 	}
 	return Outcome{
 		ID:    "fig12",
@@ -188,12 +165,10 @@ func Dynamics(o Options) (Outcome, error) {
 
 // Ablation evaluates DBP's design choices (DESIGN.md's ablation list).
 func Ablation(o Options) (Outcome, error) {
-	mixes := mixesOfCategory(o, "M")
-	type variant struct {
+	variants := []struct {
 		label  string
 		mutate func(*sim.Config)
-	}
-	variants := []variant{
+	}{
 		{"DBP(default)", func(c *sim.Config) {}},
 		{"demand=MPKI", func(c *sim.Config) { c.DBP.Estimator = core.EstimateMPKI }},
 		{"demand=achievedBLP", func(c *sim.Config) { c.DBP.Estimator = core.EstimateAchievedBLP }},
@@ -201,29 +176,26 @@ func Ablation(o Options) (Outcome, error) {
 		{"hysteresis=3", func(c *sim.Config) { c.DBP.HysteresisColors = 3 }},
 		{"no-migration", func(c *sim.Config) { c.MigratePagesPerQuantum = 0 }},
 	}
+	var settings []setting
+	for _, v := range variants {
+		settings = append(settings, o.at(v.label, v.mutate,
+			sim.PolicyPoint{Label: v.label, Scheduler: sim.SchedFRFCFS, Partition: sim.PartDBP}))
+	}
+	// The ablation table adds HS, so it renders its own rows.
+	_, means, err := settingTable(o, nil, settings...)
+	if err != nil {
+		return Outcome{}, err
+	}
 	t := stats.NewTable("variant", "WS", "MS", "HS")
 	var summary []string
-	var baseline stats.SystemMetrics
-	for i, v := range variants {
-		opts := o
-		v.mutate(&opts.Base)
-		opts.Mixes = mixes
-		_, means, err := policySweep(opts, []sim.PolicyPoint{
-			{Label: v.label, Scheduler: sim.SchedFRFCFS, Partition: sim.PartDBP},
-		})
-		if err != nil {
-			return Outcome{}, fmt.Errorf("ablation %s: %w", v.label, err)
-		}
-		m := means[0]
-		t.AddRow(v.label, fmt.Sprintf("%.3f", m.WeightedSpeedup),
+	for i, s := range settings {
+		m := means[i][0]
+		t.AddRow(s.label, fmt.Sprintf("%.3f", m.WeightedSpeedup),
 			fmt.Sprintf("%.3f", m.MaxSlowdown), fmt.Sprintf("%.3f", m.HarmonicSpeedup))
-		if i == 0 {
-			baseline = m
-		} else {
-			ws, fair := m.Delta(baseline)
-			summary = append(summary, fmt.Sprintf("%s vs default: %+.1f%% WS, %+.1f%% fairness", v.label, ws, fair))
+		if i > 0 {
+			ws, fair := m.Delta(means[0][0])
+			summary = append(summary, fmt.Sprintf("%s vs default: %+.1f%% WS, %+.1f%% fairness", s.label, ws, fair))
 		}
-		o.log("ablation: %s done", v.label)
 	}
 	return Outcome{
 		ID:      "ablation",
@@ -236,21 +208,13 @@ func Ablation(o Options) (Outcome, error) {
 // TCMThreshSweep quantifies the latency-cluster decision documented in
 // DESIGN.md: ClusterThresh > 0 on this substrate.
 func TCMThreshSweep(o Options) (Outcome, error) {
-	t := stats.NewTable("ClusterThresh", "TCM.WS", "TCM.MS")
-	mixes := mixesOfCategory(o, "M")
+	var settings []setting
 	for _, th := range []float64{0, 0.05, 0.10} {
-		opts := o
-		opts.Base.TCMClusterThresh = th
-		opts.Mixes = mixes
-		_, means, err := policySweep(opts, []sim.PolicyPoint{
-			{Label: "TCM", Scheduler: sim.SchedTCM, Partition: sim.PartNone},
-		})
-		if err != nil {
-			return Outcome{}, fmt.Errorf("thresh=%.2f: %w", th, err)
-		}
-		t.AddRow(fmt.Sprintf("%.2f", th),
-			fmt.Sprintf("%.3f", means[0].WeightedSpeedup), fmt.Sprintf("%.3f", means[0].MaxSlowdown))
-		o.log("tcm-thresh: %.2f done", th)
+		settings = append(settings, o.at(fmt.Sprintf("%.2f", th), func(c *sim.Config) { c.TCMClusterThresh = th }, tcm))
+	}
+	t, _, err := settingTable(o, []string{"ClusterThresh", "TCM.WS", "TCM.MS"}, settings...)
+	if err != nil {
+		return Outcome{}, err
 	}
 	return Outcome{
 		ID:    "tcm-thresh",

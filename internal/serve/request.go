@@ -168,7 +168,7 @@ func resolve(req RunRequest, maxInstructions uint64) (resolvedRun, error) {
 	}
 	rr.base = base
 	rr.cfgHash = obs.HashConfig(cfgJSON)
-	rr.key = runKey(rr.cfgHash, rr.mix, rr.warmup, rr.measure)
+	rr.key = sim.RunKey(rr.cfgHash, rr.mix, rr.warmup, rr.measure)
 	return rr, nil
 }
 
@@ -218,7 +218,7 @@ const (
 // hit, a coalesced join and quota admission. A run that must execute is
 // resolved afresh, so no resolvedRun is shared between requests.
 type memoRun struct {
-	key string // run key (see runKey)
+	key string // run key (see sim.RunKey)
 	est tenant.Estimate
 }
 
@@ -300,28 +300,8 @@ func ResolveCost(body []byte, maxInstructions uint64) (runKey string, est tenant
 	return rr.key, tenant.EstimateRun(rr.warmup + rr.measure), nil
 }
 
-// runKey is the content address of one run: the ledger's config sha256
-// extended with the mix membership and the instruction budgets (the parts
-// of the run identity the config JSON does not carry).
-func runKey(cfgHash string, mix workload.Mix, warmup, measure uint64) string {
-	return fmt.Sprintf("%s|%s:%s|w=%d|m=%d",
-		cfgHash, mix.Name, strings.Join(mix.Members, ","), warmup, measure)
-}
-
-// experimentKey identifies the alone-run baseline pool the run draws from.
-// Baselines are measured on the neutral system (1 core, FR-FCFS, no
-// partitioning), so the per-run fields are neutralised before hashing:
-// requests that differ only in mix or policy share one sim.Experiment and
-// therefore one baseline cache.
+// experimentKey identifies the alone-run baseline pool the run draws from
+// (see sim.ExperimentKey).
 func (rr resolvedRun) experimentKey() (string, error) {
-	neutral := rr.base
-	neutral.Cores = 1
-	neutral.Scheduler = sim.SchedFRFCFS
-	neutral.Partition = sim.PartNone
-	neutral.ScenarioHash = ""
-	data, err := sim.MarshalConfig(neutral)
-	if err != nil {
-		return "", err
-	}
-	return fmt.Sprintf("%s|w=%d|m=%d", obs.HashConfig(data), rr.warmup, rr.measure), nil
+	return sim.ExperimentKey(rr.base, rr.warmup, rr.measure)
 }

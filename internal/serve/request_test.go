@@ -28,6 +28,35 @@ func TestResolveDefaults(t *testing.T) {
 	}
 }
 
+// TestRunIdentityPinned pins the run key and baseline key of two mix
+// requests byte for byte. Journals on disk, the result cache and fleet ring
+// placement all depend on these strings, so a change here is a format break.
+func TestRunIdentityPinned(t *testing.T) {
+	for _, tc := range []struct{ body, runKey, expKey string }{
+		{
+			`{"mix":"W4-M1","warmup":20000,"measure":50000}`,
+			"c5413a589fd026a9f6c50afca328d03ffe62e35d98592eaf283029fa118f407f|W4-M1:mcf-like,lbm-like,h264-like,povray-like|w=20000|m=50000",
+			"c0ef73b1e85add903e6e9518d17485146eefd096d7d73746b54c8b7c38b448a7|w=20000|m=50000",
+		},
+		{
+			`{"mix":"W8-M1","scheduler":"tcm","partition":"dbp","seed":7,"config":{"TCMClusterThresh":0.1}}`,
+			"7d39f7a20b00622217e11585ecbe0d4fe4d282a8a1b66e90a20423954efca461|W8-M1:mcf-like,libquantum-like,lbm-like,milc-like,gcc-like,h264-like,gobmk-like,calculix-like|w=200000|m=400000",
+			"da61343ff2331b10f5b311b773d7ea3e519ac11b20ba8ca00bc33c959d738592|w=200000|m=400000",
+		},
+	} {
+		runKey, expKey, apiErr := ResolveRequest([]byte(tc.body), 0)
+		if apiErr != nil {
+			t.Fatalf("%s: %v", tc.body, apiErr)
+		}
+		if runKey != tc.runKey {
+			t.Errorf("%s: run key\n got %s\nwant %s", tc.body, runKey, tc.runKey)
+		}
+		if expKey != tc.expKey {
+			t.Errorf("%s: baseline key\n got %s\nwant %s", tc.body, expKey, tc.expKey)
+		}
+	}
+}
+
 func TestResolveExplicitZeroWarmup(t *testing.T) {
 	zero := uint64(0)
 	rr, err := resolve(RunRequest{Mix: "W4-M1", Warmup: &zero}, 0)

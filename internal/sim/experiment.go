@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"strings"
 	"sync"
 
 	"dbpsim/internal/obs"
@@ -45,6 +46,33 @@ func NewExperiment(base Config, warmup, measure uint64) *Experiment {
 		Measure:  measure,
 		aloneIPC: make(map[string]float64),
 	}
+}
+
+// RunKey is the content address of one run: the ledger's config sha256
+// extended with the mix membership and the instruction budgets (the parts
+// of the run identity the config JSON does not carry). Journals, result
+// caches and fleet ring placement depend on these exact bytes.
+func RunKey(cfgHash string, mix workload.Mix, warmup, measure uint64) string {
+	return fmt.Sprintf("%s|%s:%s|w=%d|m=%d",
+		cfgHash, mix.Name, strings.Join(mix.Members, ","), warmup, measure)
+}
+
+// ExperimentKey identifies the alone-run baseline pool a run on base draws
+// from. Baselines are measured on the neutral system (1 core, FR-FCFS, no
+// partitioning), so the per-run fields are neutralised before hashing: runs
+// that differ only in mix or policy share one Experiment and therefore one
+// baseline cache.
+func ExperimentKey(base Config, warmup, measure uint64) (string, error) {
+	neutral := base
+	neutral.Cores = 1
+	neutral.Scheduler = SchedFRFCFS
+	neutral.Partition = PartNone
+	neutral.ScenarioHash = ""
+	data, err := MarshalConfig(neutral)
+	if err != nil {
+		return "", err
+	}
+	return fmt.Sprintf("%s|w=%d|m=%d", obs.HashConfig(data), warmup, measure), nil
 }
 
 // seedFor derives a stable per-occurrence seed so that alone and shared
